@@ -3,8 +3,8 @@
 //!
 //! Thin wrapper: builds the plan and executes it on the grid engine
 //! (`--jobs`, `--retries`, `--resume`, `--manifest`). `--mixes N`
-//! controls heterogeneous mixes per core count; `--noc`/`--step-workers`
-//! are accepted but the plan supplies its own per-cell values.
+//! controls heterogeneous mixes per core count; `--noc` is accepted but
+//! the plan supplies its own per-cell value.
 
 use chrome_bench::experiments::scaling;
 use chrome_bench::{run_plans, RunParams};

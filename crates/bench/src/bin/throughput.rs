@@ -119,7 +119,6 @@ fn run_once(
     p.cores = cores;
     p.noc = noc.to_string();
     let mut sys = System::with_policy(p.sim_config(), traces, policy);
-    sys.set_step_workers(params.step_workers.max(1));
     // Warm caches, TLBs, DRAM rows and policy state outside the timed
     // region (the warmup quota is measured-but-discarded).
     if params.warmup > 0 {

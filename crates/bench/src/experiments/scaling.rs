@@ -4,10 +4,7 @@
 //! Where Fig. 11 sweeps core counts under the uniform-latency LLC,
 //! this sweep turns the mesh NoC on and scales the slice count with
 //! the machine (one slice per four cores), so LLC access cost grows
-//! with distance and contention instead of staying flat. Cells also
-//! run with parallel core stepping (8 workers) — the determinism the
-//! `noc_equiv` suite proves means this changes wall-clock only, never
-//! results.
+//! with distance and contention instead of staying flat.
 
 use chrome_exec::CellOutcome;
 use chrome_noc::NocConfig;
@@ -33,11 +30,6 @@ fn noc_spec(cores: usize) -> String {
 
 pub fn plan(params: &RunParams) -> ExperimentPlan {
     let mixes = params.mixes.unwrap_or(3);
-    let workers = if params.step_workers > 1 {
-        params.step_workers
-    } else {
-        8
-    };
     // `--cores 16` / `--cores 64` narrows the sweep to one machine size
     // (the CI smoke runs just the 16-core half); any other value keeps
     // the full sweep.
@@ -58,7 +50,6 @@ pub fn plan(params: &RunParams) -> ExperimentPlan {
                 let mut c = cell(params, "scaling_sweep", wl, scheme);
                 c.cores = cores as u32;
                 c.noc = noc_spec(cores);
-                c.workers = workers as u32;
                 // Hold the total simulated-instruction budget roughly
                 // flat across machine sizes so the 64-core rows stay
                 // tractable at the default budget.

@@ -169,7 +169,6 @@ pub fn run_cell_with_traces(
         telemetry_out: telemetry_out.map(Path::to_path_buf),
         record_epochs: spec.record_epochs,
         noc: spec.noc.clone(),
-        step_workers: spec.workers as usize,
         ..RunParams::default()
     };
     let tf = (!spec.trace.is_empty()).then(|| open_spec_trace(spec, trace_files));
@@ -697,7 +696,6 @@ mod tests {
             trace: String::new(),
             sampling: String::new(),
             noc: String::new(),
-            workers: 0,
         }
     }
 

@@ -69,9 +69,6 @@ pub struct RunParams {
     /// (`--noc slices=4,hop=2,...`); empty keeps the NoC off and the
     /// simulator byte-identical to the uniform-latency model.
     pub noc: String,
-    /// Worker threads for intra-simulation core stepping
-    /// (`--step-workers N`); 0 and 1 both mean sequential.
-    pub step_workers: usize,
 }
 
 impl Default for RunParams {
@@ -96,7 +93,6 @@ impl Default for RunParams {
             audit: None,
             sampling: None,
             noc: String::new(),
-            step_workers: 0,
         }
     }
 }
@@ -200,10 +196,6 @@ impl RunParams {
                     // Canonicalize at the CLI boundary so spec hashes
                     // never depend on key order or omitted defaults.
                     p.noc = cfg.canonical();
-                }
-                "--step-workers" => {
-                    i += 1;
-                    p.step_workers = args[i].parse().expect("--step-workers takes a number");
                 }
                 "--quick" => {
                     p.instructions /= 10;
@@ -360,7 +352,6 @@ pub(crate) fn run_traces(
 ) -> SchemeResult {
     let policy = build_any_slot(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
     let mut sys = System::with_policy(params.sim_config(), traces, policy);
-    sys.set_step_workers(params.step_workers.max(1));
     if track_unused {
         sys.enable_unused_tracking();
     }
@@ -437,7 +428,6 @@ pub(crate) fn run_traces_sampled(
 ) -> SampledRun {
     let policy = build_any_slot(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
     let mut sys = System::with_policy(params.sim_config(), traces, policy);
-    sys.set_step_workers(params.step_workers.max(1));
     if params.telemetry_out.is_some() || params.record_epochs {
         sys.set_telemetry(TelemetrySink::recording(TelemetryConfig::default()));
     }

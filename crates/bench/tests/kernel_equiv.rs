@@ -1,11 +1,16 @@
 //! Differential tests: the event-driven scheduling kernel must be a
 //! pure scheduling transform. For every policy, core count, prefetcher
-//! setting and a fan of randomized configurations, running the same
-//! workload under [`Kernel::EventDriven`] and [`Kernel::Reference`]
-//! must produce byte-identical [`SimResults`] (including obstruction
-//! vectors) and identical epoch telemetry series.
+//! setting, mesh-NoC geometry and a fan of randomized configurations,
+//! running the same workload under [`Kernel::EventDriven`] and
+//! [`Kernel::Reference`] must produce byte-identical [`SimResults`]
+//! (including obstruction vectors) and identical epoch telemetry series.
+//!
+//! The `noc_*` cases turn the mesh on, so LLC latency is no longer
+//! uniform (per-slice routing, link contention) and the event kernel's
+//! clock jumps must stay exact anyway.
 
 use chrome_bench::registry::{all_schemes, build_any_policy};
+use chrome_noc::NocConfig;
 use chrome_sim::{Kernel, SimConfig, System};
 use chrome_telemetry::{EpochSeries, TelemetryConfig, TelemetrySink};
 use chrome_traces::mix;
@@ -161,4 +166,88 @@ fn randomized_configs_are_kernel_invariant() {
         );
         assert_equivalent(&cfg, workload, scheme, 4_000, 400);
     }
+}
+
+/// A default 4-slice mesh config sized for the small-test LLC.
+fn noc_on(cores: usize) -> SimConfig {
+    let mut cfg = SimConfig::small_test(cores);
+    cfg.noc = Some(NocConfig::default());
+    cfg
+}
+
+/// NoC on, 4 cores: routing and contention state must be insensitive to
+/// the kernel.
+#[test]
+fn noc_four_cores_are_kernel_invariant() {
+    let cfg = noc_on(4);
+    for scheme in ["LRU", "Hawkeye", "CHROME"] {
+        assert_equivalent(&cfg, "mcf", scheme, 6_000, 600);
+    }
+}
+
+/// Every registered policy under the mesh — the broad sweep at a
+/// smaller budget.
+#[test]
+fn noc_every_policy_is_kernel_invariant() {
+    let cfg = noc_on(4);
+    for scheme in all_schemes() {
+        assert_equivalent(&cfg, "libquantum", scheme, 4_000, 400);
+    }
+}
+
+/// Sixteen cores on a 4×4 mesh make multi-hop routes common.
+#[test]
+fn noc_sixteen_cores_are_kernel_invariant() {
+    assert_equivalent(&noc_on(16), "mcf", "CHROME", 3_000, 300);
+}
+
+/// Single core behind the mesh: one candidate per cycle, every access
+/// still crosses the NoC.
+#[test]
+fn noc_single_core_is_kernel_invariant() {
+    assert_equivalent(&noc_on(1), "libquantum", "LRU", 6_000, 600);
+}
+
+/// Slice-count sweep: 1, 2 and 8 slices change the set-to-slice map and
+/// the mesh footprint.
+#[test]
+fn noc_slice_counts_are_kernel_invariant() {
+    for slices in [1usize, 2, 8] {
+        let mut cfg = SimConfig::small_test(4);
+        cfg.noc = Some(NocConfig {
+            slices,
+            ..NocConfig::default()
+        });
+        assert_equivalent(&cfg, "omnetpp", "LRU", 4_000, 400);
+    }
+}
+
+/// Deep contention: depth-1 link queues with two-flit messages maximize
+/// backpressure, the hardest case for event-driven clock jumps.
+#[test]
+fn noc_tight_queues_are_kernel_invariant() {
+    let mut cfg = SimConfig::small_test(8);
+    cfg.noc = Some(NocConfig {
+        slices: 8,
+        hop_latency: 3,
+        flits: 2,
+        queue_depth: 1,
+    });
+    for scheme in ["LRU", "CHROME"] {
+        assert_equivalent(&cfg, "mcf", scheme, 4_000, 400);
+    }
+}
+
+/// The NoC must actually change timing (otherwise the `noc_*` cases
+/// prove nothing): the same cell with the mesh on must differ from the
+/// uniform-latency model.
+#[test]
+fn noc_actually_perturbs_timing() {
+    let run = |cfg: &SimConfig| run_kernel(cfg, "mcf", "LRU", 6_000, 600, Kernel::Reference).0;
+    assert_ne!(
+        run(&SimConfig::small_test(4)),
+        run(&noc_on(4)),
+        "a default mesh must add hop latency somewhere; identical results \
+         mean the NoC is not wired into the LLC path"
+    );
 }

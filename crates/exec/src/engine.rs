@@ -309,15 +309,15 @@ where
                 if io_error.lock().expect("io error lock").is_some() {
                     break;
                 }
-                let next = queues[w]
-                    .lock()
-                    .expect("queue lock")
-                    .pop_front()
-                    .or_else(|| {
-                        (0..queues.len())
-                            .filter(|&o| o != w)
-                            .find_map(|o| queues[o].lock().expect("queue lock").pop_back())
-                    });
+                // Own queue first, in its own statement: the guard must
+                // drop before stealing, or two workers each holding their
+                // own queue while locking the other's deadlock (ABBA).
+                let own = queues[w].lock().expect("queue lock").pop_front();
+                let next = own.or_else(|| {
+                    (0..queues.len())
+                        .filter(|&o| o != w)
+                        .find_map(|o| queues[o].lock().expect("queue lock").pop_back())
+                });
                 let Some(idx) = next else { break };
                 let spec = &specs[idx];
                 let _ = tx.send(Event::Started);

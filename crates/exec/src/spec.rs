@@ -92,12 +92,6 @@ pub struct CellSpec {
     /// hashes (and existing manifests) are unchanged. Must not contain
     /// `;`.
     pub noc: String,
-    /// Intra-simulation stepping threads; 0 (the default) and 1 both
-    /// mean the sequential kernels and stay out of the canonical form.
-    /// The parallel kernels are proven byte-identical, but the worker
-    /// count is still part of the cell identity so a resumed grid
-    /// re-runs cells whose execution mode was deliberately changed.
-    pub workers: u32,
 }
 
 impl CellSpec {
@@ -140,10 +134,6 @@ impl CellSpec {
             );
             s.push_str(";noc=");
             s.push_str(&self.noc);
-        }
-        if self.workers > 1 {
-            s.push_str(";workers=");
-            s.push_str(&self.workers.to_string());
         }
         s
     }
@@ -195,7 +185,6 @@ mod tests {
             trace: String::new(),
             sampling: String::new(),
             noc: String::new(),
-            workers: 0,
         }
     }
 
@@ -212,7 +201,7 @@ mod tests {
     fn every_field_feeds_the_spec_hash() {
         let base = spec();
         let mut variants = Vec::new();
-        for f in 0..14 {
+        for f in 0..13 {
             let mut v = base.clone();
             match f {
                 0 => v.experiment = "fig10".into(),
@@ -227,15 +216,14 @@ mod tests {
                 9 => v.record_epochs = true,
                 10 => v.trace = "00000000deadbeef".into(),
                 11 => v.sampling = "k=5,ramp=2000".into(),
-                12 => v.noc = "slices=4,hop=2,flits=1,depth=8".into(),
-                _ => v.workers = 8,
+                _ => v.noc = "slices=4,hop=2,flits=1,depth=8".into(),
             }
             variants.push(v.spec_hash());
         }
         variants.push(base.spec_hash());
         variants.sort_unstable();
         variants.dedup();
-        assert_eq!(variants.len(), 15, "hash collision across field variants");
+        assert_eq!(variants.len(), 14, "hash collision across field variants");
     }
 
     #[test]
@@ -271,26 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_noc_and_sequential_workers_keep_legacy_canonical_form() {
-        // NoC-off, sequentially-stepped specs must hash exactly as
-        // before the NoC axis existed, so existing manifests stay valid;
-        // workers 0 and 1 are the same identity (both sequential).
+    fn empty_noc_keeps_legacy_canonical_form() {
+        // NoC-off specs must hash exactly as before the NoC axis
+        // existed, so existing manifests stay valid.
         let s = spec();
         assert!(!s.canonical().contains("noc="));
-        assert!(!s.canonical().contains("workers="));
-        let mut w1 = s.clone();
-        w1.workers = 1;
-        assert_eq!(s.spec_hash(), w1.spec_hash());
         let mut noc = s.clone();
         noc.noc = "slices=4,hop=2,flits=1,depth=8".into();
         assert!(noc
             .canonical()
             .ends_with(";noc=slices=4,hop=2,flits=1,depth=8"));
         assert_ne!(s.spec_hash(), noc.spec_hash());
-        let mut w8 = noc.clone();
-        w8.workers = 8;
-        assert!(w8.canonical().ends_with(";workers=8"));
-        assert_ne!(noc.spec_hash(), w8.spec_hash());
     }
 
     #[test]

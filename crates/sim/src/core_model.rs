@@ -60,37 +60,6 @@ pub struct Core {
     pub done_cycle: Option<u64>,
 }
 
-/// One step of a decoded issue sequence (see [`Core::plan_issue`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanItem {
-    /// A run of non-memory instructions completing next cycle.
-    NonMem {
-        /// Instructions in the run.
-        count: u16,
-    },
-    /// One memory operation.
-    Mem {
-        /// The trace record to send to the hierarchy.
-        rec: TraceRecord,
-    },
-}
-
-/// A reusable per-core buffer holding one cycle's decoded issue
-/// sequence. Plain data: safe to fill on a worker thread and drain on
-/// the main thread.
-#[derive(Debug, Clone, Default)]
-pub struct IssuePlan {
-    items: Vec<PlanItem>,
-}
-
-impl IssuePlan {
-    /// True when the decoded sequence issues nothing this cycle.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
 impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
@@ -251,88 +220,6 @@ impl Core {
         n
     }
 
-    /// Phase-A half of [`Core::issue`]: decode this cycle's issue
-    /// sequence into `plan` without touching the ROB or the memory
-    /// hierarchy. The *selection* of instructions issued in a cycle is
-    /// a pure function of private front-end state (width, ROB
-    /// headroom, the non-memory run, the pending record) — completion
-    /// times returned by the hierarchy only parameterize *when* later
-    /// instructions issue, never *whether* — so decode can run off the
-    /// main thread while [`Core::apply_issue`] replays the plan against
-    /// shared state in deterministic order. `plan_issue` followed by
-    /// `apply_issue` is observationally identical to one fused
-    /// [`Core::issue`] call (see the equivalence test below).
-    pub fn plan_issue(&mut self, plan: &mut IssuePlan) {
-        plan.items.clear();
-        let mut n = 0;
-        let mut rob_len = self.rob_len; // virtual occupancy: pushes happen at apply
-        while n < self.width && rob_len < self.rob_size {
-            if self.nonmem_left > 0 {
-                let take = (self.nonmem_left as usize)
-                    .min(self.width - n)
-                    .min(self.rob_size - rob_len);
-                plan.items.push(PlanItem::NonMem { count: take as u16 });
-                rob_len += take;
-                self.nonmem_left -= take as u16;
-                n += take;
-                continue;
-            }
-            let rec = match self.pending.take() {
-                Some(r) => r,
-                None => {
-                    let r = self.fetch_record();
-                    if r.nonmem_before > 0 {
-                        self.nonmem_left = r.nonmem_before;
-                        self.pending = Some(r);
-                        continue; // consume the non-memory run first
-                    }
-                    r
-                }
-            };
-            plan.items.push(PlanItem::Mem { rec });
-            rob_len += 1;
-            n += 1;
-        }
-    }
-
-    /// Phase-B half of [`Core::issue`]: replay a decoded plan, doing
-    /// every ROB push and `mem_access` call in the exact order the
-    /// fused loop would. Returns the number of instructions issued.
-    pub fn apply_issue<F>(&mut self, cycle: u64, plan: &IssuePlan, mut mem_access: F) -> usize
-    where
-        F: FnMut(&TraceRecord, u64) -> u64,
-    {
-        let mut n = 0;
-        for item in &plan.items {
-            match item {
-                PlanItem::NonMem { count } => {
-                    self.rob_push(cycle + 1, *count as usize);
-                    n += *count as usize;
-                }
-                PlanItem::Mem { rec } => {
-                    let issue_cycle = if rec.dep_prev {
-                        cycle.max(self.last_load_completion)
-                    } else {
-                        cycle
-                    };
-                    match rec.kind {
-                        AccessKind::Load => {
-                            let done = mem_access(rec, issue_cycle);
-                            self.last_load_completion = done;
-                            self.rob_push(done, 1);
-                        }
-                        AccessKind::Store => {
-                            let _ = mem_access(rec, issue_cycle);
-                            self.rob_push(cycle + 1, 1);
-                        }
-                    }
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
     /// Pull the next record from the trace, advancing the fetch cursor
     /// by the record plus its leading non-memory run.
     pub(crate) fn fetch_record(&mut self) -> TraceRecord {
@@ -471,67 +358,6 @@ mod tests {
         c.retire(100);
         assert_eq!(c.rob_release_lag, 95);
         assert_eq!(c.measured_rob_release_lag(), 95);
-    }
-
-    /// `plan_issue` + `apply_issue` must be observationally identical
-    /// to one fused `issue` call: same `mem_access` sequence (records
-    /// *and* issue cycles), same retire stream, same cursors. This is
-    /// the determinism keystone of the parallel stepping kernel.
-    #[test]
-    fn planned_issue_matches_fused_issue() {
-        // a mixed synthetic workload: loads, dependent loads and stores
-        // with varying non-memory runs, so every plan-item shape occurs
-        struct MixSource {
-            state: u64,
-        }
-        impl crate::trace::TraceSource for MixSource {
-            fn next_record(&mut self) -> TraceRecord {
-                self.state = crate::types::mix64(self.state);
-                let addr = (self.state >> 8) % (1 << 22) * 8;
-                let nonmem = (self.state % 5) as u16;
-                match self.state % 4 {
-                    0 => TraceRecord::store(0x400, addr, nonmem),
-                    1 => TraceRecord::dep_load(0x404, addr, nonmem),
-                    _ => TraceRecord::load(0x408, addr, nonmem),
-                }
-            }
-            fn name(&self) -> &str {
-                "mix"
-            }
-        }
-
-        // a synthetic hierarchy: latency is a pure function of the
-        // access, with state (`last`) shared across calls to expose any
-        // reordering of the call sequence
-        fn model(calls: &mut Vec<(u64, u64)>, last: &mut u64, rec: &TraceRecord, t: u64) -> u64 {
-            calls.push((rec.vaddr, t));
-            *last = (*last)
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(rec.vaddr);
-            t + 3 + (*last % 97)
-        }
-
-        let mk = || Core::new(Box::new(MixSource { state: 0xFEED }), 24, 4);
-        let (mut fused, mut planned) = (mk(), mk());
-        let mut plan = IssuePlan::default();
-        let (mut fc, mut fl) = (Vec::new(), 0u64);
-        let (mut pc, mut pl) = (Vec::new(), 0u64);
-        for cycle in 0..5_000u64 {
-            let rf = fused.retire(cycle);
-            let rp = planned.retire(cycle);
-            assert_eq!(rf, rp, "retire diverged at cycle {cycle}");
-            let nf = fused.issue(cycle, |rec, t| model(&mut fc, &mut fl, rec, t));
-            planned.plan_issue(&mut plan);
-            let np = planned.apply_issue(cycle, &plan, |rec, t| model(&mut pc, &mut pl, rec, t));
-            assert_eq!(nf, np, "issue count diverged at cycle {cycle}");
-            assert_eq!(fc, pc, "mem_access sequence diverged at cycle {cycle}");
-            assert_eq!(fused.fetched, planned.fetched);
-            assert_eq!(fused.retired, planned.retired);
-            assert_eq!(fused.rob_len, planned.rob_len);
-            assert_eq!(fused.rob, planned.rob, "ROB RLE structure diverged");
-            assert_eq!(fused.last_load_completion, planned.last_load_completion);
-        }
-        assert!(!fc.is_empty(), "test exercised the memory path");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::cache::PrivateCache;
 use crate::camat::{CamatEpoch, CamatTracker};
 use crate::config::SimConfig;
-use crate::core_model::{Core, IssuePlan};
+use crate::core_model::Core;
 use crate::dram::Dram;
 use crate::llc::{LlcOutcome, SharedLlc};
 use crate::mmu::Mmu;
@@ -904,9 +904,11 @@ pub enum Kernel {
     /// `min(next event, next epoch boundary)`.
     #[default]
     EventDriven,
-    /// Naive uniform stepping: touch every core every cycle. Kept as
-    /// the ground-truth reference for differential testing and as the
-    /// denominator of the throughput benchmark's speedup metric.
+    /// Naive uniform stepping: touch every core every cycle. The same
+    /// stepper as [`Kernel::EventDriven`] with every core due and no
+    /// clock jumps; kept as the ground-truth reference for differential
+    /// testing and as the denominator of the throughput benchmark's
+    /// speedup metric.
     Reference,
 }
 
@@ -964,16 +966,6 @@ pub struct System {
     /// Reused buffer for per-core epoch samples, so epoch boundaries do
     /// not allocate.
     epoch_scratch: Vec<CamatEpoch>,
-    /// Threads stepping cores within this simulation (1 = the classic
-    /// sequential kernels). See [`System::set_step_workers`].
-    step_workers: usize,
-    /// Persistent worker pool backing the parallel decode phase;
-    /// present exactly when `step_workers > 1`.
-    pool: Option<chrome_noc::DetPool>,
-    /// Per-core decoded issue plans for the parallel kernels.
-    plans: Vec<IssuePlan>,
-    /// Rotation-ordered due-core scratch for the parallel event kernel.
-    due: Vec<usize>,
 }
 
 impl std::fmt::Debug for System {
@@ -1028,38 +1020,21 @@ impl System {
             next_event: vec![0; n],
             min_event: 0,
             epoch_scratch: Vec::with_capacity(n),
-            step_workers: 1,
-            pool: None,
-            plans: Vec::new(),
-            due: Vec::new(),
         }
     }
 
-    /// Step cores with `workers` threads inside this one simulation
-    /// (1 = sequential, the default). The parallel kernels split each
-    /// stepped cycle into a decode phase (retire + issue-plan, all
-    /// core-private state, fanned across a work-stealing pool) and an
-    /// apply phase (every shared-hierarchy effect, replayed
-    /// sequentially in the exact rotation order of the sequential
-    /// kernels), so results are byte-identical at any worker count —
-    /// the `noc_equiv` differential suite in `chrome-bench` asserts it.
+    /// Cores are always stepped sequentially on the calling thread, so
+    /// `workers` must be 0 or 1. Kept for callers that pin the worker
+    /// count explicitly (the `perfbench` harness calls it with 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers > 1`.
     pub fn set_step_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        self.step_workers = workers;
-        if workers > 1 {
-            self.pool = Some(chrome_noc::DetPool::new(workers));
-            self.plans = (0..self.cores.len())
-                .map(|_| IssuePlan::default())
-                .collect();
-        } else {
-            self.pool = None;
-            self.plans.clear();
-        }
-    }
-
-    /// Configured intra-simulation stepping threads.
-    pub fn step_workers(&self) -> usize {
-        self.step_workers
+        assert!(
+            workers <= 1,
+            "cores step sequentially; got {workers} step workers"
+        );
     }
 
     /// Attach a telemetry sink; it is forwarded to the LLC and the
@@ -1114,115 +1089,27 @@ impl System {
         self.cycle
     }
 
-    /// One cycle of the naive reference kernel: every core retires and
-    /// issues, unconditionally. Ground truth for the event-driven
-    /// scheduler. Always returns `true` (a cycle was stepped).
-    fn step_reference(&mut self) -> bool {
-        if self.pool.is_some() {
-            return self.step_reference_parallel();
-        }
-        let cycle = self.cycle;
-        let n = self.cores.len();
-        let start = cycle as usize % n;
-        let hier = &mut self.hier;
-        for k in 0..n {
-            // rotation `(k + cycle) % n` without the per-core modulo
-            let i = start + k;
-            let i = if i >= n { i - n } else { i };
-            let core = &mut self.cores[i];
-            core.retire(cycle);
-            core.issue(cycle, |rec, t| hier.demand_access(i, rec, t));
-        }
-        self.cycle += 1;
-        if self.cycle >= self.next_epoch {
-            self.end_epoch();
-        }
-        true
-    }
-
-    /// Phase A of the parallel kernels: retire and decode an issue plan
-    /// for each listed core, fanned across the pool. Sound because both
-    /// calls touch only core-private state (ROB head, trace cursor,
-    /// front-end queue) — instruction *selection* never depends on what
-    /// other cores do this cycle, only completion *times* do, and those
-    /// are assigned later in phase B. `due` picks between the full core
-    /// set (reference kernel) and the rotation-ordered due list (event
-    /// kernel).
-    fn plan_phase(&mut self, cycle: u64, due: bool) {
-        struct Ptr<T>(*mut T);
-        // SAFETY: the pool claims each task index exactly once per
-        // round, and task `i` dereferences only offset `i` (or the
-        // distinct due entry `due[k]`), so all `&mut` are disjoint.
-        unsafe impl<T> Sync for Ptr<T> {}
-        let pool = self.pool.as_mut().expect("parallel phase without a pool");
-        let n = self.cores.len();
-        let cores = Ptr(self.cores.as_mut_ptr());
-        let plans = Ptr(self.plans.as_mut_ptr());
-        // capture the Sync wrappers, not their raw-pointer fields
-        let (cores, plans) = (&cores, &plans);
-        if due {
-            let idx = &self.due;
-            pool.run(idx.len(), &|k| {
-                let i = idx[k];
-                let core = unsafe { &mut *cores.0.add(i) };
-                let plan = unsafe { &mut *plans.0.add(i) };
-                core.retire(cycle);
-                core.plan_issue(plan);
-            });
-        } else {
-            pool.run(n, &|i| {
-                let core = unsafe { &mut *cores.0.add(i) };
-                let plan = unsafe { &mut *plans.0.add(i) };
-                core.retire(cycle);
-                core.plan_issue(plan);
-            });
-        }
-    }
-
-    /// Reference kernel, parallel flavor: phase A decodes every core's
-    /// plan across the pool, phase B applies the plans sequentially in
-    /// the exact rotation order of [`System::step_reference`], so every
-    /// shared side effect (LLC policy updates, MSHR and DRAM traffic,
-    /// MMU allocation, telemetry) happens in the identical order and
-    /// the results are byte-identical to the sequential kernel.
-    fn step_reference_parallel(&mut self) -> bool {
-        let cycle = self.cycle;
-        self.plan_phase(cycle, false);
-        let n = self.cores.len();
-        let start = cycle as usize % n;
-        let hier = &mut self.hier;
-        for k in 0..n {
-            let i = start + k;
-            let i = if i >= n { i - n } else { i };
-            let core = &mut self.cores[i];
-            core.apply_issue(cycle, &self.plans[i], |rec, t| {
-                hier.demand_access(i, rec, t)
-            });
-        }
-        self.cycle += 1;
-        if self.cycle >= self.next_epoch {
-            self.end_epoch();
-        }
-        true
-    }
-
-    /// One advance of the event-driven kernel: step exactly the cores
-    /// that are due this cycle (in the same rotation order as the
-    /// reference) and refresh their watermarks; if none were due, jump
-    /// the clock straight to `min(next event, next epoch)`. One pass
-    /// over the next-event array does both jobs — N ≤ 16 in every paper
-    /// configuration, so a linear scan beats a heap.
+    /// One advance of the stepping kernel, monomorphized on the kernel:
+    /// `EVENT = false` is the naive reference, where every core is due
+    /// every cycle and the clock never jumps; `EVENT = true` is the
+    /// event-driven kernel, which steps exactly the cores that are due
+    /// (in the same rotation order) and refreshes their watermarks, or,
+    /// if none are due, jumps the clock straight to `min(next event,
+    /// next epoch)`. One pass over the next-event array does both jobs —
+    /// N ≤ 16 in every paper configuration, so a linear scan beats a
+    /// heap.
     ///
     /// Skipped work is provably a no-op — a core with `next_event > c`
     /// has a full ROB whose head completes after `c`, so both `retire`
     /// and `issue` would leave all state untouched — which is what makes
-    /// this a pure scheduling transform: the sequence of *effectful*
-    /// `(core, cycle)` calls is identical to the reference kernel's.
+    /// the event kernel a pure scheduling transform: the sequence of
+    /// *effectful* `(core, cycle)` calls is identical to the reference
+    /// kernel's.
     ///
     /// Returns `true` when a cycle was stepped, `false` on a clock jump.
-    fn step_event(&mut self) -> bool {
+    fn step<const EVENT: bool>(&mut self) -> bool {
         let cycle = self.cycle;
-        if self.min_event > cycle {
+        if EVENT && self.min_event > cycle {
             // No core can retire or issue before `min_event`; the epoch
             // boundary clamps the jump so feedback epochs still tick at
             // exactly the same cycles as the reference kernel. Jumps
@@ -1234,73 +1121,35 @@ impl System {
             }
             return false;
         }
-        if self.pool.is_some() {
-            return self.step_event_parallel();
-        }
         let n = self.cores.len();
         let start = cycle as usize % n;
         let hier = &mut self.hier;
         let mut min_next = u64::MAX;
         for k in 0..n {
+            // rotation `(k + cycle) % n` without the per-core modulo
             let i = start + k;
             let i = if i >= n { i - n } else { i };
-            let ev = self.next_event[i];
-            if ev > cycle {
-                min_next = min_next.min(ev);
-                continue;
+            if EVENT {
+                let ev = self.next_event[i];
+                if ev > cycle {
+                    min_next = min_next.min(ev);
+                    continue;
+                }
             }
             let core = &mut self.cores[i];
             core.retire(cycle);
             core.issue(cycle, |rec, t| hier.demand_access(i, rec, t));
-            let next = core.next_activity(cycle + 1);
-            self.next_event[i] = next;
-            min_next = min_next.min(next);
-        }
-        // `min_event <= cycle` means min(next_event) <= cycle, so at
-        // least one core was due: this pass always steps the clock.
-        self.min_event = min_next;
-        self.cycle = cycle + 1;
-        if self.cycle >= self.next_epoch {
-            self.end_epoch();
-        }
-        true
-    }
-
-    /// Event-driven kernel, parallel flavor: gather the due set in the
-    /// sequential kernel's rotation order, decode the due plans across
-    /// the pool, then apply and refresh watermarks sequentially. The
-    /// due-set condition and the watermark math are exactly those of
-    /// [`System::step_event`]; only the caller has already handled the
-    /// clock-jump case.
-    fn step_event_parallel(&mut self) -> bool {
-        let cycle = self.cycle;
-        let n = self.cores.len();
-        let start = cycle as usize % n;
-        let mut min_next = u64::MAX;
-        self.due.clear();
-        for k in 0..n {
-            let i = start + k;
-            let i = if i >= n { i - n } else { i };
-            let ev = self.next_event[i];
-            if ev > cycle {
-                min_next = min_next.min(ev);
-            } else {
-                self.due.push(i);
+            if EVENT {
+                let next = core.next_activity(cycle + 1);
+                self.next_event[i] = next;
+                min_next = min_next.min(next);
             }
         }
-        self.plan_phase(cycle, true);
-        let hier = &mut self.hier;
-        for k in 0..self.due.len() {
-            let i = self.due[k];
-            let core = &mut self.cores[i];
-            core.apply_issue(cycle, &self.plans[i], |rec, t| {
-                hier.demand_access(i, rec, t)
-            });
-            let next = core.next_activity(cycle + 1);
-            self.next_event[i] = next;
-            min_next = min_next.min(next);
+        if EVENT {
+            // `min_event <= cycle` means min(next_event) <= cycle, so at
+            // least one core was due: this pass always steps the clock.
+            self.min_event = min_next;
         }
-        self.min_event = min_next;
         self.cycle = cycle + 1;
         if self.cycle >= self.next_epoch {
             self.end_epoch();
@@ -1315,8 +1164,8 @@ impl System {
     #[inline]
     fn advance(&mut self, kernel: Kernel) -> bool {
         match kernel {
-            Kernel::EventDriven => self.step_event(),
-            Kernel::Reference => self.step_reference(),
+            Kernel::EventDriven => self.step::<true>(),
+            Kernel::Reference => self.step::<false>(),
         }
     }
 
