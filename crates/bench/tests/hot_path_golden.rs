@@ -7,6 +7,11 @@
 //! kernels, prefetcher presets and geometries (including the full
 //! Table V 12/20/12-way caches the SIMD probe has to mask correctly).
 //!
+//! The sampled cells pin sampled replay the same way: per-interval
+//! `SimResults` and the epoch series of `System::run_sampled`, plus the
+//! `FunctionalProfile` of a fresh system, so the functional warmup walk
+//! is held to its own past as tightly as the timed one.
+//!
 //! Regenerate (only when an *intentional* semantic change lands) with:
 //!
 //! ```text
@@ -14,7 +19,8 @@
 //! ```
 
 use chrome_bench::registry::build_any_slot;
-use chrome_sim::{Kernel, PrefetcherConfig, SimConfig, System};
+use chrome_noc::NocConfig;
+use chrome_sim::{Kernel, PrefetcherConfig, SampledInterval, SimConfig, System};
 use chrome_telemetry::{TelemetryConfig, TelemetrySink};
 use chrome_traces::mix;
 
@@ -197,16 +203,122 @@ fn cells() -> Vec<Cell> {
     ]
 }
 
-fn digest_cell(cell: &Cell, kernel: Kernel) -> u64 {
+/// Sampled-replay cells: `base.instructions` is each interval's
+/// measured length and `base.warmup` its detailed ramp; the functional
+/// warmup between intervals is what these cells exist to pin.
+struct SampledCell {
+    base: Cell,
+    /// Put the LLC behind the default 4-slice mesh NoC.
+    noc: bool,
+}
+
+fn sampled_cells() -> Vec<SampledCell> {
+    let s = |label, workload, scheme, cores, prefetchers, full_geometry, noc| SampledCell {
+        base: Cell {
+            label,
+            workload,
+            scheme,
+            cores,
+            prefetchers,
+            full_geometry,
+            instructions: 2_500,
+            warmup: 1_500,
+        },
+        noc,
+    };
+    vec![
+        s(
+            "sampled-lru-mcf-1",
+            "mcf",
+            "LRU",
+            1,
+            PrefetcherConfig::default_paper(),
+            false,
+            false,
+        ),
+        s(
+            "sampled-chrome-mcf-4",
+            "mcf",
+            "CHROME",
+            4,
+            PrefetcherConfig::default_paper(),
+            false,
+            false,
+        ),
+        s(
+            "sampled-hawkeye-omnetpp-2",
+            "omnetpp",
+            "Hawkeye",
+            2,
+            PrefetcherConfig::default_paper(),
+            false,
+            false,
+        ),
+        s(
+            "sampled-lru-lib-none",
+            "libquantum",
+            "LRU",
+            1,
+            PrefetcherConfig::none(),
+            false,
+            false,
+        ),
+        s(
+            "sampled-lru-lib-ss",
+            "libquantum",
+            "LRU",
+            1,
+            PrefetcherConfig::stride_streamer(),
+            false,
+            false,
+        ),
+        s(
+            "sampled-chrome-lib-ipcp",
+            "libquantum",
+            "CHROME",
+            1,
+            PrefetcherConfig::ipcp(),
+            false,
+            false,
+        ),
+        s(
+            "sampled-lru-mcf-4-noc",
+            "mcf",
+            "LRU",
+            4,
+            PrefetcherConfig::default_paper(),
+            false,
+            true,
+        ),
+        s(
+            "sampled-lru-bfs-full",
+            "bfs-ur",
+            "LRU",
+            2,
+            PrefetcherConfig::default_paper(),
+            true,
+            false,
+        ),
+    ]
+}
+
+fn build_system(cell: &Cell, noc: bool) -> System {
     let mut cfg = if cell.full_geometry {
         SimConfig::with_cores(cell.cores)
     } else {
         SimConfig::small_test(cell.cores)
     };
     cfg.prefetchers = cell.prefetchers;
+    if noc {
+        cfg.noc = Some(NocConfig::default());
+    }
     let traces = mix::homogeneous(cell.workload, cfg.cores, 0xC0FFEE).expect("known workload");
     let policy = build_any_slot(cell.scheme).expect("known scheme");
-    let mut sys = System::with_policy(cfg, traces, policy);
+    System::with_policy(cfg, traces, policy)
+}
+
+fn digest_cell(cell: &Cell, kernel: Kernel) -> u64 {
+    let mut sys = build_system(cell, false);
     sys.set_telemetry(TelemetrySink::recording(TelemetryConfig::default()));
     let results = sys.run_with_kernel(cell.instructions, cell.warmup, kernel);
     let epochs = sys
@@ -219,23 +331,67 @@ fn digest_cell(cell: &Cell, kernel: Kernel) -> u64 {
     fnv1a(rendered.as_bytes())
 }
 
-#[test]
-fn hot_paths_match_pre_refactor_golden_digests() {
-    let regen = std::env::var("REGEN_HOT_PATH_GOLDEN").is_ok();
-    let mut lines = Vec::new();
-    for cell in cells() {
-        for (kname, kernel) in [
-            ("event", Kernel::EventDriven),
-            ("reference", Kernel::Reference),
-        ] {
-            let digest = digest_cell(&cell, kernel);
-            lines.push(format!("{}/{kname} {digest:#018x}", cell.label));
+/// Three intervals spread over the first ~45K instructions, each core
+/// starting a little later than the one before (cores drift in real
+/// plans), with functional gaps of 10K+ instructions between them.
+fn sampled_plan(cell: &Cell) -> Vec<SampledInterval> {
+    [6_000u64, 20_000, 41_000]
+        .iter()
+        .map(|&at| SampledInterval {
+            start: (0..cell.cores as u64).map(|c| at + 700 * c).collect(),
+            ramp: cell.warmup,
+            detail: cell.instructions,
+        })
+        .collect()
+}
+
+fn digest_sampled_cell(cell: &SampledCell, kernel: Kernel) -> u64 {
+    let mut sys = build_system(&cell.base, cell.noc);
+    sys.set_telemetry(TelemetrySink::recording(TelemetryConfig::default()));
+    let results = sys.run_sampled(&sampled_plan(&cell.base), kernel);
+    let epochs = sys
+        .telemetry()
+        .with(|t| t.epochs.clone())
+        .unwrap_or_default();
+    // The functional-only pass runs on a fresh system, as the grid's
+    // reconstruction does: six aligned 7K-instruction intervals.
+    let bounds: Vec<u64> = (0..=6).map(|j| j * 7_000).collect();
+    let profile =
+        build_system(&cell.base, cell.noc).run_functional_profile(&vec![bounds; cell.base.cores]);
+    let rendered = format!("{results:?}|{:?}|{profile:?}", epochs.records());
+    fnv1a(rendered.as_bytes())
+}
+
+const KERNELS: [(&str, Kernel); 2] = [
+    ("event", Kernel::EventDriven),
+    ("reference", Kernel::Reference),
+];
+
+/// Compare `current` (`label digest` lines) against the golden file,
+/// or, under `REGEN_HOT_PATH_GOLDEN`, rewrite just these labels in it:
+/// lines of other labels keep their place, new labels are appended.
+fn check_against_golden(current: &[String]) {
+    if std::env::var("REGEN_HOT_PATH_GOLDEN").is_ok() {
+        let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_default();
+        let mut fresh: std::collections::BTreeMap<&str, &String> = current
+            .iter()
+            .map(|l| (l.split_once(' ').unwrap().0, l))
+            .collect();
+        let mut out = String::new();
+        for line in golden.lines() {
+            let label = line.split_once(' ').map_or(line, |(l, _)| l);
+            let kept = fresh.remove(label).map_or(line, String::as_str);
+            out.push_str(kept);
+            out.push('\n');
         }
-    }
-    let current = lines.join("\n") + "\n";
-    if regen {
+        for line in current {
+            if fresh.contains_key(line.split_once(' ').unwrap().0) {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &current).unwrap();
+        std::fs::write(GOLDEN_PATH, out).unwrap();
         eprintln!("regenerated {GOLDEN_PATH}");
         return;
     }
@@ -244,7 +400,7 @@ fn hot_paths_match_pre_refactor_golden_digests() {
     let golden_map: std::collections::BTreeMap<&str, &str> =
         golden.lines().filter_map(|l| l.split_once(' ')).collect();
     let mut mismatches = Vec::new();
-    for line in current.lines() {
+    for line in current {
         let (label, digest) = line.split_once(' ').unwrap();
         match golden_map.get(label) {
             Some(&want) if want == digest => {}
@@ -254,7 +410,31 @@ fn hot_paths_match_pre_refactor_golden_digests() {
     }
     assert!(
         mismatches.is_empty(),
-        "hot-path results diverged from the pre-refactor golden digests:\n{}",
+        "results diverged from the golden digests:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn hot_paths_match_pre_refactor_golden_digests() {
+    let mut lines = Vec::new();
+    for cell in cells() {
+        for (kname, kernel) in KERNELS {
+            let digest = digest_cell(&cell, kernel);
+            lines.push(format!("{}/{kname} {digest:#018x}", cell.label));
+        }
+    }
+    check_against_golden(&lines);
+}
+
+#[test]
+fn sampled_replay_matches_golden_digests() {
+    let mut lines = Vec::new();
+    for cell in sampled_cells() {
+        for (kname, kernel) in KERNELS {
+            let digest = digest_sampled_cell(&cell, kernel);
+            lines.push(format!("{}/{kname} {digest:#018x}", cell.base.label));
+        }
+    }
+    check_against_golden(&lines);
 }
