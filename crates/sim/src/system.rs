@@ -203,11 +203,11 @@ impl MemHierarchy {
         }
     }
 
-    /// Open a latency-attribution span when profiling; compiles to
-    /// `None` (and folds the hot path away) without the `telemetry`
-    /// feature.
+    /// Open a latency-attribution span when profiling a timed walk;
+    /// compiles to `None` (and folds the span code away) in functional
+    /// mode and without the `telemetry` feature.
     #[inline]
-    fn span_start(
+    fn span_start<const TIMED: bool>(
         &self,
         core: usize,
         pc: u64,
@@ -215,7 +215,7 @@ impl MemHierarchy {
         is_prefetch: bool,
         cycle: u64,
     ) -> Option<SpanBuilder> {
-        if cfg!(feature = "telemetry") && self.sink.profiling() {
+        if TIMED && cfg!(feature = "telemetry") && self.sink.profiling() {
             Some(SpanBuilder::start(
                 core as u32,
                 pc,
@@ -288,12 +288,12 @@ impl MemHierarchy {
 
     /// Access the LLC (and DRAM beneath it) for a line that missed in L2.
     /// `t_llc` is the cycle at which the request reaches the LLC.
-    /// Returns the completion cycle.
+    /// Returns the completion cycle and whether the LLC missed.
     ///
     /// Fills happen eagerly at lookup time, so a hit may be on a block
-    /// whose data is still in flight (e.g. just prefetched); the MSHR
-    /// holds the arrival time and the hit waits for it.
-    fn access_llc(
+    /// whose data is still in flight (e.g. just prefetched); the hit
+    /// waits for its arrival stamp.
+    fn access_llc<const TIMED: bool>(
         &mut self,
         core: usize,
         pc: u64,
@@ -301,7 +301,7 @@ impl MemHierarchy {
         is_prefetch: bool,
         t_llc: u64,
         span: &mut Option<SpanBuilder>,
-    ) -> u64 {
+    ) -> (u64, bool) {
         if let Some(s) = span.as_mut() {
             s.mark_llc_entry(t_llc);
         }
@@ -326,7 +326,7 @@ impl MemHierarchy {
             is_write: false,
             cycle: t_llc,
         };
-        let done = match self.llc.access(&info, &self.feedback) {
+        let (done, missed) = match self.llc.access(&info, &self.feedback) {
             LlcOutcome::Hit { ready } => {
                 // the block may still be in flight: wait for its arrival
                 let base = t_llc + self.llc.latency;
@@ -335,70 +335,58 @@ impl MemHierarchy {
                     s.mark(Stage::LlcLookup, base);
                     self.finish_span(s, ServiceLevel::Llc, Stage::FillWait, done, false);
                 }
-                done
+                (done, false)
             }
             LlcOutcome::Miss {
                 bypassed,
                 writeback,
             } => {
+                // Only timed demand misses allocate LLC MSHRs; prefetch
+                // shedding happens upstream in the prefetch path.
+                let acquired = if TIMED && !is_prefetch {
+                    mshr_acquire(&mut self.llc.mshr, line, t_llc)
+                } else {
+                    Ok(t_llc)
+                };
                 // `ready` is the slice-side fill time (what the cache
                 // block and MSHR wait on); `done` is the core-visible
                 // completion after the response hop.
-                let (ready, done) = if is_prefetch {
-                    // prefetches do not allocate MSHRs; shedding happens
-                    // upstream in the prefetch path
-                    let t = self
-                        .dram
-                        .access_timed(line, t_llc + self.llc.latency, false);
-                    let done = noc_respond(self.noc.as_mut(), slice, core, t.done);
-                    if let Some(mut s) = span.take() {
-                        s.mark(Stage::LlcLookup, t_llc + self.llc.latency);
-                        s.mark(Stage::DramQueue, t.start);
-                        s.mark(Stage::DramService, t.row_done);
-                        s.mark(Stage::DramQueue, t.xfer_start);
-                        self.finish_span(s, ServiceLevel::Mem, Stage::DramTransfer, done, false);
+                let (ready, done) = match acquired {
+                    Err(merged_ready) => {
+                        // no LlcLookup mark: the merged completion may
+                        // predate the lookup latency, and the whole
+                        // remainder is one MSHR wait either way
+                        let done = noc_respond(self.noc.as_mut(), slice, core, merged_ready);
+                        if let Some(s) = span.take() {
+                            self.finish_span(s, ServiceLevel::Llc, Stage::LlcMshrWait, done, true);
+                        }
+                        (merged_ready, done)
                     }
-                    (t.done, done)
-                } else {
-                    match mshr_acquire(&mut self.llc.mshr, line, t_llc) {
-                        Err(merged_ready) => {
-                            // no LlcLookup mark: the merged completion may
-                            // predate the lookup latency, and the whole
-                            // remainder is one MSHR wait either way
-                            let done = noc_respond(self.noc.as_mut(), slice, core, merged_ready);
-                            if let Some(s) = span.take() {
-                                self.finish_span(
-                                    s,
-                                    ServiceLevel::Llc,
-                                    Stage::LlcMshrWait,
-                                    done,
-                                    true,
-                                );
-                            }
-                            (merged_ready, done)
-                        }
-                        Ok(t_issue) => {
-                            let t = self
-                                .dram
-                                .access_timed(line, t_issue + self.llc.latency, false);
-                            let done = noc_respond(self.noc.as_mut(), slice, core, t.done);
-                            if let Some(mut s) = span.take() {
+                    Ok(t_issue) => {
+                        let t = self
+                            .dram
+                            .access_timed(line, t_issue + self.llc.latency, false);
+                        let done = noc_respond(self.noc.as_mut(), slice, core, t.done);
+                        if let Some(mut s) = span.take() {
+                            if !is_prefetch {
                                 s.mark(Stage::LlcMshrWait, t_issue);
-                                s.mark(Stage::LlcLookup, t_issue + self.llc.latency);
-                                s.mark(Stage::DramQueue, t.start);
-                                s.mark(Stage::DramService, t.row_done);
-                                s.mark(Stage::DramQueue, t.xfer_start);
-                                self.finish_span(
-                                    s,
-                                    ServiceLevel::Mem,
-                                    Stage::DramTransfer,
-                                    done,
-                                    false,
-                                );
                             }
-                            self.llc.mshr.register(line, t.done);
-                            (t.done, done)
+                            s.mark(Stage::LlcLookup, t_issue + self.llc.latency);
+                            s.mark(Stage::DramQueue, t.start);
+                            s.mark(Stage::DramService, t.row_done);
+                            s.mark(Stage::DramQueue, t.xfer_start);
+                            self.finish_span(
+                                s,
+                                ServiceLevel::Mem,
+                                Stage::DramTransfer,
+                                done,
+                                false,
+                            );
                         }
+                        if TIMED && !is_prefetch {
+                            self.llc.mshr.register(line, t.done);
+                        }
+                        (t.done, done)
                     }
                 };
                 if !bypassed {
@@ -407,44 +395,79 @@ impl MemHierarchy {
                 if let Some(wb) = writeback {
                     self.dram.access(wb, t_llc, true);
                 }
-                done
+                (done, true)
             }
         };
-        if !is_prefetch {
+        if TIMED && !is_prefetch {
             self.camat.record(core, t_entry, done);
         }
-        done
+        (done, missed)
     }
 
-    /// A demand access from `core`. Returns the completion cycle.
-    pub fn demand_access(&mut self, core: usize, rec: &TraceRecord, cycle: u64) -> u64 {
+    /// The hierarchy walk for one demand access from `core` at `cycle`:
+    /// L1D → L2 → LLC → DRAM, with prefetcher training and the
+    /// prefetches it triggers. Returns the completion cycle and whether
+    /// the access missed the LLC.
+    ///
+    /// `TIMED = true` is the walk of every measured run, driven by the
+    /// scheduler's clock. `TIMED = false` is the functional walk that
+    /// sampled replay warms up with (see [`System::functional_warm_to`]),
+    /// driven by a per-core pseudo-clock: cache contents, LLC policy
+    /// state, prefetcher training, the MMU, the NoC and the DRAM
+    /// bank/bus model all update exactly as in timed mode, so the memory
+    /// controller's prefetch shed test (`queue_delay >
+    /// PREFETCH_SHED_CYCLES`) fires with the full run's burstiness —
+    /// shed-sensitive prefetcher and LLC warmup was by far the largest
+    /// sampled-replay error source. Functional mode differs in exactly
+    /// four ways, all spelled as `if TIMED` expressions:
+    ///
+    /// 1. no MSHR acquire or register at L1, L2 or the LLC;
+    /// 2. no C-AMAT record or latency span;
+    /// 3. no forwarding latency on prefetch legs (L1→L2, L2→LLC, and the
+    ///    LLC-only prefetch's L1+L2 hop);
+    /// 4. the demand path trains the L2 prefetcher at the pseudo-clock
+    ///    `cycle`, not at `t_l2`.
+    ///
+    /// Like [`System::step`], each mode is its own monomorphized
+    /// instance, so the timed walk pays nothing for the functional one.
+    pub(crate) fn access<const TIMED: bool>(
+        &mut self,
+        core: usize,
+        rec: &TraceRecord,
+        cycle: u64,
+    ) -> (u64, bool) {
         let is_write = rec.kind == AccessKind::Store;
         let line = self.mmu.translate(core, rec.vaddr);
-        let mut span = self.span_start(core, rec.pc, line, false, cycle);
+        let mut span = self.span_start::<TIMED>(core, rec.pc, line, false, cycle);
 
         self.l1d[core].stats.demand_accesses += 1;
         if let Some(block_ready) = self.l1d[core].lookup(line, is_write, false) {
             // the block may still be in flight (filled eagerly by a
             // prefetch or an earlier miss): wait for its arrival
             let done = (cycle + self.l1_latency).max(block_ready);
-            self.trigger_l1_prefetcher(core, rec.pc, line, true, cycle);
+            self.trigger_l1_prefetcher::<TIMED>(core, rec.pc, line, true, cycle);
             if let Some(mut s) = span {
                 s.mark(Stage::L1Lookup, cycle + self.l1_latency);
                 self.finish_span(s, ServiceLevel::L1, Stage::FillWait, done, false);
             }
-            return done;
+            return (done, false);
         }
         self.l1d[core].stats.demand_misses += 1;
-        self.trigger_l1_prefetcher(core, rec.pc, line, false, cycle);
+        self.trigger_l1_prefetcher::<TIMED>(core, rec.pc, line, false, cycle);
 
-        let t_issue = match mshr_acquire(&mut self.l1d[core].mshr, line, cycle) {
+        let acquired = if TIMED {
+            mshr_acquire(&mut self.l1d[core].mshr, line, cycle)
+        } else {
+            Ok(cycle)
+        };
+        let t_issue = match acquired {
             Err(ready) => {
                 let done = ready.max(cycle + self.l1_latency);
                 if let Some(mut s) = span {
                     s.mark(Stage::L1Lookup, cycle + self.l1_latency);
                     self.finish_span(s, ServiceLevel::L1, Stage::L1MshrWait, done, true);
                 }
-                return done;
+                return (done, false);
             }
             Ok(t) => t,
         };
@@ -456,24 +479,30 @@ impl MemHierarchy {
 
         self.l2[core].stats.demand_accesses += 1;
         let l2_res = self.l2[core].lookup(line, false, false);
-        self.trigger_l2_prefetcher(core, rec.pc, line, l2_res.is_some(), t_l2);
-        let ready = match l2_res {
+        let t_train = if TIMED { t_l2 } else { cycle };
+        self.trigger_l2_prefetcher::<TIMED>(core, rec.pc, line, l2_res.is_some(), t_train);
+        let (ready, missed) = match l2_res {
             Some(block_ready) => {
                 let done = (t_l2 + self.l2_latency).max(block_ready);
                 if let Some(mut s) = span.take() {
                     s.mark(Stage::L2Lookup, t_l2 + self.l2_latency);
                     self.finish_span(s, ServiceLevel::L2, Stage::FillWait, done, false);
                 }
-                done
+                (done, false)
             }
             None => {
                 self.l2[core].stats.demand_misses += 1;
-                match mshr_acquire(&mut self.l2[core].mshr, line, t_l2) {
+                let acquired = if TIMED {
+                    mshr_acquire(&mut self.l2[core].mshr, line, t_l2)
+                } else {
+                    Ok(t_l2)
+                };
+                match acquired {
                     Err(ready) => {
                         if let Some(s) = span.take() {
                             self.finish_span(s, ServiceLevel::L2, Stage::L2MshrWait, ready, true);
                         }
-                        ready
+                        (ready, false)
                     }
                     Ok(t2) => {
                         let t_llc = t2 + self.l2_latency;
@@ -481,50 +510,56 @@ impl MemHierarchy {
                             s.mark(Stage::L2MshrWait, t2);
                             s.mark(Stage::L2Lookup, t_llc);
                         }
-                        let done = self.access_llc(core, rec.pc, line, false, t_llc, &mut span);
-                        self.l2[core].mshr.register(line, done);
+                        let (done, missed) =
+                            self.access_llc::<TIMED>(core, rec.pc, line, false, t_llc, &mut span);
+                        if TIMED {
+                            self.l2[core].mshr.register(line, done);
+                        }
                         self.fill_l2(core, line, false, done);
-                        done
+                        (done, missed)
                     }
                 }
             }
         };
         debug_assert!(span.is_none(), "every demand path must seal its span");
         self.fill_l1(core, line, is_write, false, ready);
-        self.l1d[core].mshr.register(line, ready);
-        ready
+        if TIMED {
+            self.l1d[core].mshr.register(line, ready);
+        }
+        (ready, missed)
     }
 
     /// Issue a prefetch generated at L1 (fills L1, L2 and — policy
     /// permitting — the LLC).
-    fn prefetch_from_l1(&mut self, core: usize, pc: u64, line: LineAddr, cycle: u64) {
+    fn prefetch_from_l1<const TIMED: bool>(
+        &mut self,
+        core: usize,
+        pc: u64,
+        line: LineAddr,
+        cycle: u64,
+    ) {
         if self.l1d[core].probe(line).is_some() {
             return; // already resident (also dedupes in-flight prefetches)
         }
         self.l1d[core].stats.prefetch_accesses += 1;
         self.l1d[core].stats.prefetch_misses += 1;
-        let t_l2 = cycle + self.l1_latency;
+        let t_l2 = cycle + if TIMED { self.l1_latency } else { 0 };
         // L1 prefetches extend the demand stream, so they also train the
         // L2 prefetcher (otherwise an L1 prefetcher that covers the
         // stream starves the level below of training input).
-        if let Some(ready) = self.prefetch_into_l2(core, pc, line, t_l2, true) {
+        if let Some(ready) = self.prefetch_into_l2::<TIMED>(core, pc, line, t_l2, true) {
             self.fill_l1(core, line, false, true, ready);
         }
     }
 
-    /// Issue a prefetch generated at L2 (fills L2 and — policy
-    /// permitting — the LLC, but not L1).
-    fn prefetch_from_l2(&mut self, core: usize, pc: u64, line: LineAddr, cycle: u64) {
-        let _ = self.prefetch_into_l2(core, pc, line, cycle, false);
-    }
-
-    /// Shared tail of the prefetch paths: look up L2, then LLC/DRAM, and
-    /// fill L2. Returns the completion cycle, or `None` if the prefetch
-    /// was shed because the target DRAM bank queue is too deep.
-    /// `train_l2` lets L1-originated prefetches feed the L2 prefetcher
-    /// (L2's own prefetches never re-train it, bounding the feedback
-    /// loop).
-    fn prefetch_into_l2(
+    /// Issue a prefetch into L2 — generated at L2, or the tail of an L1
+    /// prefetch: look up L2, then LLC/DRAM, and fill L2 (and, policy
+    /// permitting, the LLC). Returns the completion cycle, or `None` if
+    /// the prefetch was shed because the target DRAM bank queue is too
+    /// deep. `train_l2` lets L1-originated prefetches feed the L2
+    /// prefetcher (L2's own prefetches never re-train it, bounding the
+    /// feedback loop).
+    fn prefetch_into_l2<const TIMED: bool>(
         &mut self,
         core: usize,
         pc: u64,
@@ -547,19 +582,19 @@ impl MemHierarchy {
             return None;
         }
         if train_l2 {
-            self.trigger_l2_prefetcher(core, pc, line, false, t_l2);
+            self.trigger_l2_prefetcher::<TIMED>(core, pc, line, false, t_l2);
         }
-        let t_llc = t_l2 + self.l2_latency;
-        let mut span = self.span_start(core, pc, line, true, t_l2);
+        let t_llc = t_l2 + if TIMED { self.l2_latency } else { 0 };
+        let mut span = self.span_start::<TIMED>(core, pc, line, true, t_l2);
         if let Some(s) = span.as_mut() {
             s.mark(Stage::L2Lookup, t_llc);
         }
-        let done = self.access_llc(core, pc, line, true, t_llc, &mut span);
+        let (done, _) = self.access_llc::<TIMED>(core, pc, line, true, t_llc, &mut span);
         self.fill_l2(core, line, true, done);
         Some(done)
     }
 
-    fn trigger_l1_prefetcher(
+    fn trigger_l1_prefetcher<const TIMED: bool>(
         &mut self,
         core: usize,
         pc: u64,
@@ -572,15 +607,17 @@ impl MemHierarchy {
         self.l1_pref[core].on_access(pc, line, hit, &mut proposals);
         for req in proposals.drain(..) {
             match req.fill {
-                FillLevel::L1 => self.prefetch_from_l1(core, pc, req.line, cycle),
-                FillLevel::L2 => self.prefetch_from_l2(core, pc, req.line, cycle),
-                FillLevel::LlcOnly => self.prefetch_llc_only(core, pc, req.line, cycle),
+                FillLevel::L1 => self.prefetch_from_l1::<TIMED>(core, pc, req.line, cycle),
+                FillLevel::L2 => {
+                    let _ = self.prefetch_into_l2::<TIMED>(core, pc, req.line, cycle, false);
+                }
+                FillLevel::LlcOnly => self.prefetch_llc_only::<TIMED>(core, pc, req.line, cycle),
             }
         }
         self.scratch = proposals;
     }
 
-    fn trigger_l2_prefetcher(
+    fn trigger_l2_prefetcher<const TIMED: bool>(
         &mut self,
         core: usize,
         pc: u64,
@@ -594,8 +631,10 @@ impl MemHierarchy {
         for req in proposals.drain(..) {
             match req.fill {
                 // an L2-resident prefetcher cannot fill L1
-                FillLevel::L1 | FillLevel::L2 => self.prefetch_from_l2(core, pc, req.line, cycle),
-                FillLevel::LlcOnly => self.prefetch_llc_only(core, pc, req.line, cycle),
+                FillLevel::L1 | FillLevel::L2 => {
+                    let _ = self.prefetch_into_l2::<TIMED>(core, pc, req.line, cycle, false);
+                }
+                FillLevel::LlcOnly => self.prefetch_llc_only::<TIMED>(core, pc, req.line, cycle),
             }
         }
         self.scratch = proposals;
@@ -603,270 +642,31 @@ impl MemHierarchy {
 
     /// A far-lookahead prefetch that fills only the shared LLC (subject
     /// to the management policy's bypass decision).
-    fn prefetch_llc_only(&mut self, core: usize, pc: u64, line: LineAddr, cycle: u64) {
+    fn prefetch_llc_only<const TIMED: bool>(
+        &mut self,
+        core: usize,
+        pc: u64,
+        line: LineAddr,
+        cycle: u64,
+    ) {
         if self.llc.probe(line).is_none()
             && self.dram.queue_delay(line, cycle) > PREFETCH_SHED_CYCLES
         {
             self.llc.stats.prefetch_dropped += 1;
             return;
         }
-        let t_llc = cycle + self.l1_latency + self.l2_latency;
-        let mut span = self.span_start(core, pc, line, true, cycle);
+        let t_llc = cycle
+            + if TIMED {
+                self.l1_latency + self.l2_latency
+            } else {
+                0
+            };
+        let mut span = self.span_start::<TIMED>(core, pc, line, true, cycle);
         if let Some(s) = span.as_mut() {
             s.mark(Stage::L1Lookup, cycle + self.l1_latency);
             s.mark(Stage::L2Lookup, t_llc);
         }
-        let _ = self.access_llc(core, pc, line, true, t_llc, &mut span);
-    }
-
-    // ---- Functional path for sampled-replay warmup ----
-    //
-    // These mirror the timed access/fill/prefetch cascade above, driven
-    // by per-core *pseudo-clocks* instead of the real scheduler: cache
-    // contents, LLC policy state, prefetcher training, the MMU and the
-    // DRAM bank/bus model all update exactly as in timed mode, while
-    // MSHRs, C-AMAT accounting and latency spans are never touched. The
-    // pseudo-clock (see [`System::functional_warm_to`]) advances at the
-    // CPI the last detailed phase measured, so DRAM traffic arrives at
-    // a realistic density and the memory-controller prefetch shed test
-    // (`queue_delay > PREFETCH_SHED_CYCLES`) fires with the same
-    // burstiness as in the full run — shed-sensitive prefetcher and
-    // LLC warmup was by far the largest sampled-replay error source.
-
-    /// Functional `writeback_to_llc`: dirty victims that miss the LLC
-    /// become DRAM writes at the pseudo-clock, as in timed mode.
-    fn functional_writeback_llc(&mut self, line: LineAddr, cycle: u64) {
-        if !self.llc.writeback(line) {
-            self.dram.access(line, cycle, true);
-        }
-    }
-
-    fn functional_writeback_l2(&mut self, core: usize, line: LineAddr, cycle: u64) {
-        if self.l2[core].mark_dirty(line) {
-            return;
-        }
-        if let Some(ev) = self.l2[core].fill(line, true, false, cycle) {
-            if ev.dirty {
-                self.functional_writeback_llc(ev.line, cycle);
-            }
-        }
-    }
-
-    fn functional_fill_l2(&mut self, core: usize, line: LineAddr, is_prefetch: bool, cycle: u64) {
-        if self.l2[core].probe(line).is_some() {
-            return;
-        }
-        if let Some(ev) = self.l2[core].fill(line, false, is_prefetch, cycle) {
-            if ev.dirty {
-                self.functional_writeback_llc(ev.line, cycle);
-            }
-        }
-    }
-
-    fn functional_fill_l1(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        dirty: bool,
-        is_prefetch: bool,
-        cycle: u64,
-    ) {
-        if self.l1d[core].probe(line).is_some() {
-            return;
-        }
-        if let Some(ev) = self.l1d[core].fill(line, dirty, is_prefetch, cycle) {
-            if ev.dirty {
-                self.functional_writeback_l2(core, ev.line, cycle);
-            }
-        }
-    }
-
-    /// LLC leg of the functional path: policy callbacks, statistics,
-    /// eager fills and the DRAM traffic beneath a miss run exactly as
-    /// in timed mode (warming replacement/bypass state and the bank
-    /// queues), but there is no MSHR or C-AMAT activity. Returns the
-    /// completion estimate (hit latency or real DRAM completion) and
-    /// whether the access went to memory.
-    fn functional_access_llc(
-        &mut self,
-        core: usize,
-        pc: u64,
-        line: LineAddr,
-        is_prefetch: bool,
-        cycle: u64,
-    ) -> (u64, bool) {
-        // Same NoC gating as the timed path, against the pseudo-clock:
-        // requests route to the home slice, completions route back, so
-        // functional warmup sees the same traffic skew and link pressure
-        // a timed run would.
-        let (cycle, slice) = match self.noc.as_mut() {
-            Some(noc) => noc.request(core, line, cycle),
-            None => (cycle, 0),
-        };
-        let info = AccessInfo {
-            core,
-            pc,
-            line,
-            is_prefetch,
-            is_write: false,
-            cycle,
-        };
-        match self.llc.access(&info, &self.feedback) {
-            LlcOutcome::Hit { ready } => {
-                let done = (cycle + self.llc.latency).max(ready);
-                (noc_respond(self.noc.as_mut(), slice, core, done), false)
-            }
-            LlcOutcome::Miss {
-                bypassed,
-                writeback,
-            } => {
-                let done = self.dram.access(line, cycle + self.llc.latency, false);
-                if !bypassed {
-                    self.llc.set_ready(line, done);
-                }
-                if let Some(wb) = writeback {
-                    self.dram.access(wb, cycle, true);
-                }
-                (noc_respond(self.noc.as_mut(), slice, core, done), true)
-            }
-        }
-    }
-
-    fn functional_prefetch_l2(
-        &mut self,
-        core: usize,
-        pc: u64,
-        line: LineAddr,
-        train_l2: bool,
-        cycle: u64,
-    ) -> Option<u64> {
-        if let Some(ready) = self.l2[core].lookup(line, false, true) {
-            return Some((cycle + self.l2_latency).max(ready));
-        }
-        self.l2[core].stats.prefetch_accesses += 1;
-        self.l2[core].stats.prefetch_misses += 1;
-        // the real memory-controller shed test, against the pseudo-time
-        // bank queues — without it DRAM-bound workloads warm up far
-        // beyond timed reality
-        if self.llc.probe(line).is_none()
-            && self.dram.queue_delay(line, cycle) > PREFETCH_SHED_CYCLES
-        {
-            self.l2[core].stats.prefetch_dropped += 1;
-            return None;
-        }
-        if train_l2 {
-            self.functional_trigger_l2(core, pc, line, false, cycle);
-        }
-        let (done, _) = self.functional_access_llc(core, pc, line, true, cycle);
-        self.functional_fill_l2(core, line, true, done);
-        Some(done)
-    }
-
-    fn functional_prefetch(&mut self, core: usize, pc: u64, req: PrefetchRequest, cycle: u64) {
-        match req.fill {
-            FillLevel::L1 => {
-                if self.l1d[core].probe(req.line).is_some() {
-                    return;
-                }
-                self.l1d[core].stats.prefetch_accesses += 1;
-                self.l1d[core].stats.prefetch_misses += 1;
-                if let Some(ready) = self.functional_prefetch_l2(core, pc, req.line, true, cycle) {
-                    self.functional_fill_l1(core, req.line, false, true, ready);
-                }
-            }
-            FillLevel::L2 => {
-                let _ = self.functional_prefetch_l2(core, pc, req.line, false, cycle);
-            }
-            FillLevel::LlcOnly => {
-                if self.llc.probe(req.line).is_none()
-                    && self.dram.queue_delay(req.line, cycle) > PREFETCH_SHED_CYCLES
-                {
-                    self.llc.stats.prefetch_dropped += 1;
-                    return;
-                }
-                let _ = self.functional_access_llc(core, pc, req.line, true, cycle);
-            }
-        }
-    }
-
-    fn functional_trigger_l1(
-        &mut self,
-        core: usize,
-        pc: u64,
-        line: LineAddr,
-        hit: bool,
-        cycle: u64,
-    ) {
-        let mut proposals = std::mem::take(&mut self.scratch);
-        proposals.clear();
-        self.l1_pref[core].on_access(pc, line, hit, &mut proposals);
-        for req in proposals.drain(..) {
-            self.functional_prefetch(core, pc, req, cycle);
-        }
-        self.scratch = proposals;
-    }
-
-    fn functional_trigger_l2(
-        &mut self,
-        core: usize,
-        pc: u64,
-        line: LineAddr,
-        hit: bool,
-        cycle: u64,
-    ) {
-        let mut proposals = std::mem::take(&mut self.scratch);
-        proposals.clear();
-        self.l2_pref[core].on_access(pc, line, hit, &mut proposals);
-        for mut req in proposals.drain(..) {
-            // an L2-resident prefetcher cannot fill L1
-            if req.fill == FillLevel::L1 {
-                req.fill = FillLevel::L2;
-            }
-            self.functional_prefetch(core, pc, req, cycle);
-        }
-        self.scratch = proposals;
-    }
-
-    /// Apply one trace record functionally: the full demand cascade
-    /// (L1 → L2 → LLC → DRAM, prefetcher training included) at the
-    /// caller-supplied pseudo-clock, with no scheduler involvement.
-    /// Used by sampled replay to fast-forward between representative
-    /// intervals. Returns the estimated completion cycle of the demand
-    /// access (hit latency at whichever level served it, or the real
-    /// DRAM completion) and whether it went all the way to memory —
-    /// the warmup driver replays dependence chains and MSHR occupancy
-    /// from these, so pseudo-time stalls where the timed core stalls.
-    pub(crate) fn functional_access(
-        &mut self,
-        core: usize,
-        rec: &TraceRecord,
-        cycle: u64,
-    ) -> (u64, bool) {
-        let is_write = rec.kind == AccessKind::Store;
-        let line = self.mmu.translate(core, rec.vaddr);
-        self.l1d[core].stats.demand_accesses += 1;
-        if let Some(ready) = self.l1d[core].lookup(line, is_write, false) {
-            self.functional_trigger_l1(core, rec.pc, line, true, cycle);
-            return ((cycle + self.l1_latency).max(ready), false);
-        }
-        self.l1d[core].stats.demand_misses += 1;
-        self.functional_trigger_l1(core, rec.pc, line, false, cycle);
-        self.l2[core].stats.demand_accesses += 1;
-        let t_l2 = cycle + self.l1_latency;
-        let l2_res = self.l2[core].lookup(line, false, false);
-        self.functional_trigger_l2(core, rec.pc, line, l2_res.is_some(), cycle);
-        let (done, dram) = match l2_res {
-            Some(ready) => ((t_l2 + self.l2_latency).max(ready), false),
-            None => {
-                self.l2[core].stats.demand_misses += 1;
-                let r =
-                    self.functional_access_llc(core, rec.pc, line, false, t_l2 + self.l2_latency);
-                self.functional_fill_l2(core, line, false, r.0);
-                r
-            }
-        };
-        self.functional_fill_l1(core, line, is_write, false, done);
-        (done, dram)
+        let _ = self.access_llc::<TIMED>(core, pc, line, true, t_llc, &mut span);
     }
 
     /// Reset all measurement counters (used at the warmup boundary).
@@ -1138,7 +938,7 @@ impl System {
             }
             let core = &mut self.cores[i];
             core.retire(cycle);
-            core.issue(cycle, |rec, t| hier.demand_access(i, rec, t));
+            core.issue(cycle, |rec, t| hier.access::<true>(i, rec, t).0);
             if EVENT {
                 let next = core.next_activity(cycle + 1);
                 self.next_event[i] = next;
@@ -1449,7 +1249,7 @@ impl System {
                 let oldest = mshr[i].pop_front().unwrap();
                 at = at.max(oldest as f64);
             }
-            let (done, dram) = self.hier.functional_access(i, &rec, at as u64);
+            let (done, dram) = self.hier.access::<false>(i, &rec, at as u64);
             if dram {
                 mshr[i].push_back(done);
             }
