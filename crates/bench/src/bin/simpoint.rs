@@ -53,6 +53,21 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// The value of numeric flag `flag`, taken from `args[i]`. A missing or
+/// malformed value is a usage error: print why and the usage, exit 2.
+fn number<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
+    match args.get(i) {
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} takes a number, got {v:?}");
+            usage()
+        }),
+        None => {
+            eprintln!("{flag} takes a number");
+            usage()
+        }
+    }
+}
+
 struct Options {
     command: String,
     trace: Option<PathBuf>,
@@ -128,31 +143,31 @@ fn parse_args() -> Options {
             }
             "--workloads" => {
                 i += 1;
-                opts.workloads = Some(args[i].parse().expect("--workloads takes a number"));
+                opts.workloads = Some(number(&args, i, "--workloads"));
             }
             "--cores" => {
                 i += 1;
-                opts.cores = args[i].parse().expect("--cores takes a number");
+                opts.cores = number(&args, i, "--cores");
             }
             "--instructions" => {
                 i += 1;
-                opts.instructions = args[i].parse().expect("--instructions takes a number");
+                opts.instructions = number(&args, i, "--instructions");
             }
             "--warmup" => {
                 i += 1;
-                opts.warmup = args[i].parse().expect("--warmup takes a number");
+                opts.warmup = number(&args, i, "--warmup");
             }
             "--interval" => {
                 i += 1;
-                opts.interval = args[i].parse().expect("--interval takes a number");
+                opts.interval = number(&args, i, "--interval");
             }
             "--base-seed" => {
                 i += 1;
-                opts.base_seed = args[i].parse().expect("--base-seed takes a number");
+                opts.base_seed = number(&args, i, "--base-seed");
             }
             "--jobs" => {
                 i += 1;
-                opts.jobs = Some(args[i].parse().expect("--jobs takes a number"));
+                opts.jobs = Some(number(&args, i, "--jobs"));
             }
             "--record-missing" => opts.record_missing = true,
             "--out-table" => {
@@ -170,15 +185,15 @@ fn parse_args() -> Options {
             "--resume" => opts.resume = true,
             "--ipc-tol" => {
                 i += 1;
-                opts.ipc_tol = args[i].parse().expect("--ipc-tol takes a percentage");
+                opts.ipc_tol = number(&args, i, "--ipc-tol");
             }
             "--mpki-tol" => {
                 i += 1;
-                opts.mpki_tol = args[i].parse().expect("--mpki-tol takes a percentage");
+                opts.mpki_tol = number(&args, i, "--mpki-tol");
             }
             "--min-reduction" => {
                 i += 1;
-                opts.min_reduction = args[i].parse().expect("--min-reduction takes a factor");
+                opts.min_reduction = number(&args, i, "--min-reduction");
             }
             "--check-kernels" => opts.check_kernels = true,
             "--no-progress" => opts.progress = false,

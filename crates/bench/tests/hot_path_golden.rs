@@ -367,31 +367,36 @@ const KERNELS: [(&str, Kernel); 2] = [
     ("reference", Kernel::Reference),
 ];
 
-/// Compare `current` (`label digest` lines) against the golden file,
-/// or, under `REGEN_HOT_PATH_GOLDEN`, rewrite just these labels in it:
-/// lines of other labels keep their place, new labels are appended.
-fn check_against_golden(current: &[String]) {
+fn timed_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for cell in cells() {
+        for (kname, kernel) in KERNELS {
+            let digest = digest_cell(&cell, kernel);
+            lines.push(format!("{}/{kname} {digest:#018x}", cell.label));
+        }
+    }
+    lines
+}
+
+fn sampled_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for cell in sampled_cells() {
+        for (kname, kernel) in KERNELS {
+            let digest = digest_sampled_cell(&cell, kernel);
+            lines.push(format!("{}/{kname} {digest:#018x}", cell.base.label));
+        }
+    }
+    lines
+}
+
+/// Compare one test's `label digest` lines against the golden file.
+/// Under `REGEN_HOT_PATH_GOLDEN` the whole file is rewritten instead,
+/// timed lines first, so either test regenerates both sets.
+fn check_against_golden(lines: fn() -> Vec<String>) {
     if std::env::var("REGEN_HOT_PATH_GOLDEN").is_ok() {
-        let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_default();
-        let mut fresh: std::collections::BTreeMap<&str, &String> = current
-            .iter()
-            .map(|l| (l.split_once(' ').unwrap().0, l))
-            .collect();
-        let mut out = String::new();
-        for line in golden.lines() {
-            let label = line.split_once(' ').map_or(line, |(l, _)| l);
-            let kept = fresh.remove(label).map_or(line, String::as_str);
-            out.push_str(kept);
-            out.push('\n');
-        }
-        for line in current {
-            if fresh.contains_key(line.split_once(' ').unwrap().0) {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
+        let all = [timed_lines(), sampled_lines()].concat();
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, out).unwrap();
+        std::fs::write(GOLDEN_PATH, all.join("\n") + "\n").unwrap();
         eprintln!("regenerated {GOLDEN_PATH}");
         return;
     }
@@ -400,7 +405,7 @@ fn check_against_golden(current: &[String]) {
     let golden_map: std::collections::BTreeMap<&str, &str> =
         golden.lines().filter_map(|l| l.split_once(' ')).collect();
     let mut mismatches = Vec::new();
-    for line in current {
+    for line in lines() {
         let (label, digest) = line.split_once(' ').unwrap();
         match golden_map.get(label) {
             Some(&want) if want == digest => {}
@@ -417,24 +422,10 @@ fn check_against_golden(current: &[String]) {
 
 #[test]
 fn hot_paths_match_pre_refactor_golden_digests() {
-    let mut lines = Vec::new();
-    for cell in cells() {
-        for (kname, kernel) in KERNELS {
-            let digest = digest_cell(&cell, kernel);
-            lines.push(format!("{}/{kname} {digest:#018x}", cell.label));
-        }
-    }
-    check_against_golden(&lines);
+    check_against_golden(timed_lines);
 }
 
 #[test]
 fn sampled_replay_matches_golden_digests() {
-    let mut lines = Vec::new();
-    for cell in sampled_cells() {
-        for (kname, kernel) in KERNELS {
-            let digest = digest_sampled_cell(&cell, kernel);
-            lines.push(format!("{}/{kname} {digest:#018x}", cell.base.label));
-        }
-    }
-    check_against_golden(&lines);
+    check_against_golden(sampled_lines);
 }
