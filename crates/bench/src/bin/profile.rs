@@ -19,7 +19,8 @@
 
 use std::time::Instant;
 
-use chrome_bench::runner::{run_mix, run_workload, RunParams, SchemeResult};
+use chrome_bench::experiments::cell;
+use chrome_bench::{simulate_cell, RunParams, SchemeResult};
 use chrome_telemetry::export::attrib_text;
 use chrome_telemetry::Stage;
 
@@ -34,24 +35,24 @@ fn arg_string(name: &str) -> Option<String> {
 fn main() {
     let mut params =
         RunParams::from_args_ignoring(&["--workload", "--mix", "--scheme", "--bench-json"]);
-    params.profile = true;
     let scheme = arg_string("--scheme").unwrap_or_else(|| "CHROME".to_string());
-    let workload = arg_string("--workload").unwrap_or_else(|| "mcf".to_string());
-    let mix = arg_string("--mix");
-
-    let t0 = Instant::now();
-    let (label, r) = match &mix {
+    // a mix runs one core per member, as a `+`-joined grid workload
+    let workload = match arg_string("--mix") {
         Some(m) => {
             let names: Vec<&str> = m.split(',').filter(|s| !s.is_empty()).collect();
             params.cores = names.len();
-            (m.clone(), run_mix(&params, &names, &scheme))
+            names.join("+")
         }
-        None => (workload.clone(), run_workload(&params, &workload, &scheme)),
+        None => arg_string("--workload").unwrap_or_else(|| "mcf".to_string()),
     };
+    let spec = cell(&params, "profile", &workload, &scheme);
+
+    let t0 = Instant::now();
+    let r = simulate_cell(&spec, params.telemetry_out.as_deref(), None, true);
     let elapsed = t0.elapsed().as_secs_f64();
 
     let attrib = r.attrib.as_ref().expect("profiling run returns attrib");
-    println!("== profile: {label} / {scheme} ==");
+    println!("== profile: {workload} / {scheme} ==");
     println!(
         "cores={} instructions={}/core warmup={} elapsed={elapsed:.2}s",
         params.cores, params.instructions, params.warmup

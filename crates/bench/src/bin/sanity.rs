@@ -1,9 +1,12 @@
 //! Quick end-to-end sanity check: CHROME vs LRU on a few workloads.
 //! Not a paper experiment; used to validate the stack and gauge speed.
+//! Each (workload, scheme) pair runs as the grid cell a plan would
+//! build from the same flags.
 
 use std::time::Instant;
 
-use chrome_bench::{run_workload, RunParams};
+use chrome_bench::experiments::cell;
+use chrome_bench::{simulate_cell, RunParams};
 
 fn main() {
     let params = RunParams::from_args();
@@ -19,13 +22,14 @@ fn main() {
             "CHROME",
         ] {
             let t0 = Instant::now();
-            let r = run_workload(&params, wl, scheme);
+            let spec = cell(&params, "sanity", wl, scheme);
+            let r = simulate_cell(&spec, params.telemetry_out.as_deref(), None, false);
             let dt = t0.elapsed().as_secs_f64();
             let l1 = &r.results.l1d[0];
             println!(
                 "{wl:<12} {scheme:<11} ipc={:.3} llcM%={:.0} ephr={:.2} byp={:.2} \
                  l1m%={:.0} l1pf={} llc_dA={} llc_pA={} dram_r={} dlat={:.0} [{dt:.1}s]",
-                r.ipc_sum(),
+                r.results.ipc_sum(),
                 100.0 * r.results.llc.demand_miss_ratio(),
                 r.results.llc.ephr(),
                 r.results.llc.bypass_coverage(),

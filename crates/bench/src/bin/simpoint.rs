@@ -31,6 +31,7 @@ use std::process::exit;
 
 use chrome_bench::experiments::sampling;
 use chrome_bench::grid::{run_grid, sampled_cell_result};
+use chrome_bench::runner::number;
 use chrome_bench::RunParams;
 use chrome_exec::{workload_seed, CellSpec};
 use chrome_sim::Kernel;
@@ -51,21 +52,6 @@ fn usage() -> ! {
          \x20               [--check-kernels] [--no-progress]"
     );
     exit(2);
-}
-
-/// The value of numeric flag `flag`, taken from `args[i]`. A missing or
-/// malformed value is a usage error: print why and the usage, exit 2.
-fn number<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    match args.get(i) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} takes a number, got {v:?}");
-            usage()
-        }),
-        None => {
-            eprintln!("{flag} takes a number");
-            usage()
-        }
-    }
 }
 
 struct Options {
@@ -143,31 +129,31 @@ fn parse_args() -> Options {
             }
             "--workloads" => {
                 i += 1;
-                opts.workloads = Some(number(&args, i, "--workloads"));
+                opts.workloads = Some(number(&args, i, "--workloads", usage));
             }
             "--cores" => {
                 i += 1;
-                opts.cores = number(&args, i, "--cores");
+                opts.cores = number(&args, i, "--cores", usage);
             }
             "--instructions" => {
                 i += 1;
-                opts.instructions = number(&args, i, "--instructions");
+                opts.instructions = number(&args, i, "--instructions", usage);
             }
             "--warmup" => {
                 i += 1;
-                opts.warmup = number(&args, i, "--warmup");
+                opts.warmup = number(&args, i, "--warmup", usage);
             }
             "--interval" => {
                 i += 1;
-                opts.interval = number(&args, i, "--interval");
+                opts.interval = number(&args, i, "--interval", usage);
             }
             "--base-seed" => {
                 i += 1;
-                opts.base_seed = number(&args, i, "--base-seed");
+                opts.base_seed = number(&args, i, "--base-seed", usage);
             }
             "--jobs" => {
                 i += 1;
-                opts.jobs = Some(number(&args, i, "--jobs"));
+                opts.jobs = Some(number(&args, i, "--jobs", usage));
             }
             "--record-missing" => opts.record_missing = true,
             "--out-table" => {
@@ -185,15 +171,15 @@ fn parse_args() -> Options {
             "--resume" => opts.resume = true,
             "--ipc-tol" => {
                 i += 1;
-                opts.ipc_tol = number(&args, i, "--ipc-tol");
+                opts.ipc_tol = number(&args, i, "--ipc-tol", usage);
             }
             "--mpki-tol" => {
                 i += 1;
-                opts.mpki_tol = number(&args, i, "--mpki-tol");
+                opts.mpki_tol = number(&args, i, "--mpki-tol", usage);
             }
             "--min-reduction" => {
                 i += 1;
-                opts.min_reduction = number(&args, i, "--min-reduction");
+                opts.min_reduction = number(&args, i, "--min-reduction", usage);
             }
             "--check-kernels" => opts.check_kernels = true,
             "--no-progress" => opts.progress = false,
@@ -351,7 +337,7 @@ fn record_missing(opts: &Options, dir: &std::path::Path, workloads: &[String]) {
 
 /// Rerun every sampled cell on the reference kernel and demand
 /// result-identity with the event-driven run.
-fn check_kernels(opts: &Options, params: &RunParams, workloads: &[String]) -> usize {
+fn check_kernels(opts: &Options, workloads: &[String]) -> usize {
     let dir = opts.trace_dir.clone().expect("checked in validate");
     let index = TraceIndex::scan(&dir).unwrap_or_else(|e| {
         eprintln!("scanning {}: {e}", dir.display());
@@ -396,8 +382,8 @@ fn check_kernels(opts: &Options, params: &RunParams, workloads: &[String]) -> us
             eprintln!("plan for {wl}: {e}");
             exit(1);
         });
-        let event = sampled_cell_result(&cell, params, &tf, &plan, Kernel::EventDriven);
-        let reference = sampled_cell_result(&cell, params, &tf, &plan, Kernel::Reference);
+        let event = sampled_cell_result(&cell, None, &tf, &plan, Kernel::EventDriven);
+        let reference = sampled_cell_result(&cell, None, &tf, &plan, Kernel::Reference);
         if event == reference {
             eprintln!("kernel check: {wl} identical");
         } else {
@@ -494,7 +480,7 @@ fn validate(opts: &Options) -> i32 {
         }
     }
     if opts.check_kernels {
-        failures += check_kernels(opts, &params, &workloads);
+        failures += check_kernels(opts, &workloads);
     }
     if failures == 0 {
         eprintln!(

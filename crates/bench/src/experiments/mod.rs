@@ -53,7 +53,7 @@ impl std::fmt::Debug for ExperimentPlan {
 }
 
 /// Build a cell with the run-wide defaults from `params`.
-pub(crate) fn cell(
+pub fn cell(
     params: &RunParams,
     experiment: &'static str,
     workload: &str,

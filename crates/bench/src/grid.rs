@@ -23,7 +23,9 @@ use chrome_traces::mix;
 
 use chrome_simpoint::{build_plan_windowed, reconstruct, SamplingSpec, WorkloadPlan};
 
-use crate::runner::{run_traces, run_traces_sampled, RunParams};
+use crate::runner::{
+    run_functional_profile, run_traces, run_traces_sampled, RunParams, SchemeResult,
+};
 
 /// Resolution table for file-backed cells: trace content hash (the
 /// [`CellSpec::trace`] value, fixed-width hex) to `.ctf` path. The hash
@@ -159,53 +161,10 @@ pub fn run_cell_with_traces(
     telemetry_out: Option<&Path>,
     trace_files: Option<&TraceMap>,
 ) -> CellResult {
-    let seed = spec.workload_seed();
-    let params = RunParams {
-        cores: spec.cores as usize,
-        instructions: spec.instructions,
-        warmup: spec.warmup,
-        prefetchers: prefetch_config(&spec.prefetch),
-        seed,
-        telemetry_out: telemetry_out.map(Path::to_path_buf),
-        record_epochs: spec.record_epochs,
-        noc: spec.noc.clone(),
-        ..RunParams::default()
-    };
-    let tf = (!spec.trace.is_empty()).then(|| open_spec_trace(spec, trace_files));
     if !spec.sampling.is_empty() {
-        let tf = tf.unwrap_or_else(|| {
-            panic!(
-                "cell {} requests sampling ({}) but is not file-backed; \
-                 representative-interval sampling needs a recorded trace (--trace-dir)",
-                spec.label(),
-                spec.sampling
-            )
-        });
-        return run_sampled_cell(spec, &params, &tf);
+        return run_sampled_cell(spec, telemetry_out, trace_files);
     }
-    let traces = match &tf {
-        Some(tf) => tf
-            .sources()
-            .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label())),
-        None => {
-            if spec.workload.contains('+') {
-                let names: Vec<&str> = spec.workload.split('+').collect();
-                mix::build_mix(&names, seed)
-                    .unwrap_or_else(|| panic!("unknown mix {}", spec.workload))
-            } else {
-                mix::homogeneous(&spec.workload, params.cores, seed)
-                    .unwrap_or_else(|| panic!("unknown workload {}", spec.workload))
-            }
-        }
-    };
-    let r = run_traces(
-        &params,
-        traces,
-        &spec.scheme,
-        spec.track_unused,
-        &spec.workload,
-        Some(&spec.hash_hex()),
-    );
+    let r = simulate_cell(spec, telemetry_out, trace_files, false);
     let (eq_occupancy, eq_overflows) = r.epochs.records().last().map_or((0.0, 0), |last| {
         (last.policy.eq_occupancy, last.policy.eq_overflows)
     });
@@ -236,6 +195,50 @@ pub fn run_cell_with_traces(
             .iter()
             .map(|p| p.to_string_lossy().into_owned())
             .collect(),
+    }
+}
+
+/// Simulate one full (unsampled) cell and return everything the run
+/// produced. This is the one way chrome-bench simulates a full cell:
+/// [`run_cell`] distills its result, and the `profile` and `sanity`
+/// binaries read it whole, so a profiled cell replays exactly the
+/// traces of its grid cell. `profile` enables the per-request
+/// latency-attribution profiler.
+///
+/// # Panics
+///
+/// Panics as [`run_cell_with_traces`] does.
+#[must_use]
+pub fn simulate_cell(
+    spec: &CellSpec,
+    telemetry_out: Option<&Path>,
+    trace_files: Option<&TraceMap>,
+    profile: bool,
+) -> SchemeResult {
+    run_traces(spec, cell_traces(spec, trace_files), telemetry_out, profile)
+}
+
+/// The traces a full cell replays: its recorded `.ctf` file when the
+/// spec is file-backed, else the live generators — `cores` copies of
+/// one workload, or one core per member of a `+`-joined mix — seeded by
+/// [`CellSpec::workload_seed`], so every scheme of a workload replays
+/// the same traces.
+fn cell_traces(
+    spec: &CellSpec,
+    trace_files: Option<&TraceMap>,
+) -> Vec<Box<dyn chrome_sim::trace::TraceSource>> {
+    if !spec.trace.is_empty() {
+        return open_spec_trace(spec, trace_files)
+            .sources()
+            .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label()));
+    }
+    let seed = spec.workload_seed();
+    if spec.workload.contains('+') {
+        let names: Vec<&str> = spec.workload.split('+').collect();
+        mix::build_mix(&names, seed).unwrap_or_else(|| panic!("unknown mix {}", spec.workload))
+    } else {
+        mix::homogeneous(&spec.workload, spec.cores as usize, seed)
+            .unwrap_or_else(|| panic!("unknown workload {}", spec.workload))
     }
 }
 
@@ -311,7 +314,18 @@ fn weighted_ratio(
 /// the trace's interval stats, replay only the representative intervals
 /// (functional warmup + detailed ramp + measurement), and reconstruct
 /// full-run metrics from the weighted per-interval results.
-fn run_sampled_cell(spec: &CellSpec, params: &RunParams, tf: &TraceFile) -> CellResult {
+fn run_sampled_cell(
+    spec: &CellSpec,
+    telemetry_out: Option<&Path>,
+    trace_files: Option<&TraceMap>,
+) -> CellResult {
+    assert!(
+        !spec.trace.is_empty(),
+        "cell {} requests sampling ({}) but is not file-backed; \
+         representative-interval sampling needs a recorded trace (--trace-dir)",
+        spec.label(),
+        spec.sampling
+    );
     assert!(
         !spec.track_unused,
         "cell {}: evicted-unused tracking is whole-run state and cannot \
@@ -320,16 +334,23 @@ fn run_sampled_cell(spec: &CellSpec, params: &RunParams, tf: &TraceFile) -> Cell
     );
     let sampling = SamplingSpec::parse(&spec.sampling)
         .unwrap_or_else(|e| panic!("cell {}: {e}", spec.label()));
+    let tf = open_spec_trace(spec, trace_files);
     // window the plan to exactly what a full run of this cell measures
     let plan = build_plan_windowed(
-        tf,
+        &tf,
         sampling,
         spec.workload_seed(),
         spec.warmup,
         spec.instructions,
     )
     .unwrap_or_else(|e| panic!("cell {}: building sampling plan: {e}", spec.label()));
-    sampled_cell_result(spec, params, tf, &plan, chrome_sim::Kernel::default())
+    sampled_cell_result(
+        spec,
+        telemetry_out,
+        &tf,
+        &plan,
+        chrome_sim::Kernel::default(),
+    )
 }
 
 /// [`run_sampled_cell`] with a pre-built plan and explicit kernel — the
@@ -337,29 +358,19 @@ fn run_sampled_cell(spec: &CellSpec, params: &RunParams, tf: &TraceFile) -> Cell
 /// identity on the same plan.
 pub fn sampled_cell_result(
     spec: &CellSpec,
-    params: &RunParams,
+    telemetry_out: Option<&Path>,
     tf: &TraceFile,
     plan: &WorkloadPlan,
     kernel: chrome_sim::Kernel,
 ) -> CellResult {
-    let traces = tf
-        .sources()
-        .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label()));
-    let run = run_traces_sampled(
-        params,
-        traces,
-        &spec.scheme,
-        plan,
-        kernel,
-        &spec.workload,
-        Some(&spec.hash_hex()),
-    );
+    let traces = || {
+        tf.sources()
+            .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label()))
+    };
+    let run = run_traces_sampled(spec, traces(), telemetry_out, plan, kernel);
     // functional control-variate pass: full interval coverage at zero
     // detailed cost, pairing with the measured segments above
-    let profile_traces = tf
-        .sources()
-        .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label()));
-    let profile = crate::runner::run_functional_profile(params, profile_traces, &spec.scheme, plan);
+    let profile = run_functional_profile(spec, traces(), plan);
     let weights: Vec<f64> = plan.segments.iter().map(|s| s.weight).collect();
     let rec = reconstruct::reconstruct_with_profile(plan, &run.results, &profile);
     let budget = spec.instructions * u64::from(spec.cores);
@@ -705,6 +716,30 @@ mod tests {
         assert_eq!(r.ipc.len(), 1);
         assert!(r.ipc[0] > 0.0);
         assert!(r.artifacts.is_empty());
+    }
+
+    #[test]
+    fn simulate_cell_replays_the_grid_cell() {
+        // `profile` and `sanity` run cells through simulate_cell; profiled
+        // or not, it must simulate exactly what run_cell measures
+        for workload in ["libquantum", "mcf+libquantum"] {
+            let spec = CellSpec {
+                workload: workload.into(),
+                cores: 2,
+                ..unit_spec()
+            };
+            let grid = run_cell(&spec, None).ipc;
+            for profile in [false, true] {
+                let r = simulate_cell(&spec, None, None, profile);
+                let ipc: Vec<f64> = r
+                    .results
+                    .per_core
+                    .iter()
+                    .map(chrome_sim::CoreStats::ipc)
+                    .collect();
+                assert_eq!(ipc, grid, "{workload}, profile={profile}");
+            }
+        }
     }
 
     #[test]

@@ -11,13 +11,8 @@ pub fn all_schemes() -> &'static [&'static str] {
 }
 
 /// Build a scheme as a [`PolicySlot`] for simulation runs. `"LRU"`
-/// resolves to the simulator's built-in statically dispatched LRU
-/// (decision-identical to the boxed baseline — same stamp/scan
-/// algorithm — so results are unchanged); every other name goes
-/// through [`build_any_policy`]. Overhead accounting
-/// (`storage_overhead`) should keep using [`build_any_policy`], whose
-/// `"LRU"` models the 4-bit hardware encoding rather than the
-/// simulator's 64-bit stamps.
+/// takes the slot's statically dispatched arm; every other name goes
+/// through [`build_any_policy`].
 pub fn build_any_slot(name: &str) -> Option<PolicySlot> {
     if name == "LRU" {
         return Some(PolicySlot::from(BuiltinLru::new()));

@@ -1,11 +1,12 @@
 //! Simulation runners shared by all experiment binaries.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use chrome_sim::{PrefetcherConfig, SimConfig, SimResults, System};
+use chrome_exec::CellSpec;
+use chrome_sim::{SimConfig, SimResults, System};
 use chrome_telemetry::{AttribProfiler, EpochSeries, TelemetryConfig, TelemetrySink};
-use chrome_traces::mix;
 
+use crate::grid::prefetch_config;
 use crate::registry::build_any_slot;
 
 /// Parameters for one experiment run. Command-line parsing for the
@@ -18,21 +19,12 @@ pub struct RunParams {
     pub instructions: u64,
     /// Warmup instructions per core.
     pub warmup: u64,
-    /// Prefetcher configuration.
-    pub prefetchers: PrefetcherConfig,
     /// Base seed for workload generators.
     pub seed: u64,
     /// Directory for telemetry artifacts (`--telemetry-out DIR`); when
-    /// set, every run exports its epoch series, event trace and metrics
-    /// there, named `<workload>_<scheme>_*`.
+    /// set, every cell exports its epoch series and event trace there,
+    /// named `<workload>_<scheme>_<spec hash>_*`.
     pub telemetry_out: Option<PathBuf>,
-    /// Record the epoch series even without exporting it (experiment
-    /// binaries that consume [`SchemeResult::epochs`] set this).
-    pub record_epochs: bool,
-    /// Enable the per-request latency-attribution profiler
-    /// (`--profile`); implies a recording telemetry sink and populates
-    /// [`SchemeResult::attrib`].
-    pub profile: bool,
     /// Grid-engine worker threads (`--jobs N`); `None` means available
     /// parallelism.
     pub jobs: Option<usize>,
@@ -56,9 +48,8 @@ pub struct RunParams {
     pub homo_workloads: Option<usize>,
     /// Paint live grid progress to stderr (tests switch it off).
     pub progress: bool,
-    /// Record a per-decision audit trail bounded to this many records
-    /// (`--audit N`); populates [`SchemeResult::audit`] for auditable
-    /// policies (CHROME and its ablations).
+    /// Per-run decision-audit record cap for `forensics_sweep`
+    /// (`--audit N`).
     pub audit: Option<usize>,
     /// Representative-interval sampling spec (`--sampling k=<k>,ramp=<n>`);
     /// file-backed grid cells replay only clustered representative
@@ -77,11 +68,8 @@ impl Default for RunParams {
             cores: 4,
             instructions: 3_000_000,
             warmup: 600_000,
-            prefetchers: PrefetcherConfig::default_paper(),
             seed: 0x5EED,
             telemetry_out: None,
-            record_epochs: false,
-            profile: false,
             jobs: None,
             retries: 2,
             resume: false,
@@ -97,25 +85,61 @@ impl Default for RunParams {
     }
 }
 
+/// Print the common experiment flags and exit 2, the usage-error
+/// status of every experiment binary.
+fn usage() -> ! {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    let bin = Path::new(&arg0)
+        .file_name()
+        .map_or_else(|| "experiment".into(), |n| n.to_string_lossy());
+    eprintln!(
+        "usage: {bin} [--cores N] [--instructions N] [--warmup N] [--seed N] [--quick]\n\
+         \x20      [--full] [--jobs N] [--retries K] [--resume] [--manifest PATH]\n\
+         \x20      [--trace-dir DIR] [--mixes N] [--homo-workloads N] [--audit N]\n\
+         \x20      [--sampling k=<k>,ramp=<n>] [--noc slices=..,hop=..,..]\n\
+         \x20      [--telemetry-out DIR]"
+    );
+    std::process::exit(2)
+}
+
+/// The value of numeric flag `flag`, taken from `args[i]`. A missing or
+/// malformed value is a usage error: print why, then call `usage`.
+pub fn number<T: std::str::FromStr>(args: &[String], i: usize, flag: &str, usage: fn() -> !) -> T {
+    match args.get(i) {
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} takes a number, got {v:?}");
+            usage()
+        }),
+        None => {
+            eprintln!("{flag} takes a number");
+            usage()
+        }
+    }
+}
+
 impl RunParams {
     /// Parse common experiment flags from `std::env::args`:
     /// `--cores N`, `--instructions N`, `--warmup N`, `--quick`
     /// (divides the instruction budget by 10), `--full` (multiplies it
-    /// by 10), `--seed N`, `--telemetry-out DIR`.
+    /// by 10), `--seed N`, `--telemetry-out DIR`, and the grid flags.
+    /// An unknown flag or a missing or malformed value prints the
+    /// reason and the usage and exits 2.
     pub fn from_args() -> Self {
         Self::from_args_ignoring(&[])
     }
 
     /// Like [`RunParams::from_args`], but skips the listed
-    /// experiment-specific flags (each consuming one value argument);
-    /// read those with [`RunParams::arg_usize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown flags or malformed flag values.
+    /// experiment-specific flags (each consuming one value argument),
+    /// which the binary reads itself.
     pub fn from_args_ignoring(extra_value_flags: &[&str]) -> Self {
         let mut p = RunParams::default();
         let args: Vec<String> = std::env::args().collect();
+        let value = |i: usize, flag: &str| -> String {
+            args.get(i).cloned().unwrap_or_else(|| {
+                eprintln!("{flag} takes a value");
+                usage()
+            })
+        };
         let mut i = 1;
         while i < args.len() {
             if extra_value_flags.contains(&args[i].as_str()) {
@@ -125,74 +149,71 @@ impl RunParams {
             match args[i].as_str() {
                 "--cores" => {
                     i += 1;
-                    p.cores = args[i].parse().expect("--cores takes a number");
+                    p.cores = number(&args, i, "--cores", usage);
                 }
                 "--instructions" => {
                     i += 1;
-                    p.instructions = args[i].parse().expect("--instructions takes a number");
+                    p.instructions = number(&args, i, "--instructions", usage);
                 }
                 "--warmup" => {
                     i += 1;
-                    p.warmup = args[i].parse().expect("--warmup takes a number");
+                    p.warmup = number(&args, i, "--warmup", usage);
                 }
                 "--seed" => {
                     i += 1;
-                    p.seed = args[i].parse().expect("--seed takes a number");
+                    p.seed = number(&args, i, "--seed", usage);
                 }
                 "--telemetry-out" => {
                     i += 1;
-                    p.telemetry_out = Some(PathBuf::from(
-                        args.get(i).expect("--telemetry-out takes a dir"),
-                    ));
-                }
-                "--profile" => {
-                    p.profile = true;
+                    p.telemetry_out = Some(PathBuf::from(value(i, "--telemetry-out")));
                 }
                 "--jobs" => {
                     i += 1;
-                    p.jobs = Some(args[i].parse().expect("--jobs takes a number"));
+                    p.jobs = Some(number(&args, i, "--jobs", usage));
                 }
                 "--retries" => {
                     i += 1;
-                    p.retries = args[i].parse().expect("--retries takes a number");
+                    p.retries = number(&args, i, "--retries", usage);
                 }
                 "--resume" => {
                     p.resume = true;
                 }
                 "--manifest" => {
                     i += 1;
-                    p.manifest = Some(PathBuf::from(args.get(i).expect("--manifest takes a path")));
+                    p.manifest = Some(PathBuf::from(value(i, "--manifest")));
                 }
                 "--trace-dir" => {
                     i += 1;
-                    p.trace_dir =
-                        Some(PathBuf::from(args.get(i).expect("--trace-dir takes a dir")));
+                    p.trace_dir = Some(PathBuf::from(value(i, "--trace-dir")));
                 }
                 "--mixes" => {
                     i += 1;
-                    p.mixes = Some(args[i].parse().expect("--mixes takes a number"));
+                    p.mixes = Some(number(&args, i, "--mixes", usage));
                 }
                 "--homo-workloads" => {
                     i += 1;
-                    p.homo_workloads =
-                        Some(args[i].parse().expect("--homo-workloads takes a number"));
+                    p.homo_workloads = Some(number(&args, i, "--homo-workloads", usage));
                 }
                 "--audit" => {
                     i += 1;
-                    p.audit = Some(args[i].parse().expect("--audit takes a record cap"));
+                    p.audit = Some(number(&args, i, "--audit", usage));
                 }
                 "--sampling" => {
                     i += 1;
-                    let spec = args.get(i).expect("--sampling takes k=<k>,ramp=<n>");
-                    chrome_simpoint::SamplingSpec::parse(spec)
-                        .unwrap_or_else(|e| panic!("--sampling: {e}"));
-                    p.sampling = Some(spec.clone());
+                    let spec = value(i, "--sampling");
+                    if let Err(e) = chrome_simpoint::SamplingSpec::parse(&spec) {
+                        eprintln!("--sampling: {e}");
+                        usage();
+                    }
+                    p.sampling = Some(spec);
                 }
                 "--noc" => {
                     i += 1;
-                    let spec = args.get(i).expect("--noc takes slices=..,hop=..,..");
                     let cfg =
-                        chrome_noc::NocConfig::parse(spec).unwrap_or_else(|e| panic!("--noc: {e}"));
+                        chrome_noc::NocConfig::parse(&value(i, "--noc")).unwrap_or_else(|e| {
+                            eprintln!("--noc: {e}");
+                            usage()
+                        });
                     // Canonicalize at the CLI boundary so spec hashes
                     // never depend on key order or omitted defaults.
                     p.noc = cfg.canonical();
@@ -205,21 +226,14 @@ impl RunParams {
                     p.instructions *= 10;
                     p.warmup *= 10;
                 }
-                other => panic!("unknown flag {other}"),
+                other => {
+                    eprintln!("unknown flag {other}");
+                    usage();
+                }
             }
             i += 1;
         }
         p
-    }
-
-    /// Read an experiment-specific `--flag N` from the command line.
-    pub fn arg_usize(name: &str, default: usize) -> usize {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
     }
 
     /// The [`SimConfig`] this run implies.
@@ -229,7 +243,6 @@ impl RunParams {
     /// Panics if [`RunParams::noc`] is non-empty but unparsable.
     pub fn sim_config(&self) -> SimConfig {
         let mut cfg = SimConfig::with_cores(self.cores);
-        cfg.prefetchers = self.prefetchers;
         if !self.noc.is_empty() {
             cfg.noc = Some(
                 chrome_noc::NocConfig::parse(&self.noc)
@@ -240,98 +253,58 @@ impl RunParams {
     }
 }
 
-/// The results of running one scheme on one workload/mix.
+/// Everything one full simulation of a cell produced.
 #[derive(Debug, Clone)]
 pub struct SchemeResult {
-    /// Scheme name.
-    pub scheme: String,
     /// Raw simulation results.
     pub results: SimResults,
     /// Scheme-specific report metrics (e.g. CHROME's UPKSA).
     pub report: Vec<(String, f64)>,
-    /// Epoch-resolved telemetry series (empty unless the run recorded
-    /// telemetry via `--telemetry-out` or [`RunParams::record_epochs`]).
+    /// Epoch-resolved telemetry series (empty unless the cell recorded
+    /// telemetry: `--telemetry-out`, [`CellSpec::record_epochs`] or a
+    /// profiling run).
     pub epochs: EpochSeries,
-    /// Latency-attribution profiler state (populated only when
-    /// [`RunParams::profile`] was set).
+    /// Latency-attribution profiler state (populated only for profiling
+    /// runs).
     pub attrib: Option<AttribProfiler>,
     /// Telemetry artifact files this run exported (empty without
     /// `--telemetry-out`).
     pub artifacts: Vec<PathBuf>,
-    /// Binary per-decision audit trail (empty unless
-    /// [`RunParams::audit`] was set and the policy is auditable).
-    pub audit: Vec<u8>,
 }
 
-impl SchemeResult {
-    /// Sum of per-core IPCs.
-    pub fn ipc_sum(&self) -> f64 {
-        self.results.ipc_sum()
-    }
-
-    /// Normalized weighted speedup against a baseline run of the same
-    /// mix: `(1/n) Σ IPC_i / IPC_i^base`.
-    pub fn weighted_speedup_vs(&self, base: &SchemeResult) -> f64 {
-        let n = self.results.per_core.len() as f64;
-        self.results
-            .per_core
-            .iter()
-            .zip(&base.results.per_core)
-            .map(|(a, b)| {
-                let (ia, ib) = (a.ipc(), b.ipc());
-                if ib > 0.0 {
-                    ia / ib
-                } else {
-                    0.0
-                }
-            })
-            .sum::<f64>()
-            / n
-    }
-}
-
-/// Run `scheme` on a homogeneous mix of `workload` (`cores` copies).
+/// The simulated machine a cell describes: its core count, prefetcher
+/// configuration and, when set, its mesh NoC.
 ///
 /// # Panics
 ///
-/// Panics if the workload or scheme name is unknown.
-pub fn run_workload(params: &RunParams, workload: &str, scheme: &str) -> SchemeResult {
-    run_workload_tracked(params, workload, scheme, false)
+/// Panics on an unknown prefetch tag or an unparsable NoC spec (plan
+/// bugs: the CLI canonicalizes `--noc` before it reaches a spec).
+fn cell_config(spec: &CellSpec) -> SimConfig {
+    let mut cfg = SimConfig::with_cores(spec.cores as usize);
+    cfg.prefetchers = prefetch_config(&spec.prefetch);
+    if !spec.noc.is_empty() {
+        cfg.noc = Some(
+            chrome_noc::NocConfig::parse(&spec.noc)
+                .unwrap_or_else(|e| panic!("bad noc spec {:?}: {e}", spec.noc)),
+        );
+    }
+    cfg
 }
 
-/// [`run_workload`] with optional Fig.-2 evicted-unused tracking.
-pub fn run_workload_tracked(
-    params: &RunParams,
-    workload: &str,
-    scheme: &str,
-    track_unused: bool,
-) -> SchemeResult {
-    let traces = mix::homogeneous(workload, params.cores, params.seed)
-        .unwrap_or_else(|| panic!("unknown workload {workload}"));
-    run_traces(params, traces, scheme, track_unused, workload, None)
+/// A cell's system: its machine and traces under its scheme.
+fn cell_system(spec: &CellSpec, traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>) -> System {
+    let policy =
+        build_any_slot(&spec.scheme).unwrap_or_else(|| panic!("unknown scheme {}", spec.scheme));
+    System::with_policy(cell_config(spec), traces, policy)
 }
 
-/// Run `scheme` on a named heterogeneous mix.
-///
-/// # Panics
-///
-/// Panics if any workload or the scheme name is unknown.
-pub fn run_mix(params: &RunParams, names: &[&str], scheme: &str) -> SchemeResult {
-    let traces =
-        mix::build_mix(names, params.seed).unwrap_or_else(|| panic!("unknown mix {names:?}"));
-    run_traces(params, traces, scheme, false, &names.join("+"), None)
-}
-
-/// Turn a workload/scheme label into a safe artifact-file prefix. Grid
-/// cells pass their spec hash as `tag`, which keeps artifact names
-/// collision-free when concurrent cells from different experiments
-/// share one `--telemetry-out` directory.
-fn artifact_prefix(label: &str, scheme: &str, tag: Option<&str>) -> String {
-    let raw = match tag {
-        Some(t) => format!("{label}_{scheme}_{t}"),
-        None => format!("{label}_{scheme}"),
-    };
-    raw.chars()
+/// The safe artifact-file prefix of a cell: workload and scheme, plus
+/// the spec hash, which keeps artifact names collision-free when
+/// concurrent cells from different experiments share one
+/// `--telemetry-out` directory.
+fn artifact_prefix(spec: &CellSpec) -> String {
+    format!("{}_{}_{}", spec.workload, spec.scheme, spec.hash_hex())
+        .chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
                 c
@@ -342,60 +315,52 @@ fn artifact_prefix(label: &str, scheme: &str, tag: Option<&str>) -> String {
         .collect()
 }
 
+/// Export a finished system's telemetry into `dir` (no-op without one).
+fn export(sys: &System, spec: &CellSpec, dir: Option<&Path>) -> Vec<PathBuf> {
+    let Some(dir) = dir else {
+        return Vec::new();
+    };
+    sys.telemetry()
+        .export(dir, &artifact_prefix(spec))
+        .unwrap_or_else(|e| panic!("telemetry export to {dir:?} failed: {e}"))
+}
+
+/// Run a full (unsampled) simulation of `spec` over `traces`; `profile`
+/// enables the per-request latency-attribution profiler.
 pub(crate) fn run_traces(
-    params: &RunParams,
+    spec: &CellSpec,
     traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>,
-    scheme: &str,
-    track_unused: bool,
-    label: &str,
-    artifact_tag: Option<&str>,
+    telemetry_out: Option<&Path>,
+    profile: bool,
 ) -> SchemeResult {
-    let policy = build_any_slot(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
-    let mut sys = System::with_policy(params.sim_config(), traces, policy);
-    if track_unused {
+    let mut sys = cell_system(spec, traces);
+    if spec.track_unused {
         sys.enable_unused_tracking();
     }
-    if let Some(cap) = params.audit {
-        sys.enable_audit(0, cap);
-    }
-    if params.telemetry_out.is_some() || params.record_epochs || params.profile {
+    if telemetry_out.is_some() || spec.record_epochs || profile {
         let cfg = TelemetryConfig {
-            profile: params.profile,
+            profile,
             ..TelemetryConfig::default()
         };
         sys.set_telemetry(TelemetrySink::recording(cfg));
     }
-    let results = sys.run(params.instructions, params.warmup);
+    let results = sys.run(spec.instructions, spec.warmup);
     let report = sys.hierarchy().llc.policy.report();
     let epochs = sys
         .telemetry()
         .with(|t| t.epochs.clone())
         .unwrap_or_default();
-    let attrib = if params.profile {
+    let attrib = if profile {
         sys.telemetry().with(|t| t.attrib.clone())
     } else {
         None
     };
-    let artifacts = if let Some(dir) = &params.telemetry_out {
-        sys.telemetry()
-            .export(dir, &artifact_prefix(label, scheme, artifact_tag))
-            .unwrap_or_else(|e| panic!("telemetry export to {dir:?} failed: {e}"))
-    } else {
-        Vec::new()
-    };
-    let audit = if params.audit.is_some() {
-        sys.audit_bytes()
-    } else {
-        Vec::new()
-    };
     SchemeResult {
-        scheme: scheme.to_string(),
         results,
         report,
         epochs,
         attrib,
-        artifacts,
-        audit,
+        artifacts: export(&sys, spec, telemetry_out),
     }
 }
 
@@ -413,22 +378,19 @@ pub(crate) struct SampledRun {
     pub artifacts: Vec<PathBuf>,
 }
 
-/// Run `scheme` over a sampled-replay plan: functionally warm to each
+/// Run `spec` over a sampled-replay plan: functionally warm to each
 /// representative interval, run a detailed-but-unmeasured ramp, then
 /// measure. The sampling manifest is attached to the telemetry sink so
 /// exported artifact sets are self-describing.
 pub(crate) fn run_traces_sampled(
-    params: &RunParams,
+    spec: &CellSpec,
     traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>,
-    scheme: &str,
+    telemetry_out: Option<&Path>,
     plan: &chrome_simpoint::WorkloadPlan,
     kernel: chrome_sim::Kernel,
-    label: &str,
-    artifact_tag: Option<&str>,
 ) -> SampledRun {
-    let policy = build_any_slot(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
-    let mut sys = System::with_policy(params.sim_config(), traces, policy);
-    if params.telemetry_out.is_some() || params.record_epochs {
+    let mut sys = cell_system(spec, traces);
+    if telemetry_out.is_some() || spec.record_epochs {
         sys.set_telemetry(TelemetrySink::recording(TelemetryConfig::default()));
     }
     sys.telemetry().set_sampling(sampling_manifest(plan));
@@ -438,18 +400,11 @@ pub(crate) fn run_traces_sampled(
         .telemetry()
         .with(|t| t.epochs.clone())
         .unwrap_or_default();
-    let artifacts = if let Some(dir) = &params.telemetry_out {
-        sys.telemetry()
-            .export(dir, &artifact_prefix(label, scheme, artifact_tag))
-            .unwrap_or_else(|e| panic!("telemetry export to {dir:?} failed: {e}"))
-    } else {
-        Vec::new()
-    };
     SampledRun {
         results,
         report,
         epochs,
-        artifacts,
+        artifacts: export(&sys, spec, telemetry_out),
     }
 }
 
@@ -460,14 +415,11 @@ pub(crate) fn run_traces_sampled(
 /// [`chrome_simpoint::reconstruct::reconstruct_with_profile`] pairs
 /// with detailed measurements. Costs zero detailed instructions.
 pub(crate) fn run_functional_profile(
-    params: &RunParams,
+    spec: &CellSpec,
     traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>,
-    scheme: &str,
     plan: &chrome_simpoint::WorkloadPlan,
 ) -> chrome_sim::FunctionalProfile {
-    let policy = build_any_slot(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
-    let mut sys = System::with_policy(params.sim_config(), traces, policy);
-    sys.run_functional_profile(&plan.boundaries)
+    cell_system(spec, traces).run_functional_profile(&plan.boundaries)
 }
 
 /// JSON manifest describing a sampled run's shape — the contract
@@ -507,49 +459,50 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{run_cell, simulate_cell};
 
-    fn quick() -> RunParams {
-        RunParams {
+    fn quick(workload: &str, scheme: &str) -> CellSpec {
+        let params = RunParams {
             cores: 1,
             instructions: 30_000,
             warmup: 3_000,
             ..Default::default()
-        }
+        };
+        crate::experiments::cell(&params, "unit", workload, scheme)
     }
 
     #[test]
-    fn run_workload_produces_results() {
-        let r = run_workload(&quick(), "libquantum", "LRU");
-        assert!(r.ipc_sum() > 0.0);
+    fn simulated_cell_produces_results() {
+        let r = simulate_cell(&quick("libquantum", "LRU"), None, None, false);
+        assert!(r.results.ipc_sum() > 0.0);
         assert!(r.results.llc.demand_accesses > 0);
     }
 
     #[test]
     fn weighted_speedup_vs_self_is_one() {
-        let r = run_workload(&quick(), "gcc", "LRU");
+        let r = run_cell(&quick("gcc", "LRU"), None);
         assert!((r.weighted_speedup_vs(&r) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn chrome_report_is_populated() {
-        let r = run_workload(&quick(), "mcf", "CHROME");
+        let r = simulate_cell(&quick("mcf", "CHROME"), None, None, false);
         assert!(r.report.iter().any(|(k, _)| k == "upksa"));
     }
 
     #[test]
     fn profile_run_populates_attrib_exactly() {
-        let params = RunParams {
+        let spec = CellSpec {
             warmup: 0,
-            profile: true,
-            ..quick()
+            ..quick("libquantum", "LRU")
         };
-        let r = run_workload(&params, "libquantum", "LRU");
+        let r = simulate_cell(&spec, None, None, true);
         let attrib = r.attrib.expect("profiling run returns attrib state");
         if cfg!(feature = "telemetry") {
             assert!(attrib.total_requests() > 0);
             assert_eq!(attrib.mismatches(), 0, "per-stage sums must telescope");
         }
-        let plain = run_workload(&quick(), "libquantum", "LRU");
+        let plain = simulate_cell(&quick("libquantum", "LRU"), None, None, false);
         assert!(plain.attrib.is_none());
     }
 
@@ -562,13 +515,13 @@ mod tests {
 
     #[test]
     fn mix_runs_multiple_cores() {
-        let params = RunParams {
+        let spec = CellSpec {
             cores: 2,
             instructions: 20_000,
             warmup: 2_000,
-            ..Default::default()
+            ..quick("mcf+libquantum", "LRU")
         };
-        let r = run_mix(&params, &["mcf", "libquantum"], "LRU");
+        let r = simulate_cell(&spec, None, None, false);
         assert_eq!(r.results.per_core.len(), 2);
     }
 
@@ -591,20 +544,19 @@ mod tests {
         let scheme = std::env::var("SP_SCHEME").unwrap_or_else(|_| "LRU".into());
         let spec_str =
             std::env::var("SP_SAMPLING").unwrap_or_else(|_| "k=26,ramp=2200,reps=3".into());
-        let mut params = RunParams {
-            cores: 1,
-            instructions: 6_000_000,
-            warmup: 60_000,
-            ..Default::default()
-        };
-        // SP_PREFETCH=none isolates prefetcher-state divergence from
-        // demand-path divergence across functional gaps.
-        if std::env::var("SP_PREFETCH").as_deref() == Ok("none") {
-            params.prefetchers = chrome_sim::PrefetcherConfig::none();
-        }
         let index = chrome_tracefile::TraceIndex::scan(std::path::Path::new(&dir)).unwrap();
         for wl in wls.split(',') {
-            let seed = chrome_exec::workload_seed(wl, 1, params.seed);
+            let mut cell = CellSpec {
+                instructions: 6_000_000,
+                warmup: 60_000,
+                ..quick(wl, &scheme)
+            };
+            // SP_PREFETCH=none isolates prefetcher-state divergence from
+            // demand-path divergence across functional gaps.
+            if std::env::var("SP_PREFETCH").as_deref() == Ok("none") {
+                cell.prefetch = "none".into();
+            }
+            let seed = cell.workload_seed();
             let entry = index.lookup(wl, 1, seed).expect("trace recorded");
             let tf = chrome_tracefile::TraceFile::open(&entry.path).unwrap();
             let exhaustive = SamplingSpec {
@@ -612,22 +564,20 @@ mod tests {
                 ramp: 0,
                 reps: 1,
             };
-            let ex = build_plan_windowed(&tf, exhaustive, seed, params.warmup, params.instructions)
-                .unwrap();
+            let ex =
+                build_plan_windowed(&tf, exhaustive, seed, cell.warmup, cell.instructions).unwrap();
             let truth = run_traces_sampled(
-                &params,
+                &cell,
                 tf.sources().unwrap(),
-                &scheme,
+                None,
                 &ex,
                 chrome_sim::Kernel::EventDriven,
-                wl,
-                None,
             );
             let w_ex: Vec<f64> = ex.segments.iter().map(|s| s.weight).collect();
             let full = reconstruct::reconstruct(&w_ex, &truth.results);
             let spec = SamplingSpec::parse(&spec_str).unwrap();
             let mut plan =
-                build_plan_windowed(&tf, spec, seed, params.warmup, params.instructions).unwrap();
+                build_plan_windowed(&tf, spec, seed, cell.warmup, cell.instructions).unwrap();
             // SP_RUNS=NxM replaces the clustered plan with N evenly
             // spaced systematic runs of M consecutive intervals each —
             // probes how state error scales with measured-run length.
@@ -655,14 +605,14 @@ mod tests {
             // timed warmup before the first functional gap.
             if let Ok(n) = std::env::var("SP_PROLOGUE") {
                 let n: u64 = n.parse().unwrap();
-                let n = n.min(params.warmup);
+                let n = n.min(cell.warmup);
                 if n > 0 {
                     plan.segments.insert(
                         0,
                         chrome_simpoint::Segment {
                             interval: usize::MAX,
                             weight: 0.0,
-                            start: vec![params.warmup - n; 1],
+                            start: vec![cell.warmup - n; 1],
                             detail: n,
                         },
                     );
@@ -690,13 +640,11 @@ mod tests {
             let w: Vec<f64> = plan.segments.iter().map(|s| s.weight).collect();
             let oracle = reconstruct::reconstruct(&w_sel, &sel);
             let real_run = run_traces_sampled(
-                &params,
+                &cell,
                 tf.sources().unwrap(),
-                &scheme,
+                None,
                 &plan,
                 chrome_sim::Kernel::EventDriven,
-                wl,
-                None,
             );
             let real = reconstruct::reconstruct(&w, &real_run.results);
             let pct = |a: f64, b: f64| 100.0 * (a - b) / b;

@@ -2,7 +2,9 @@
 //!
 //! The state-of-the-art schemes the paper compares CHROME against:
 //!
-//! * [`lru`] — the classic Least-Recently-Used baseline,
+//! * LRU — the classic Least-Recently-Used baseline, which is the
+//!   simulator's own [`BuiltinLru`] (the policy slot dispatches to it
+//!   statically),
 //! * [`drrip`] — DRRIP (set-dueling SRRIP/BRRIP),
 //! * [`ship`] — SHiP++ (signature-based hit prediction, prefetch-aware),
 //! * [`pacman`] — PACMan (static prefetch-aware RRIP, paper §VIII),
@@ -28,18 +30,17 @@ pub mod common;
 pub mod drrip;
 pub mod glider;
 pub mod hawkeye;
-pub mod lru;
 pub mod mockingjay;
 pub mod pacman;
 pub mod ship;
 
+use chrome_sim::policy::BuiltinLru;
 use chrome_sim::LlcPolicy;
 
 pub use care::Care;
 pub use drrip::Drrip;
 pub use glider::Glider;
 pub use hawkeye::Hawkeye;
-pub use lru::Lru;
 pub use mockingjay::Mockingjay;
 pub use pacman::Pacman;
 pub use ship::ShipPlusPlus;
@@ -66,7 +67,7 @@ pub fn baseline_policies() -> &'static [&'static str] {
 /// ```
 pub fn build_policy(name: &str) -> Option<Box<dyn LlcPolicy>> {
     Some(match name {
-        "LRU" => Box::new(Lru::new()),
+        "LRU" => Box::new(BuiltinLru::new()),
         "DRRIP" => Box::new(Drrip::new()),
         "SHiP++" => Box::new(ShipPlusPlus::new()),
         "PACMan" => Box::new(Pacman::new()),

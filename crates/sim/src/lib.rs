@@ -37,6 +37,7 @@ pub mod config;
 pub mod core_model;
 pub mod dram;
 pub mod llc;
+pub mod lru;
 pub mod mmu;
 pub mod mshr;
 pub mod overhead;

@@ -6,6 +6,7 @@
 //! *holistic* decisions: bypass or insert on a miss (with a chosen
 //! priority), promote/demote on a hit, and select victims.
 
+pub use crate::lru::BuiltinLru;
 use crate::overhead::StorageOverhead;
 use crate::types::LineAddr;
 use chrome_telemetry::{AuditLog, PolicyEpochProbe, TelemetrySink};
@@ -206,7 +207,7 @@ impl From<Box<dyn LlcPolicy>> for PolicySlot {
     }
 }
 
-// Callers that box a concrete policy type (`Box<Chrome>`, `Box<Lru>`)
+// Callers that box a concrete policy type (`Box<Chrome>`, `Box<Hawkeye>`)
 // land in the `Dyn` arm too; the unsize coercion happens here rather
 // than at every call site.
 impl<P: LlcPolicy + 'static> From<Box<P>> for PolicySlot {
@@ -341,64 +342,6 @@ pub fn sampled_index(set: usize, num_sets: usize, sampled: usize) -> Option<usiz
         Some(set / stride)
     } else {
         None
-    }
-}
-
-/// True-LRU replacement with no bypassing — the paper's baseline and the
-/// simplest possible [`LlcPolicy`] implementation. Kept in the simulator
-/// crate so a [`crate::System`] can be built without the policy crates.
-#[derive(Debug, Default)]
-pub struct BuiltinLru {
-    stamp: Vec<u64>,
-    ways: usize,
-    tick: u64,
-}
-
-impl BuiltinLru {
-    /// Create an uninitialized LRU policy; geometry arrives via
-    /// [`LlcPolicy::initialize`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl LlcPolicy for BuiltinLru {
-    fn initialize(&mut self, num_sets: usize, ways: usize, _cores: usize) {
-        self.stamp = vec![0; num_sets * ways];
-        self.ways = ways;
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, _: &AccessInfo, _: &SystemFeedback) {
-        self.tick += 1;
-        self.stamp[set * self.ways + way] = self.tick;
-    }
-
-    fn on_miss(&mut self, _: usize, _: &AccessInfo, _: &SystemFeedback) -> FillDecision {
-        FillDecision::Insert
-    }
-
-    fn choose_victim(&mut self, set: usize, c: &[CandidateLine], _: &AccessInfo) -> usize {
-        c.iter()
-            .min_by_key(|cand| self.stamp[set * self.ways + cand.way])
-            .expect("candidates nonempty")
-            .way
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize, _: &AccessInfo, _: &SystemFeedback) {
-        self.tick += 1;
-        self.stamp[set * self.ways + way] = self.tick;
-    }
-
-    fn on_evict(&mut self, _: usize, _: usize, _: LineAddr, _: bool) {}
-
-    fn name(&self) -> &str {
-        "LRU"
-    }
-
-    fn storage_overhead(&self, llc_blocks: usize) -> StorageOverhead {
-        let mut o = StorageOverhead::new();
-        o.add_table("LRU stamps", llc_blocks as u64, 6);
-        o
     }
 }
 

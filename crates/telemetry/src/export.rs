@@ -1,17 +1,17 @@
 //! Exporters: CSV and JSON-lines for the epoch series, Chrome
-//! `trace_event` JSON for the event ring, and a metrics snapshot.
+//! `trace_event` JSON for the event ring, and the latency-attribution
+//! reports.
 //!
 //! Everything is hand-serialised — the schemas are small and fixed, and
 //! owning the writer keeps the workspace free of registry dependencies.
-//! Output is deterministic: column order is fixed, map iteration is
-//! sorted, floats print with a fixed precision.
+//! Output is deterministic: column order is fixed and floats print with
+//! a fixed precision.
 
 use std::fmt::Write as _;
 
 use crate::attrib::{AttribProfiler, RequestSpan, ServiceLevel, Stage, StageAccum};
 use crate::epoch::{EpochRecord, EpochSeries};
 use crate::events::{EventKind, EventRing};
-use crate::metrics::MetricsRegistry;
 
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
@@ -451,40 +451,6 @@ pub fn attrib_text(p: &AttribProfiler) -> String {
     out
 }
 
-/// Render the metrics registry as one JSON object (counters, gauges,
-/// histograms with bucket bounds and counts).
-pub fn metrics_json(metrics: &MetricsRegistry) -> String {
-    let counters: Vec<String> = metrics
-        .counters()
-        .map(|(k, v)| format!("\"{}\":{v}", json_escape(k)))
-        .collect();
-    let gauges: Vec<String> = metrics
-        .gauges()
-        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), fmt_f64(v)))
-        .collect();
-    let hists: Vec<String> = metrics
-        .histograms()
-        .map(|(k, h)| {
-            let bounds: Vec<String> = h.bounds().iter().map(|b| b.to_string()).collect();
-            let counts: Vec<String> = h.counts().iter().map(|c| c.to_string()).collect();
-            format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"bounds\":[{}],\"counts\":[{}]}}",
-                json_escape(k),
-                h.count(),
-                h.sum(),
-                bounds.join(","),
-                counts.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-        counters.join(","),
-        gauges.join(","),
-        hists.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,19 +626,6 @@ mod tests {
         assert!(txt.contains("llc_lookup"));
         assert!(txt.contains("mismatches: 0"));
         assert!(txt.contains("LLC"));
-    }
-
-    #[test]
-    fn metrics_json_sorted_and_balanced() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("b", 2);
-        m.counter_add("a", 1);
-        m.gauge_set("g", 0.5);
-        m.observe("h", 3);
-        let json = metrics_json(&m);
-        assert!(json.find("\"a\":1").unwrap() < json.find("\"b\":2").unwrap());
-        assert!(json.contains("\"histograms\":{\"h\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! clock. End-of-run aggregates hide all of that. This crate makes the
 //! dynamics observable:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
-//!   histograms with deterministic (sorted) export order,
 //! * [`EpochSeries`] — one [`EpochRecord`] per epoch: per-core C-AMAT,
 //!   LLC hit/miss/bypass deltas, MSHR and DRAM queue occupancy, EQ
 //!   state, ε, and mean |Q|,
@@ -48,7 +46,7 @@ pub use audit::{
 };
 pub use epoch::{EpochRecord, EpochSeries, PolicyEpochProbe};
 pub use events::{EventKind, EventRing, TraceEvent};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::Histogram;
 
 /// Sizing knobs for a recording sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +75,6 @@ impl Default for TelemetryConfig {
 /// The recorded state behind a live sink.
 #[derive(Debug)]
 pub struct Telemetry {
-    /// Named counters / gauges / histograms.
-    pub metrics: MetricsRegistry,
     /// Structured decision events.
     pub events: EventRing,
     /// Per-epoch system samples.
@@ -96,7 +92,6 @@ pub struct Telemetry {
 impl Telemetry {
     fn new(cfg: TelemetryConfig) -> Self {
         Telemetry {
-            metrics: MetricsRegistry::new(),
             events: EventRing::new(cfg.event_capacity, cfg.sample_every),
             epochs: EpochSeries::new(),
             attrib: AttribProfiler::new(cfg.event_capacity, cfg.sample_every),
@@ -171,30 +166,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Bump a counter.
-    #[inline]
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        if let Some(t) = &self.inner {
-            t.borrow_mut().metrics.counter_add(name, delta);
-        }
-    }
-
-    /// Set a gauge.
-    #[inline]
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        if let Some(t) = &self.inner {
-            t.borrow_mut().metrics.gauge_set(name, v);
-        }
-    }
-
-    /// Record a histogram observation.
-    #[inline]
-    pub fn observe(&self, name: &str, v: u64) {
-        if let Some(t) = &self.inner {
-            t.borrow_mut().metrics.observe(name, v);
-        }
-    }
-
     /// Append an epoch record.
     pub fn push_epoch(&self, rec: EpochRecord) {
         if let Some(t) = &self.inner {
@@ -209,7 +180,6 @@ impl TelemetrySink {
     pub fn clear(&self) {
         if let Some(t) = &self.inner {
             let mut t = t.borrow_mut();
-            t.metrics.clear();
             t.events.clear();
             t.epochs.clear();
             t.attrib.clear();
@@ -226,8 +196,8 @@ impl TelemetrySink {
     }
 
     /// Write all artifacts into `dir` as `<prefix>_epochs.csv`,
-    /// `<prefix>_epochs.jsonl`, `<prefix>_trace.json`, and
-    /// `<prefix>_metrics.json` — plus `<prefix>_attrib.csv` and
+    /// `<prefix>_epochs.jsonl` and `<prefix>_trace.json` — plus
+    /// `<prefix>_attrib.csv` and
     /// `<prefix>_attrib.txt` when profiling, and `<prefix>_sampling.json`
     /// when a sampling manifest was attached. Creates `dir` if missing;
     /// a no-op sink writes nothing and returns an empty list.
@@ -246,10 +216,6 @@ impl TelemetrySink {
             (
                 format!("{prefix}_trace.json"),
                 export::chrome_trace_json(&t.events, &t.epochs, t.attrib.spans()),
-            ),
-            (
-                format!("{prefix}_metrics.json"),
-                export::metrics_json(&t.metrics),
             ),
         ];
         if self.profile {
@@ -284,7 +250,6 @@ mod tests {
         let s = TelemetrySink::noop();
         assert!(!s.is_enabled());
         s.emit(1, 0, EventKind::EpochBoundary { epoch: 0 });
-        s.counter_add("x", 1);
         s.push_epoch(EpochRecord::default());
         assert_eq!(s.with(|t| t.events.len()), None);
     }
@@ -293,9 +258,9 @@ mod tests {
     fn clones_share_storage() {
         let a = TelemetrySink::recording(TelemetryConfig::default());
         let b = a.clone();
-        b.counter_add("hits", 3);
-        a.counter_add("hits", 2);
-        assert_eq!(a.with(|t| t.metrics.counter("hits")), Some(5));
+        b.push_epoch(EpochRecord::default());
+        a.push_epoch(EpochRecord::default());
+        assert_eq!(a.with(|t| t.epochs.len()), Some(2));
     }
 
     #[test]
@@ -303,11 +268,9 @@ mod tests {
         let s = TelemetrySink::recording(TelemetryConfig::default());
         s.emit(1, 0, EventKind::EpochBoundary { epoch: 0 });
         s.push_epoch(EpochRecord::default());
-        s.counter_add("c", 1);
         s.clear();
         assert_eq!(s.with(|t| t.events.len()), Some(0));
         assert_eq!(s.with(|t| t.epochs.len()), Some(0));
-        assert_eq!(s.with(|t| t.metrics.counter("c")), Some(0));
     }
 
     #[test]
@@ -321,7 +284,7 @@ mod tests {
             ..Default::default()
         });
         let files = s.export(&dir, "run0").unwrap();
-        assert_eq!(files.len(), 4);
+        assert_eq!(files.len(), 3);
         for f in &files {
             assert!(f.exists(), "{f:?} missing");
         }
@@ -344,7 +307,7 @@ mod tests {
         s.record_span(b.finish(ServiceLevel::L1, Stage::L1Lookup, 104, false));
         assert_eq!(s.with(|t| t.attrib.total_requests()), Some(1));
         let files = s.export(&dir, "run0").unwrap();
-        assert_eq!(files.len(), 6, "attrib csv+txt join the artifact set");
+        assert_eq!(files.len(), 5, "attrib csv+txt join the artifact set");
         assert!(dir.join("run0_attrib.csv").exists());
         assert!(dir.join("run0_attrib.txt").exists());
         s.clear();
@@ -360,13 +323,13 @@ mod tests {
         s.set_sampling("{\"spec\":\"k=2,ramp=100\"}".into());
         s.clear(); // measurement-boundary reset must not drop the manifest
         let files = s.export(&dir, "run0").unwrap();
-        assert_eq!(files.len(), 5);
+        assert_eq!(files.len(), 4);
         let json = std::fs::read_to_string(dir.join("run0_sampling.json")).unwrap();
         assert!(json.contains("k=2,ramp=100"));
         // full runs export no sampling artifact
         let plain = TelemetrySink::recording(TelemetryConfig::default());
         let files = plain.export(&dir, "run1").unwrap();
-        assert_eq!(files.len(), 4);
+        assert_eq!(files.len(), 3);
         assert!(!dir.join("run1_sampling.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,11 +1,5 @@
-//! A small metrics registry: named counters, gauges, and fixed-bucket
-//! histograms.
-//!
-//! `BTreeMap` keys keep every exported artifact byte-stable across runs
-//! with the same seed — iteration order is the sort order of the names,
-//! never the hash order.
-
-use std::collections::BTreeMap;
+//! Fixed-bucket histograms (the latency-attribution profiler's stage
+//! and end-to-end latency distributions).
 
 /// A fixed-bucket histogram over `u64` observations.
 ///
@@ -76,11 +70,6 @@ impl Histogram {
         }
     }
 
-    /// Bucket upper bounds (the overflow bucket is implicit).
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
     /// Per-bucket counts; the final entry is the overflow bucket.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -102,102 +91,6 @@ impl Histogram {
             }
         }
         None
-    }
-}
-
-/// Named counters, gauges, and histograms, all in deterministic
-/// (sorted-name) order.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `delta` to counter `name`, creating it at zero first.
-    #[inline]
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += delta;
-        } else {
-            self.counters.insert(name.to_string(), delta);
-        }
-    }
-
-    /// Read a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Set gauge `name` to `v`.
-    #[inline]
-    pub fn gauge_set(&mut self, name: &str, v: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = v;
-        } else {
-            self.gauges.insert(name.to_string(), v);
-        }
-    }
-
-    /// Read a gauge (`None` when never set).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Record into histogram `name`, auto-registering a 24-bucket
-    /// power-of-two histogram on first use.
-    #[inline]
-    pub fn observe(&mut self, name: &str, v: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(v);
-        } else {
-            let mut h = Histogram::pow2(24);
-            h.observe(v);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    /// Register histogram `name` with explicit bounds (replacing any
-    /// auto-registered one).
-    pub fn register_histogram(&mut self, name: &str, bounds: &[u64]) {
-        self.histograms
-            .insert(name.to_string(), Histogram::new(bounds));
-    }
-
-    /// Read a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// All counters in sorted-name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges in sorted-name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All histograms in sorted-name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Drop all recorded values (registered histogram shapes are kept).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        for h in self.histograms.values_mut() {
-            let bounds = h.bounds.clone();
-            *h = Histogram::new(&bounds);
-        }
     }
 }
 
@@ -253,35 +146,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_bounds_rejected() {
         let _ = Histogram::new(&[5, 5]);
-    }
-
-    #[test]
-    fn registry_roundtrip_and_order() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("z.late", 1);
-        m.counter_add("a.early", 2);
-        m.counter_add("z.late", 3);
-        m.gauge_set("eps", 0.1);
-        m.gauge_set("eps", 0.2);
-        m.observe("lat", 7);
-        assert_eq!(m.counter("z.late"), 4);
-        assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge("eps"), Some(0.2));
-        assert_eq!(m.histogram("lat").unwrap().count(), 1);
-        let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, ["a.early", "z.late"], "sorted, not insertion order");
-    }
-
-    #[test]
-    fn clear_keeps_registered_shapes() {
-        let mut m = MetricsRegistry::new();
-        m.register_histogram("q", &[3, 6]);
-        m.observe("q", 5);
-        m.counter_add("c", 9);
-        m.clear();
-        assert_eq!(m.counter("c"), 0);
-        let h = m.histogram("q").unwrap();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.bounds(), &[3, 6]);
     }
 }
