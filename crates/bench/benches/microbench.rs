@@ -1,15 +1,20 @@
 //! Micro-benchmarks for the hot structures: Q-table lookup and update,
-//! CHROME's decision path, cache access paths, DRAM timing, and
-//! workload-generator throughput. These are the operations that bound
-//! simulation speed and, conceptually, the hardware's decision latency
-//! (paper §V-G estimates ~2 cycles for the pipelined Q-table lookup).
+//! CHROME's decision path on both environments, cache access paths,
+//! DRAM timing, and workload-generator throughput. These are the
+//! operations that bound simulation speed and, conceptually, the
+//! hardware's decision latency (paper §V-G estimates ~2 cycles for the
+//! pipelined Q-table lookup).
 //!
 //! Run with `cargo bench -p chrome-bench --features bench-harness`.
+
+use std::collections::HashMap;
 
 use chrome_bench::harness::{bench, black_box};
 use chrome_core::agent::Chrome;
 use chrome_core::config::ChromeConfig;
-use chrome_core::qtable::QTable;
+use chrome_core::engine::MISS_ACTIONS;
+use chrome_core::qtable::{QTable, Rows};
+use chrome_serve::{ChromeServePolicy, RequestStream, ShardPolicy, ShardPressure, StreamKind};
 use chrome_sim::cache::PrivateCache;
 use chrome_sim::config::{CacheConfig, DramConfig};
 use chrome_sim::dram::Dram;
@@ -21,15 +26,18 @@ fn bench_qtable() {
     let mut table = QTable::new(2, 4, 2048, 1.582);
     let mut i = 0u64;
     bench("qtable_lookup", || {
+        // a miss decision's reads: hash the state into its rows once,
+        // then read Q(s,a) for each of the 4 miss actions
         i += 1;
-        let state = [mix64(i), i % 4096];
-        black_box(table.q_state(&state, (i % 7) as usize))
+        let rows = table.rows(&[mix64(i), i % 4096]);
+        MISS_ACTIONS.map(|a| table.q(&rows, a))
     });
-    let mut i = 0u64;
+    // the SARSA step reuses the rows an EQ entry stored at decision time
+    let stored: Vec<Rows> = (0..4096u64).map(|i| table.rows(&[mix64(i), i])).collect();
+    let mut i = 0usize;
     bench("qtable_update", || {
         i += 1;
-        let state = [mix64(i), i % 4096];
-        table.update(&state, (i % 7) as usize, 10.0, 0.05);
+        table.update(&stored[i % stored.len()], i % 7, 10.0, 0.05)
     });
 }
 
@@ -49,6 +57,38 @@ fn bench_chrome_decision() {
             cycle: i,
         };
         black_box(chrome.on_miss((mix64(i) % 16384) as usize, &info, &fb))
+    });
+}
+
+/// One mixed-stream request through a shard's CHROME policy: `admit`
+/// on a miss or `on_hit` on a hit, plus the insert/victim bookkeeping
+/// an admission triggers, against a 512-slot shard kept by a plain
+/// key → slot map.
+fn bench_serve_decision() {
+    const SLOTS: u32 = 512;
+    let reqs = RequestStream::generate(StreamKind::MixedTenant, 1 << 16, 8_000, 0xC42);
+    let mut policy = ChromeServePolicy::new(SLOTS as usize, 0xC42);
+    let calm = ShardPressure::default();
+    let mut resident: HashMap<u64, u32> = HashMap::with_capacity(SLOTS as usize);
+    let mut slot_key = vec![0u64; SLOTS as usize];
+    let mut free: Vec<u32> = (0..SLOTS).collect();
+    let mut i = 0usize;
+    bench("serve_decision", || {
+        let r = &reqs[i % reqs.len()];
+        i += 1;
+        if let Some(&slot) = resident.get(&r.key) {
+            policy.on_hit(slot, r, &calm);
+        } else if policy.admit(r, &calm) {
+            let slot = free.pop().unwrap_or_else(|| {
+                let victim = policy.choose_victim();
+                policy.on_remove(victim);
+                resident.remove(&slot_key[victim as usize]);
+                victim
+            });
+            resident.insert(r.key, slot);
+            slot_key[slot as usize] = r.key;
+            policy.on_insert(slot, r, &calm);
+        }
     });
 }
 
@@ -111,6 +151,7 @@ fn bench_generators() {
 fn main() {
     bench_qtable();
     bench_chrome_decision();
+    bench_serve_decision();
     bench_cache_paths();
     bench_dram();
     bench_generators();

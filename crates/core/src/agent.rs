@@ -129,12 +129,13 @@ impl Environment for HwEnv {
     }
 
     fn unmatched_reward(&self, feedback: &SystemFeedback, entry: &EqEntry) -> f64 {
+        let action = usize::from(entry.action);
         let accurate = if entry.trigger_hit {
-            entry.action == ACTION_HIT_EPVH
+            action == ACTION_HIT_EPVH
         } else {
-            entry.action == ACTION_BYPASS
+            action == ACTION_BYPASS
         };
-        let obstructed = self.concurrency_aware && feedback.is_obstructed(entry.lane);
+        let obstructed = self.concurrency_aware && feedback.is_obstructed(entry.lane as usize);
         self.rewards.not_requested(accurate, obstructed)
     }
 }
@@ -192,19 +193,17 @@ impl DecisionObserver for SinkObserver<'_> {
         }
     }
 
-    fn wants_q_delta(&self) -> bool {
-        cfg!(feature = "telemetry") && self.sink.is_enabled()
-    }
-
     fn q_update(&mut self, delta: f64, action: usize) {
-        self.sink.emit(
-            self.cycle,
-            self.core,
-            EventKind::QUpdate {
-                delta,
-                action: action as u8,
-            },
-        );
+        if cfg!(feature = "telemetry") {
+            self.sink.emit(
+                self.cycle,
+                self.core,
+                EventKind::QUpdate {
+                    delta,
+                    action: action as u8,
+                },
+            );
+        }
     }
 
     fn wants_decisions(&self) -> bool {

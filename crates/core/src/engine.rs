@@ -17,7 +17,7 @@ use chrome_sim::rng::SmallRng;
 
 use crate::config::ChromeConfig;
 use crate::eq::{EqEntry, EvalQueue};
-use crate::qtable::{QTable, NUM_ACTIONS};
+use crate::qtable::{QTable, Rows, NUM_ACTIONS};
 
 /// Highest eviction-priority value (2-bit EPV, three levels 0..=2).
 pub const EPV_MAX: u8 = 2;
@@ -138,8 +138,8 @@ pub struct TrainOutcome {
     pub unmatched: Option<f64>,
     /// Action whose Q-value moved.
     pub action: usize,
-    /// Pre-update TD delta (`target − Q`), computed only on request.
-    pub delta: Option<f64>,
+    /// Pre-update TD delta (`target − Q`).
+    pub delta: f64,
 }
 
 /// The generic SARSA engine.
@@ -187,15 +187,11 @@ impl RlEngine {
         &self.eq
     }
 
-    /// Q-value of `(state, action)` under the current table.
-    pub fn q(&self, state: &[u64], action: usize) -> f64 {
-        self.qtable.q_state(state, action)
-    }
-
-    /// ε-greedy action selection among `legal` actions. Exact Q ties —
-    /// common under optimistic initialization — break by the fixed
-    /// defensive [`TIE_RANK`] preference.
-    pub fn select(&mut self, state: &[u64], legal: &[usize]) -> usize {
+    /// ε-greedy action selection among `legal` actions for the state
+    /// whose Q-table rows are `rows`. Exact Q ties — common under
+    /// optimistic initialization — break by the fixed defensive
+    /// [`TIE_RANK`] preference.
+    pub fn select(&mut self, rows: &Rows, legal: &[usize]) -> usize {
         if self.rng.gen_f64() < self.cfg.epsilon {
             self.stats.explorations += 1;
             return legal[self.rng.gen_range(0..legal.len())];
@@ -204,7 +200,7 @@ impl RlEngine {
         let mut n = 0;
         let mut best_q = f64::NEG_INFINITY;
         for &a in legal {
-            let q = self.qtable.q_state(state, a);
+            let q = self.qtable.q(rows, a);
             if q > best_q + 1e-9 {
                 best_q = q;
                 best[0] = a;
@@ -235,33 +231,32 @@ impl RlEngine {
         Some(id)
     }
 
-    /// Record the executed action in FIFO `si` and, on overflow,
-    /// finalize the evicted entry's reward and run the SARSA update
-    /// (Algorithm 1, lines 21–38). `unmatched_reward` supplies the
-    /// dead-block reward when the evicted entry was never re-requested;
-    /// `want_delta` asks for the pre-update TD delta (telemetry only —
-    /// it costs an extra Q lookup).
+    /// Record the executed action, taken in the state whose Q-table
+    /// rows are `rows`, in FIFO `si` and, on overflow, finalize the
+    /// evicted entry's reward and run the SARSA update (Algorithm 1,
+    /// lines 21–38). `unmatched_reward` supplies the dead-block reward
+    /// when the evicted entry was never re-requested.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
         si: usize,
         id: u64,
-        state: &[u64],
+        rows: Rows,
         action: usize,
         trigger_hit: bool,
         key: u64,
         lane: usize,
         unmatched_reward: impl FnOnce(&EqEntry) -> f64,
-        want_delta: bool,
     ) -> Option<TrainOutcome> {
+        debug_assert!(action < NUM_ACTIONS);
         let entry = EqEntry {
             id,
-            state: crate::eq::EqState::from_slice(state),
-            action,
-            trigger_hit,
+            rows,
             key,
-            lane,
             reward: None,
+            lane: u32::try_from(lane).expect("lane index fits u32"),
+            action: action as u8,
+            trigger_hit,
         };
         let capacity = self.eq.capacity();
         let (mut evicted, next) = self.eq.fifo(si).push(entry, capacity)?;
@@ -275,21 +270,21 @@ impl RlEngine {
         }
         let reward = evicted.reward.expect("assigned above");
         let target = match next {
-            Some((next_state, next_action)) => {
-                reward + self.cfg.gamma * self.qtable.q_state(&next_state, next_action)
+            Some((next_rows, next_action)) => {
+                reward + self.cfg.gamma * self.qtable.q(&next_rows, next_action)
             }
             None => reward,
         };
-        let delta =
-            want_delta.then(|| target - self.qtable.q_state(&evicted.state, evicted.action));
-        self.qtable
-            .update(&evicted.state, evicted.action, target, self.cfg.alpha);
+        let action = usize::from(evicted.action);
+        let q = self
+            .qtable
+            .update(&evicted.rows, action, target, self.cfg.alpha);
         self.stats.q_updates += 1;
         Some(TrainOutcome {
             id: evicted.id,
             unmatched,
-            action: evicted.action,
-            delta,
+            action,
+            delta: target - q,
         })
     }
 }
@@ -317,36 +312,52 @@ mod tests {
     fn untrained_miss_tie_breaks_to_neutral_insert() {
         let mut e = engine();
         // all Q equal at init → TIE_RANK picks insert-at-EPV1 (action 2)
-        assert_eq!(e.select(&[1, 2], &MISS_ACTIONS), 2);
-        assert_eq!(e.select(&[9, 9], &HIT_ACTIONS), 4);
+        let miss = e.qtable().rows(&[1, 2]);
+        let hit = e.qtable().rows(&[9, 9]);
+        assert_eq!(e.select(&miss, &MISS_ACTIONS), 2);
+        assert_eq!(e.select(&hit, &HIT_ACTIONS), 4);
     }
 
     #[test]
     fn learned_preference_beats_tie_rank() {
         let mut e = engine();
-        let state = [77u64, 88u64];
+        let rows = e.qtable().rows(&[77, 88]);
         for _ in 0..300 {
-            e.record(0, 0, &state, 0, false, 1, 0, |_| 25.0, false);
+            e.record(0, 0, rows, 0, false, 1, 0, |_| 25.0);
         }
         // drive bypass far above the others; it must win despite having
         // the worst tie rank
         for _ in 0..200 {
-            e.qtable.update(&state, ACTION_BYPASS, 30.0, 0.1);
+            e.qtable.update(&rows, ACTION_BYPASS, 30.0, 0.1);
         }
-        assert_eq!(e.select(&state, &MISS_ACTIONS), ACTION_BYPASS);
+        assert_eq!(e.select(&rows, &MISS_ACTIONS), ACTION_BYPASS);
+    }
+
+    #[test]
+    fn select_respects_legality() {
+        let mut e = RlEngine::new(EngineConfig {
+            epsilon: 0.0,
+            ..EngineConfig::from(&ChromeConfig::default())
+        });
+        let rows = e.qtable().rows(&[1, 2]);
+        for _ in 0..300 {
+            e.qtable.update(&rows, 5, 30.0, 0.1);
+        }
+        // action 5 is best overall, but only miss actions are legal on
+        // a miss, where the untouched ones tie-break by TIE_RANK
+        assert_eq!(e.select(&rows, &MISS_ACTIONS), 2);
+        assert_eq!(e.select(&rows, &HIT_ACTIONS), 5);
     }
 
     #[test]
     fn record_trains_only_on_overflow() {
         let mut e = engine();
-        let state = [3u64, 4u64];
+        let rows = e.qtable().rows(&[3, 4]);
         for i in 0..e.config().eq_fifo_len as u64 {
-            assert!(e
-                .record(0, i, &state, 2, false, i, 0, |_| 0.0, false)
-                .is_none());
+            assert!(e.record(0, i, rows, 2, false, i, 0, |_| 0.0).is_none());
         }
         let out = e
-            .record(0, 999, &state, 2, false, 999, 0, |_| -10.0, false)
+            .record(0, 999, rows, 2, false, 999, 0, |_| -10.0)
             .expect("overflow");
         assert_eq!(out.unmatched, Some(-10.0));
         assert_eq!(out.action, 2);
@@ -357,12 +368,12 @@ mod tests {
     #[test]
     fn matched_entry_keeps_its_reward_at_overflow() {
         let mut e = engine();
-        let state = [5u64, 6u64];
-        e.record(0, 7, &state, 1, false, 42, 0, |_| 0.0, false);
+        let rows = e.qtable().rows(&[5, 6]);
+        e.record(0, 7, rows, 1, false, 42, 0, |_| 0.0);
         assert_eq!(e.try_match(0, 42, 20.0), Some(7));
         assert!(e.try_match(0, 42, 20.0).is_none(), "already rewarded");
         for i in 0..e.config().eq_fifo_len as u64 {
-            e.record(0, 100 + i, &state, 1, false, 1000 + i, 0, |_| -7.0, false);
+            e.record(0, 100 + i, rows, 1, false, 1000 + i, 0, |_| -7.0);
         }
         // the matched entry was evicted first; its unmatched slot is None
         assert_eq!(e.stats.matched_rewards, 1);
@@ -372,20 +383,19 @@ mod tests {
     #[test]
     fn delta_reports_pre_update_td_error() {
         let mut e = engine();
-        let state = [10u64, 11u64];
+        let rows = e.qtable().rows(&[10, 11]);
         for i in 0..e.config().eq_fifo_len as u64 {
-            e.record(0, i, &state, 3, false, i, 0, |_| 0.0, false);
+            e.record(0, i, rows, 3, false, i, 0, |_| 0.0);
         }
-        let q_before = e.q(&state, 3);
+        let q_before = e.qtable().q(&rows, 3);
         let out = e
-            .record(0, 500, &state, 3, false, 500, 0, |_| 12.0, true)
+            .record(0, 500, rows, 3, false, 500, 0, |_| 12.0)
             .expect("overflow");
-        let delta = out.delta.expect("requested");
-        // target = 12 + γ·q(next); delta = target − q_before
-        let expected = 12.0 + e.config().gamma * e.q(&state, 3) - q_before;
-        // the post-update q(next) differs slightly from the one used at
-        // record time; just sanity-check magnitude and sign coherence
-        assert!((delta - expected).abs() < 1.0, "{delta} vs {expected}");
+        // the next state-action is the same (rows, 3), read before the
+        // update: target = 12 + γ·q_before, delta = target − q_before
+        let expected = 12.0 + e.config().gamma * q_before - q_before;
+        assert_eq!(out.delta.to_bits(), expected.to_bits());
+        assert_ne!(e.qtable().q(&rows, 3), q_before, "the update landed");
     }
 
     #[test]
@@ -394,8 +404,9 @@ mod tests {
             epsilon: 1.0,
             ..EngineConfig::from(&ChromeConfig::default())
         });
+        let rows = e.qtable().rows(&[1, 2]);
         for _ in 0..50 {
-            let a = e.select(&[1, 2], &MISS_ACTIONS);
+            let a = e.select(&rows, &MISS_ACTIONS);
             assert!(MISS_ACTIONS.contains(&a));
         }
         assert_eq!(e.stats.explorations, 50);

@@ -3,77 +3,32 @@
 
 use std::collections::VecDeque;
 
-/// Widest state feature vector any [`crate::env::Environment`] produces
-/// (the engine's feature buffer is `[u64; 2]` across the hardware LLC
-/// and the serving cache).
-pub const MAX_FEATURES: usize = 2;
+use crate::qtable::Rows;
 
-/// Inline state feature vector. Every sampled decision records its
-/// state into the EQ and the SARSA step reads two states back per
-/// overflow; with at most [`MAX_FEATURES`] features, a heap `Vec` here
-/// is one allocation per decision plus one clone per training step on
-/// the hottest policy path. Embedding the buffer makes [`EqEntry`]
-/// plain `Copy` data, so the EQ never touches the allocator after
-/// construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EqState {
-    buf: [u64; MAX_FEATURES],
-    len: u8,
-}
-
-impl EqState {
-    /// Capture `features` (at most [`MAX_FEATURES`] of them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is wider than [`MAX_FEATURES`].
-    #[inline]
-    pub fn from_slice(features: &[u64]) -> Self {
-        let mut buf = [0u64; MAX_FEATURES];
-        buf[..features.len()].copy_from_slice(features);
-        EqState {
-            buf,
-            len: features.len() as u8,
-        }
-    }
-
-    /// The active features.
-    #[inline]
-    pub fn as_slice(&self) -> &[u64] {
-        &self.buf[..self.len as usize]
-    }
-}
-
-impl std::ops::Deref for EqState {
-    type Target = [u64];
-
-    #[inline]
-    fn deref(&self) -> &[u64] {
-        self.as_slice()
-    }
-}
-
-/// One recorded action awaiting (or holding) its reward.
+/// One recorded action awaiting (or holding) its reward. Plain `Copy`
+/// data, so the EQ never touches the allocator after construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EqEntry {
     /// Decision id linking this entry to the audit trail — monotonic
     /// per engine, assigned at decision time.
     pub id: u64,
-    /// State feature vector at decision time.
-    pub state: EqState,
-    /// Action index executed.
-    pub action: usize,
-    /// True if the action was triggered by a cache hit.
-    pub trigger_hit: bool,
+    /// The decision state's Q-table rows, hashed once at decision time
+    /// and reused by the SARSA step that trains this entry (and by the
+    /// one that bootstraps from it as the "next" state-action).
+    pub rows: Rows,
     /// Match key the action concerned — the line address in the
     /// hardware LLC (hashed to 16 bits in the hardware accounting, kept
     /// exact here for correctness), the key hash in a serving cache.
     pub key: u64,
-    /// Issuing lane — core, tenant or shard — for concurrency-aware
-    /// dead-block rewards.
-    pub lane: usize,
     /// Assigned reward, if any yet.
     pub reward: Option<f64>,
+    /// Issuing lane — core, tenant or shard — for concurrency-aware
+    /// dead-block rewards.
+    pub lane: u32,
+    /// Action index executed.
+    pub action: u8,
+    /// True if the action was triggered by a cache hit.
+    pub trigger_hit: bool,
 }
 
 /// A single FIFO of the EQ.
@@ -83,7 +38,7 @@ pub struct EqFifo {
 }
 
 /// The SARSA "next" state-action peeked at eviction time.
-pub type NextSa = Option<(EqState, usize)>;
+pub type NextSa = Option<(Rows, usize)>;
 
 impl EqFifo {
     /// A FIFO with room for `capacity` entries (plus the one transient
@@ -111,7 +66,10 @@ impl EqFifo {
         self.entries.push_back(entry);
         if self.entries.len() > capacity {
             let evicted = self.entries.pop_front().expect("nonempty");
-            let next = self.entries.front().map(|e| (e.state, e.action));
+            let next = self
+                .entries
+                .front()
+                .map(|e| (e.rows, usize::from(e.action)));
             Some((evicted, next))
         } else {
             None
@@ -197,16 +155,17 @@ impl EvalQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qtable::QTable;
 
-    fn entry(key: u64, action: usize) -> EqEntry {
+    fn entry(key: u64, action: u8) -> EqEntry {
         EqEntry {
             id: key,
-            state: EqState::from_slice(&[1, 2]),
+            rows: QTable::new(1, 1, 64 * 7, 0.0).rows(&[key]),
+            key,
+            reward: None,
+            lane: 0,
             action,
             trigger_hit: false,
-            key,
-            lane: 0,
-            reward: None,
         }
     }
 
@@ -225,9 +184,16 @@ mod tests {
         f.push(entry(2, 1), 2);
         let (evicted, next) = f.push(entry(3, 2), 2).expect("overflow");
         assert_eq!(evicted.key, 1);
-        let (next_state, next_action) = next.expect("peek");
+        let (next_rows, next_action) = next.expect("peek");
         assert_eq!(next_action, 1);
-        assert_eq!(next_state.as_slice(), &[1, 2]);
+        assert_eq!(next_rows, entry(2, 1).rows);
+    }
+
+    #[test]
+    fn entries_stay_within_80_bytes() {
+        // one EQ entry per sampled decision; carrying rows instead of
+        // features must not grow the FIFOs' footprint
+        assert!(std::mem::size_of::<EqEntry>() <= 80);
     }
 
     #[test]

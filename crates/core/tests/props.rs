@@ -1,21 +1,24 @@
 //! Randomized invariant tests for CHROME's learning structures, driven
 //! by a seeded in-repo RNG so every run is deterministic.
 
-use chrome_core::eq::{EqEntry, EqFifo, EqState};
+use chrome_core::config::ChromeConfig;
+use chrome_core::engine::{EngineConfig, RlEngine};
+use chrome_core::eq::{EqEntry, EqFifo};
 use chrome_core::qtable::{QTable, NUM_ACTIONS};
 use chrome_sim::rng::SmallRng;
+use chrome_sim::types::mix64;
 
 const CASES: usize = 64;
 
 fn entry(line: u64, action: usize) -> EqEntry {
     EqEntry {
         id: line,
-        state: EqState::from_slice(&[line, line >> 8]),
-        action,
-        trigger_hit: action >= 4,
+        rows: QTable::new(2, 4, 2048, 1.0).rows(&[line, line >> 8]),
         key: line,
-        lane: 0,
         reward: None,
+        lane: 0,
+        action: action as u8,
+        trigger_hit: action >= 4,
     }
 }
 
@@ -29,10 +32,11 @@ fn qtable_converges() {
         let action = rng.gen_range(0..NUM_ACTIONS);
         let target = rng.gen_f64() * 60.0 - 30.0;
         let mut t = QTable::new(2, 4, 2048, 1.582);
+        let rows = t.rows(&state);
         for _ in 0..600 {
-            t.update(&state, action, target, 0.1);
+            t.update(&rows, action, target, 0.1);
         }
-        let q = t.q_state(&state, action);
+        let q = t.q(&rows, action);
         assert!(
             (q - target).abs() < 3.0,
             "case {case}: q={q} target={target}"
@@ -50,11 +54,12 @@ fn qtable_actions_isolated() {
         let a = rng.gen_range(0..NUM_ACTIONS);
         let b = (a + rng.gen_range(1..NUM_ACTIONS)) % NUM_ACTIONS;
         let mut t = QTable::new(2, 4, 2048, 1.0);
-        let before = t.q_state(&state, b);
+        let rows = t.rows(&state);
+        let before = t.q(&rows, b);
         for _ in 0..100 {
-            t.update(&state, a, -25.0, 0.1);
+            t.update(&rows, a, -25.0, 0.1);
         }
-        let after = t.q_state(&state, b);
+        let after = t.q(&rows, b);
         assert!(
             (after - before).abs() < 0.2,
             "case {case}: action {b} moved by update to {a}"
@@ -62,23 +67,190 @@ fn qtable_actions_isolated() {
     }
 }
 
-/// best_action always returns a legal action.
+/// The reference Q-table: nested `[feature][sub_table][row * 7 +
+/// action]` partials whose every read and write recomputes its slot
+/// from the feature value — the layout `QTable` had before rows were
+/// hashed once per decision.
+struct NaiveTable {
+    partials: Vec<Vec<Vec<i16>>>,
+    rows: usize,
+    sub_tables: usize,
+    /// Updates that took the `step == 0` single-partial nudge.
+    nudges: u64,
+    /// Partial writes pinned at an `i16` bound.
+    saturations: u64,
+}
+
+impl NaiveTable {
+    const SCALE: f64 = 64.0;
+
+    fn new(features: usize, sub_tables: usize, entries: usize, q_init: f64) -> Self {
+        let rows = (entries / NUM_ACTIONS).max(1);
+        let init = (q_init * Self::SCALE / sub_tables as f64).round() as i16;
+        NaiveTable {
+            partials: vec![vec![vec![init; rows * NUM_ACTIONS]; sub_tables]; features],
+            rows,
+            sub_tables,
+            nudges: 0,
+            saturations: 0,
+        }
+    }
+
+    fn slot(&self, sub: usize, value: u64, action: usize) -> usize {
+        let hashed = mix64(value ^ (0x9E37_79B9u64 << sub) ^ sub as u64);
+        (hashed % self.rows as u64) as usize * NUM_ACTIONS + action
+    }
+
+    fn q_feature(&self, f: usize, value: u64, action: usize) -> f64 {
+        let mut sum = 0i32;
+        for sub in 0..self.sub_tables {
+            sum += self.partials[f][sub][self.slot(sub, value, action)] as i32;
+        }
+        sum as f64 / Self::SCALE
+    }
+
+    fn q(&self, state: &[u64], action: usize) -> f64 {
+        state
+            .iter()
+            .enumerate()
+            .map(|(f, &v)| self.q_feature(f, v, action))
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    fn update(&mut self, state: &[u64], action: usize, target: f64, alpha: f64) {
+        for (f, &v) in state.iter().enumerate() {
+            let td = alpha * (target - self.q_feature(f, v, action));
+            let step = (td * Self::SCALE / self.sub_tables as f64).round() as i32;
+            if step == 0 {
+                let nudge = if td > 0.0 {
+                    1
+                } else if td < 0.0 {
+                    -1
+                } else {
+                    0
+                };
+                if nudge != 0 {
+                    self.nudges += 1;
+                    let slot = self.slot(0, v, action);
+                    let p = &mut self.partials[f][0][slot];
+                    *p = p.saturating_add(nudge);
+                }
+                continue;
+            }
+            for sub in 0..self.sub_tables {
+                let slot = self.slot(sub, v, action);
+                let p = &mut self.partials[f][sub][slot];
+                let raw = *p as i32 + step;
+                if raw > i16::MAX as i32 || raw < i16::MIN as i32 {
+                    self.saturations += 1;
+                }
+                *p = raw.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+            }
+        }
+    }
+}
+
+/// The flat `QTable` agrees bit for bit with the reference table: the
+/// same random states, actions and targets give equal Q reads before
+/// and after every update, and `update` returns the reference's
+/// pre-update Q(s,a). Tiny learning rates exercise the `step == 0`
+/// nudge, huge targets drive partials into `i16` saturation, and a
+/// five-row table forces states to share rows.
 #[test]
-fn best_action_is_legal() {
+fn flat_qtable_matches_the_nested_reference() {
+    let mut rng = SmallRng::seed_from_u64(0xC02E_0006);
+    for (features, sub_tables) in [(1, 4), (2, 4), (2, 2)] {
+        for entries in [2048, 5 * NUM_ACTIONS] {
+            let q_init = rng.gen_f64() * 4.0;
+            let mut flat = QTable::new(features, sub_tables, entries, q_init);
+            let mut naive = NaiveTable::new(features, sub_tables, entries, q_init);
+            let pool: Vec<Vec<u64>> = (0..24)
+                .map(|_| (0..features).map(|_| rng.next_u64()).collect())
+                .collect();
+            for step in 0..4_000 {
+                let state = &pool[rng.gen_range(0..pool.len())];
+                let rows = flat.rows(state);
+                for a in 0..NUM_ACTIONS {
+                    assert_eq!(
+                        flat.q(&rows, a).to_bits(),
+                        naive.q(state, a).to_bits(),
+                        "({features},{sub_tables},{entries}) step {step}: q(s,{a})"
+                    );
+                }
+                let action = rng.gen_range(0..NUM_ACTIONS);
+                let target = match rng.gen_range(0..4u32) {
+                    0 => rng.gen_f64() * 1e6 - 5e5,
+                    1 => rng.gen_f64() * 8_000.0 - 4_000.0,
+                    _ => rng.gen_f64() * 80.0 - 40.0,
+                };
+                let alpha = [1e-7, 1e-3, 0.05, 0.5, 1.0][rng.gen_range(0..5usize)];
+                let before = naive.q(state, action);
+                let returned = flat.update(&rows, action, target, alpha);
+                naive.update(state, action, target, alpha);
+                assert_eq!(
+                    returned.to_bits(),
+                    before.to_bits(),
+                    "({features},{sub_tables},{entries}) step {step}: pre-update Q"
+                );
+            }
+            for state in &pool {
+                let rows = flat.rows(state);
+                for a in 0..NUM_ACTIONS {
+                    assert_eq!(flat.q(&rows, a).to_bits(), naive.q(state, a).to_bits());
+                }
+            }
+            assert_eq!(flat.mean_abs_q().to_bits(), {
+                let parts = naive.partials.iter().flatten().flatten();
+                let sum: u64 = parts.clone().map(|p| u64::from(p.unsigned_abs())).sum();
+                (sum as f64 * sub_tables as f64 / parts.count() as f64 / 64.0).to_bits()
+            });
+            assert!(
+                naive.nudges > 0 && naive.saturations > 0,
+                "({features},{sub_tables},{entries}): {} nudges, {} saturations",
+                naive.nudges,
+                naive.saturations
+            );
+        }
+    }
+}
+
+/// ε-greedy selection always returns a legal action, for any legal set
+/// and any learned table.
+#[test]
+fn select_is_legal() {
     let mut rng = SmallRng::seed_from_u64(0xC02E_0003);
     for case in 0..CASES {
-        let f1 = rng.next_u64();
+        let mut e = RlEngine::new(EngineConfig {
+            features: 1,
+            epsilon: 0.1,
+            ..EngineConfig::from(&ChromeConfig::default())
+        });
+        let rows = e.qtable().rows(&[rng.next_u64()]);
+        for i in 0..40 {
+            let target = rng.gen_f64() * 60.0 - 30.0;
+            e.record(
+                0,
+                i,
+                rows,
+                rng.gen_range(0..NUM_ACTIONS),
+                false,
+                i,
+                0,
+                |_| target,
+            );
+        }
         let legal_mask = rng.gen_range(1u64..127) as u8;
-        let t = QTable::new(1, 4, 2048, 1.0);
         let legal: Vec<usize> = (0..NUM_ACTIONS)
             .filter(|&a| legal_mask & (1 << a) != 0)
             .collect();
         assert!(!legal.is_empty());
-        let chosen = t.best_action(&[f1], &legal);
-        assert!(
-            legal.contains(&chosen),
-            "case {case}: illegal action {chosen}"
-        );
+        for _ in 0..20 {
+            let chosen = e.select(&rows, &legal);
+            assert!(
+                legal.contains(&chosen),
+                "case {case}: illegal action {chosen}"
+            );
+        }
     }
 }
 

@@ -17,10 +17,12 @@
 //! dead-block rewards.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use chrome_exec::splitmix64;
+use chrome_sim::mmu::PageHasher;
 use chrome_sim::types::mix64;
 use chrome_telemetry::export::events_jsonl;
 
@@ -235,9 +237,15 @@ fn make_value(req: &Request) -> Vec<u8> {
     v
 }
 
+/// A shard's key → slot index. Keys hash with the Fx-style
+/// [`PageHasher`] rather than SipHash: the map never holds more than
+/// `shard_slots` keys and shards are already chosen by the unkeyed
+/// `mix64`, so flood resistance would buy nothing here.
+type SlotMap = HashMap<u64, u32, BuildHasherDefault<PageHasher>>;
+
 /// One lock-striped cache segment.
 struct Shard {
-    map: HashMap<u64, u32>,
+    map: SlotMap,
     entries: Vec<Option<Entry>>,
     free: Vec<u32>,
     policy: Box<dyn ShardPolicy>,
@@ -254,7 +262,7 @@ struct Shard {
 impl Shard {
     fn new(slots: usize, budget: u64, policy: Box<dyn ShardPolicy>, timed: bool) -> Self {
         Shard {
-            map: HashMap::with_capacity(slots),
+            map: SlotMap::with_capacity_and_hasher(slots, Default::default()),
             entries: (0..slots).map(|_| None).collect(),
             free: (0..slots as u32).rev().collect(),
             policy,

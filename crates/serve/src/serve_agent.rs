@@ -160,10 +160,11 @@ impl Environment for ServeEnv {
     }
 
     fn unmatched_reward(&self, pressure: &ShardPressure, entry: &EqEntry) -> f64 {
+        let action = usize::from(entry.action);
         let accurate = if entry.trigger_hit {
-            entry.action == ACTION_HIT_EPVH
+            action == ACTION_HIT_EPVH
         } else {
-            entry.action == ACTION_BYPASS
+            action == ACTION_BYPASS
         };
         let obstructed = self.concurrency_aware && pressure.thrashing;
         self.rewards.not_requested(accurate, obstructed) * self.scale()
@@ -214,9 +215,6 @@ impl DecisionObserver for RingObserver<'_> {
             matched: false,
         });
         self.audit_reward(id, false, reward);
-    }
-    fn wants_q_delta(&self) -> bool {
-        true
     }
     fn q_update(&mut self, delta: f64, action: usize) {
         self.emit(EventKind::QUpdate {
@@ -328,7 +326,7 @@ impl ChromeServePolicy {
             lane: u32::from(req.tenant),
         };
         let d = self.agent.on_access(Some(si), req, hit, pressure, &mut obs);
-        let q = self.agent.engine.q(&d.state[..d.features], d.action);
+        let q = self.agent.engine.qtable().q(&d.rows, d.action);
         self.ring.offer(TraceEvent {
             cycle: self.clock,
             core: u32::from(req.tenant),
@@ -455,12 +453,12 @@ mod tests {
         let env = ServeEnv::new();
         let dead_bypass = EqEntry {
             id: 0,
-            state: chrome_core::eq::EqState::from_slice(&[1, 2]),
-            action: ACTION_BYPASS,
-            trigger_hit: false,
+            rows: chrome_core::qtable::Rows::default(),
             key: 9,
-            lane: 0,
             reward: None,
+            lane: 0,
+            action: ACTION_BYPASS as u8,
+            trigger_hit: false,
         };
         let dead_insert = EqEntry {
             action: 2,
