@@ -36,72 +36,136 @@ const RPS_REGRESSION_FLOOR: f64 = 0.3;
 /// Tolerated absolute hit-ratio regression vs the baseline.
 const HIT_RATIO_SLACK: f64 = 0.01;
 
-fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Print the usage and exit 2, the usage-error status.
+fn usage() -> ! {
+    eprintln!(
+        "usage: servebench [--policies A,B,...] [--stream zipf|scan|churn|mixed]\n\
+         \x20                 [--threads N] [--requests N] [--keyspace N] [--seed S]\n\
+         \x20                 [--shards N] [--shard-slots N] [--shard-bytes N]\n\
+         \x20                 [--quick] [--out FILE] [--baseline FILE]\n\
+         \x20                 [--gate-chrome] [--telemetry-out FILE] [--max-events N]\n\
+         \x20                 [--time-policy]"
+    );
+    std::process::exit(2)
 }
 
-fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+/// Print why the command line is wrong, then the usage, and exit 2.
+fn bad(reason: &str) -> ! {
+    eprintln!("{reason}");
+    usage()
 }
 
-fn arg_u64(name: &str) -> Option<u64> {
-    arg_string(name).map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| panic!("{name} wants an integer, got {s}"))
-    })
+/// Everything the command line asked for.
+struct Cli {
+    base: BenchParams,
+    policies: Vec<PolicyKind>,
+    gate_chrome: bool,
+    telemetry_out: Option<String>,
+    max_events: u64,
+    out: Option<String>,
+    baseline: Option<String>,
 }
 
-fn params_from_args() -> BenchParams {
-    let mut p = BenchParams::default();
-    if arg_flag("--quick") {
-        p.requests = 30_000;
-        p.keyspace = 5_000;
-        p.shards = 8;
-        p.shard_slots = 256;
-        p.shard_bytes = 128 * 1024;
+impl Cli {
+    /// Parse `std::env::args`. `--quick` shrinks the defaults before
+    /// any explicit geometry flag applies, wherever it appears. An
+    /// unknown flag, a missing or malformed value, an unknown stream or
+    /// policy, or a geometry the cache cannot be built with is a usage
+    /// error: print the reason and the usage and exit 2.
+    fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let mut base = BenchParams::default();
+        if args.iter().any(|a| a == "--quick") {
+            base.requests = 30_000;
+            base.keyspace = 5_000;
+            base.shards = 8;
+            base.shard_slots = 256;
+            base.shard_bytes = 128 * 1024;
+        }
+        let mut cli = Cli {
+            base,
+            policies: PolicyKind::all().to_vec(),
+            gate_chrome: false,
+            telemetry_out: None,
+            max_events: 1_000_000,
+            out: None,
+            baseline: None,
+        };
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            // a value flag's argument; the next flag is not a value
+            let mut value = || match it.next() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                Some(v) => bad(&format!("{flag} takes a value, got {v:?}")),
+                None => bad(&format!("{flag} takes a value")),
+            };
+            let p = &mut cli.base;
+            match flag {
+                "--quick" => {}
+                "--time-policy" => p.time_policy = true,
+                "--gate-chrome" => cli.gate_chrome = true,
+                "--stream" => {
+                    let s = value();
+                    p.stream = StreamKind::parse(&s)
+                        .unwrap_or_else(|| bad(&format!("unknown stream {s}")));
+                }
+                "--policies" => {
+                    cli.policies = value()
+                        .split(',')
+                        .filter(|x| !x.is_empty())
+                        .map(|x| {
+                            PolicyKind::parse(x)
+                                .unwrap_or_else(|| bad(&format!("unknown policy {x}")))
+                        })
+                        .collect();
+                    if cli.policies.is_empty() {
+                        bad("--policies lists no policy");
+                    }
+                }
+                "--threads" => p.threads = number(flag, &value()),
+                "--requests" => p.requests = number(flag, &value()),
+                "--keyspace" => p.keyspace = number(flag, &value()),
+                "--seed" => p.seed = number(flag, &value()),
+                "--shards" => p.shards = number(flag, &value()),
+                "--shard-slots" => p.shard_slots = number(flag, &value()),
+                "--shard-bytes" => p.shard_bytes = number(flag, &value()),
+                "--max-events" => cli.max_events = number(flag, &value()),
+                "--out" => cli.out = Some(value()),
+                "--baseline" => cli.baseline = Some(value()),
+                "--telemetry-out" => cli.telemetry_out = Some(value()),
+                other => bad(&format!("unknown flag {other}")),
+            }
+        }
+        let p = &cli.base;
+        if !p.shards.is_power_of_two() {
+            bad(&format!(
+                "--shards must be a power of two, got {}",
+                p.shards
+            ));
+        }
+        for (flag, v) in [
+            ("--keyspace", p.keyspace),
+            ("--shard-slots", p.shard_slots as u64),
+            ("--shard-bytes", p.shard_bytes),
+        ] {
+            if v == 0 {
+                bad(&format!("{flag} must be at least 1"));
+            }
+        }
+        cli
     }
-    if let Some(s) = arg_string("--stream") {
-        p.stream = StreamKind::parse(&s).unwrap_or_else(|| panic!("unknown stream {s}"));
-    }
-    if let Some(v) = arg_u64("--threads") {
-        p.threads = v as usize;
-    }
-    if let Some(v) = arg_u64("--requests") {
-        p.requests = v as usize;
-    }
-    if let Some(v) = arg_u64("--keyspace") {
-        p.keyspace = v;
-    }
-    if let Some(v) = arg_u64("--seed") {
-        p.seed = v;
-    }
-    if let Some(v) = arg_u64("--shards") {
-        p.shards = v as usize;
-    }
-    if let Some(v) = arg_u64("--shard-slots") {
-        p.shard_slots = v as usize;
-    }
-    if let Some(v) = arg_u64("--shard-bytes") {
-        p.shard_bytes = v;
-    }
-    p.time_policy = arg_flag("--time-policy");
-    p
+}
+
+/// Parse numeric flag `flag`'s value, or exit 2 with the usage.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| bad(&format!("{flag} takes a number, got {v:?}")))
 }
 
 fn main() {
-    let base = params_from_args();
-    let policies: Vec<PolicyKind> = match arg_string("--policies") {
-        Some(s) => s
-            .split(',')
-            .filter(|x| !x.is_empty())
-            .map(|x| PolicyKind::parse(x).unwrap_or_else(|| panic!("unknown policy {x}")))
-            .collect(),
-        None => PolicyKind::all().to_vec(),
-    };
+    let cli = Cli::from_args();
+    let base = cli.base;
 
     println!(
         "== servebench: {} stream, {} requests, keyspace {}, {} shards x {} slots / {} KiB, {} \
@@ -119,8 +183,8 @@ fn main() {
         "policy", "hit%", "bypasses", "evictions", "p50us", "p99us", "req/s", "errors"
     );
 
-    let mut rows: Vec<BenchResult> = Vec::with_capacity(policies.len());
-    for policy in &policies {
+    let mut rows: Vec<BenchResult> = Vec::with_capacity(cli.policies.len());
+    for policy in &cli.policies {
         let r = bench::run(&BenchParams {
             policy: *policy,
             ..base
@@ -167,12 +231,12 @@ fn main() {
         rows.len()
     );
 
-    if arg_flag("--gate-chrome") {
+    if cli.gate_chrome {
         gate_chrome(&rows);
     }
 
-    if let Some(path) = arg_string("--telemetry-out") {
-        let cap = arg_u64("--max-events").unwrap_or(1_000_000);
+    if let Some(path) = &cli.telemetry_out {
+        let cap = cli.max_events;
         let (_, mut jsonl, meta) = bench::run_with_events_capped(
             &BenchParams {
                 policy: PolicyKind::Chrome,
@@ -187,7 +251,7 @@ fn main() {
              \"truncated\":{},\"max_events\":{}}}\n",
             meta.offered, meta.overwritten, meta.exported, meta.truncated, cap
         ));
-        std::fs::write(&path, &jsonl).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, &jsonl).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!(
             "wrote {path} ({} decision-event lines; {} offered, {} overwritten in-ring, {} \
              dropped by --max-events {cap})",
@@ -195,14 +259,14 @@ fn main() {
         );
     }
 
-    if let Some(path) = arg_string("--out") {
+    if let Some(path) = &cli.out {
         let payload = render_json(&base, &rows, aggregate_rps);
-        std::fs::write(&path, payload).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, payload).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 
-    if let Some(path) = arg_string("--baseline") {
-        gate_baseline(&path, &base, &rows, aggregate_rps);
+    if let Some(path) = &cli.baseline {
+        gate_baseline(path, &base, &rows, aggregate_rps);
     }
 }
 
