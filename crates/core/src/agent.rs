@@ -18,12 +18,11 @@ use chrome_sim::policy::{
     sampled_index, AccessInfo, CandidateLine, FillDecision, LlcPolicy, SystemFeedback,
 };
 use chrome_sim::types::{mix64, LineAddr};
-use chrome_telemetry::{AuditLog, EventKind, PolicyEpochProbe, RewardRecord, TelemetrySink};
+use chrome_telemetry::{AuditLog, EventKind, PolicyEpochProbe, TelemetrySink};
 
 use crate::config::{ChromeConfig, FeatureSelection};
-use crate::engine::{EngineConfig, RlEngine, ACTION_BYPASS, ACTION_HIT_EPVH};
-use crate::env::{Agent, DecisionObserver, DecisionSnapshot, Environment};
-use crate::eq::EqEntry;
+use crate::engine::{EngineConfig, RlEngine, ACTION_BYPASS};
+use crate::env::{Agent, Environment};
 use crate::rewards::RewardTable;
 
 pub use crate::engine::{ChromeStats, EPV_MAX};
@@ -128,92 +127,9 @@ impl Environment for HwEnv {
         }
     }
 
-    fn unmatched_reward(&self, feedback: &SystemFeedback, entry: &EqEntry) -> f64 {
-        let action = usize::from(entry.action);
-        let accurate = if entry.trigger_hit {
-            action == ACTION_HIT_EPVH
-        } else {
-            action == ACTION_BYPASS
-        };
-        let obstructed = self.concurrency_aware && feedback.is_obstructed(entry.lane as usize);
+    fn unmatched_reward(&self, feedback: &SystemFeedback, lane: usize, accurate: bool) -> f64 {
+        let obstructed = self.concurrency_aware && feedback.is_obstructed(lane);
         self.rewards.not_requested(accurate, obstructed)
-    }
-}
-
-/// Observer that forwards the agent's per-decision outcomes to the
-/// telemetry sink, stamped with the triggering access's cycle and
-/// core, and (when auditing) snapshots every decision and reward into
-/// the policy's audit log. Audit capture is explicit opt-in, so it is
-/// not gated behind the `telemetry` feature.
-struct SinkObserver<'a> {
-    sink: &'a TelemetrySink,
-    audit: Option<&'a mut AuditLog>,
-    cycle: u64,
-    core: u32,
-}
-
-impl DecisionObserver for SinkObserver<'_> {
-    fn reward_matched(&mut self, id: u64, reward: f64) {
-        if cfg!(feature = "telemetry") {
-            self.sink.emit(
-                self.cycle,
-                self.core,
-                EventKind::RewardApplied {
-                    reward,
-                    matched: true,
-                },
-            );
-        }
-        if let Some(audit) = self.audit.as_deref_mut() {
-            audit.push_reward(RewardRecord {
-                id,
-                matched: true,
-                reward,
-            });
-        }
-    }
-
-    fn reward_unmatched(&mut self, id: u64, reward: f64) {
-        if cfg!(feature = "telemetry") {
-            self.sink.emit(
-                self.cycle,
-                self.core,
-                EventKind::RewardApplied {
-                    reward,
-                    matched: false,
-                },
-            );
-        }
-        if let Some(audit) = self.audit.as_deref_mut() {
-            audit.push_reward(RewardRecord {
-                id,
-                matched: false,
-                reward,
-            });
-        }
-    }
-
-    fn q_update(&mut self, delta: f64, action: usize) {
-        if cfg!(feature = "telemetry") {
-            self.sink.emit(
-                self.cycle,
-                self.core,
-                EventKind::QUpdate {
-                    delta,
-                    action: action as u8,
-                },
-            );
-        }
-    }
-
-    fn wants_decisions(&self) -> bool {
-        self.audit.is_some()
-    }
-
-    fn decision(&mut self, snap: &DecisionSnapshot) {
-        if let Some(audit) = self.audit.as_deref_mut() {
-            audit.push_decision(snap.to_record());
-        }
     }
 }
 
@@ -227,7 +143,6 @@ pub struct Chrome {
     ways: usize,
     pending_epv: u8,
     sink: TelemetrySink,
-    audit: Option<AuditLog>,
     name: &'static str,
 }
 
@@ -257,7 +172,6 @@ impl Chrome {
             ways: 0,
             pending_epv: 1,
             sink: TelemetrySink::noop(),
-            audit: None,
             name,
             cfg,
         }
@@ -277,6 +191,33 @@ impl Chrome {
     fn idx(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
+
+    /// Run one LLC access through the agent and trace what it settled:
+    /// the matched reward, then the dead-block reward and the SARSA
+    /// update, stamped with the access's cycle and core. Returns the
+    /// chosen action.
+    fn decide(&mut self, set: usize, info: &AccessInfo, hit: bool, fb: &SystemFeedback) -> usize {
+        let si = sampled_index(set, self.num_sets, self.cfg.sampled_sets);
+        let d = self.agent.on_access(si, info, hit, fb);
+        if cfg!(feature = "telemetry") {
+            let (cycle, core) = (info.cycle, info.core as u32);
+            let applied = |reward, matched| EventKind::RewardApplied { reward, matched };
+            if let Some(reward) = d.matched {
+                self.sink.emit(cycle, core, applied(reward, true));
+            }
+            if let Some(out) = d.trained {
+                if let Some(reward) = out.unmatched {
+                    self.sink.emit(cycle, core, applied(reward, false));
+                }
+                let update = EventKind::QUpdate {
+                    delta: out.delta,
+                    action: out.action as u8,
+                };
+                self.sink.emit(cycle, core, update);
+            }
+        }
+        d.action
+    }
 }
 
 impl LlcPolicy for Chrome {
@@ -288,16 +229,9 @@ impl LlcPolicy for Chrome {
     }
 
     fn on_hit(&mut self, set: usize, way: usize, info: &AccessInfo, feedback: &SystemFeedback) {
-        let si = sampled_index(set, self.num_sets, self.cfg.sampled_sets);
-        let mut obs = SinkObserver {
-            sink: &self.sink,
-            audit: self.audit.as_mut(),
-            cycle: info.cycle,
-            core: info.core as u32,
-        };
-        let d = self.agent.on_access(si, info, true, feedback, &mut obs);
+        let action = self.decide(set, info, true, feedback);
         let i = self.idx(set, way);
-        self.epv[i] = (d.action - 4) as u8;
+        self.epv[i] = (action - 4) as u8;
     }
 
     fn on_miss(
@@ -306,18 +240,11 @@ impl LlcPolicy for Chrome {
         info: &AccessInfo,
         feedback: &SystemFeedback,
     ) -> FillDecision {
-        let si = sampled_index(set, self.num_sets, self.cfg.sampled_sets);
-        let mut obs = SinkObserver {
-            sink: &self.sink,
-            audit: self.audit.as_mut(),
-            cycle: info.cycle,
-            core: info.core as u32,
-        };
-        let d = self.agent.on_access(si, info, false, feedback, &mut obs);
-        if d.action == ACTION_BYPASS {
+        let action = self.decide(set, info, false, feedback);
+        if action == ACTION_BYPASS {
             FillDecision::Bypass
         } else {
-            self.pending_epv = (d.action - 1) as u8;
+            self.pending_epv = (action - 1) as u8;
             FillDecision::Insert
         }
     }
@@ -355,12 +282,12 @@ impl LlcPolicy for Chrome {
     }
 
     fn enable_audit(&mut self, stream: u32, cap: usize) -> bool {
-        self.audit = Some(AuditLog::new(stream, cap));
+        self.agent.enable_audit(stream, cap);
         true
     }
 
     fn audit(&self) -> Option<&AuditLog> {
-        self.audit.as_ref()
+        self.agent.audit()
     }
 
     fn epoch_probe(&self) -> PolicyEpochProbe {

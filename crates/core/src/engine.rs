@@ -32,6 +32,28 @@ pub const HIT_ACTIONS: [usize; 3] = [4, 5, 6];
 /// The hit action that marks a block dead (highest EPV).
 pub const ACTION_HIT_EPVH: usize = 6;
 
+/// Legal actions for a hit/miss trigger: the paper's 7-action space,
+/// bypass/insert-at-EPV on a miss and re-assign-EPV on a hit.
+pub fn legal_actions(hit: bool) -> &'static [usize] {
+    if hit {
+        &HIT_ACTIONS
+    } else {
+        &MISS_ACTIONS
+    }
+}
+
+/// The dead-block accuracy test for an entry that was never
+/// re-requested: its action was accurate when it predicted the block
+/// dead — bypass on a miss trigger, the highest EPV on a hit trigger.
+fn predicted_dead(entry: &EqEntry) -> bool {
+    let action = usize::from(entry.action);
+    if entry.trigger_hit {
+        action == ACTION_HIT_EPVH
+    } else {
+        action == ACTION_BYPASS
+    }
+}
+
 /// Fixed preference order for breaking *exact* Q ties — the signature
 /// of an untrained state. Insert at mid priority on a miss, keep
 /// (lowest eviction priority) on a hit, bypass last — so undertrained
@@ -234,8 +256,10 @@ impl RlEngine {
     /// Record the executed action, taken in the state whose Q-table
     /// rows are `rows`, in FIFO `si` and, on overflow, finalize the
     /// evicted entry's reward and run the SARSA update (Algorithm 1,
-    /// lines 21–38). `unmatched_reward` supplies the dead-block reward
-    /// when the evicted entry was never re-requested.
+    /// lines 21–38). `unmatched_reward(lane, accurate)` supplies the
+    /// dead-block reward when the evicted entry was never re-requested:
+    /// `lane` is the entry's issuing lane and `accurate` the
+    /// dead-block accuracy of its action.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -246,7 +270,7 @@ impl RlEngine {
         trigger_hit: bool,
         key: u64,
         lane: usize,
-        unmatched_reward: impl FnOnce(&EqEntry) -> f64,
+        unmatched_reward: impl FnOnce(usize, bool) -> f64,
     ) -> Option<TrainOutcome> {
         debug_assert!(action < NUM_ACTIONS);
         let entry = EqEntry {
@@ -263,7 +287,7 @@ impl RlEngine {
         self.stats.eq_overflows += 1;
         let mut unmatched = None;
         if evicted.reward.is_none() {
-            let reward = unmatched_reward(&evicted);
+            let reward = unmatched_reward(evicted.lane as usize, predicted_dead(&evicted));
             evicted.reward = Some(reward);
             self.stats.unmatched_rewards += 1;
             unmatched = Some(reward);
@@ -323,7 +347,7 @@ mod tests {
         let mut e = engine();
         let rows = e.qtable().rows(&[77, 88]);
         for _ in 0..300 {
-            e.record(0, 0, rows, 0, false, 1, 0, |_| 25.0);
+            e.record(0, 0, rows, 0, false, 1, 0, |_, _| 25.0);
         }
         // drive bypass far above the others; it must win despite having
         // the worst tie rank
@@ -354,10 +378,10 @@ mod tests {
         let mut e = engine();
         let rows = e.qtable().rows(&[3, 4]);
         for i in 0..e.config().eq_fifo_len as u64 {
-            assert!(e.record(0, i, rows, 2, false, i, 0, |_| 0.0).is_none());
+            assert!(e.record(0, i, rows, 2, false, i, 0, |_, _| 0.0).is_none());
         }
         let out = e
-            .record(0, 999, rows, 2, false, 999, 0, |_| -10.0)
+            .record(0, 999, rows, 2, false, 999, 0, |_, _| -10.0)
             .expect("overflow");
         assert_eq!(out.unmatched, Some(-10.0));
         assert_eq!(out.action, 2);
@@ -366,14 +390,39 @@ mod tests {
     }
 
     #[test]
+    fn dead_block_accuracy_is_judged_by_the_engine() {
+        // a never-re-requested action was accurate when it predicted the
+        // block dead: bypass on a miss trigger, EPV_H on a hit trigger
+        for (action, hit, accurate) in [
+            (ACTION_BYPASS, false, true),
+            (2, false, false),
+            (ACTION_HIT_EPVH, true, true),
+            (4, true, false),
+        ] {
+            let mut e = RlEngine::new(EngineConfig {
+                eq_fifo_len: 1,
+                ..EngineConfig::from(&ChromeConfig::default())
+            });
+            let rows = e.qtable().rows(&[1, 2]);
+            e.record(0, 0, rows, action, hit, 1, 3, |_, _| 0.0);
+            let mut judged = None;
+            e.record(0, 1, rows, 2, false, 2, 0, |lane, accurate| {
+                judged = Some((lane, accurate));
+                0.0
+            });
+            assert_eq!(judged, Some((3, accurate)), "action {action}, hit {hit}");
+        }
+    }
+
+    #[test]
     fn matched_entry_keeps_its_reward_at_overflow() {
         let mut e = engine();
         let rows = e.qtable().rows(&[5, 6]);
-        e.record(0, 7, rows, 1, false, 42, 0, |_| 0.0);
+        e.record(0, 7, rows, 1, false, 42, 0, |_, _| 0.0);
         assert_eq!(e.try_match(0, 42, 20.0), Some(7));
         assert!(e.try_match(0, 42, 20.0).is_none(), "already rewarded");
         for i in 0..e.config().eq_fifo_len as u64 {
-            e.record(0, 100 + i, rows, 1, false, 1000 + i, 0, |_| -7.0);
+            e.record(0, 100 + i, rows, 1, false, 1000 + i, 0, |_, _| -7.0);
         }
         // the matched entry was evicted first; its unmatched slot is None
         assert_eq!(e.stats.matched_rewards, 1);
@@ -385,11 +434,11 @@ mod tests {
         let mut e = engine();
         let rows = e.qtable().rows(&[10, 11]);
         for i in 0..e.config().eq_fifo_len as u64 {
-            e.record(0, i, rows, 3, false, i, 0, |_| 0.0);
+            e.record(0, i, rows, 3, false, i, 0, |_, _| 0.0);
         }
         let q_before = e.qtable().q(&rows, 3);
         let out = e
-            .record(0, 500, rows, 3, false, 500, 0, |_| 12.0)
+            .record(0, 500, rows, 3, false, 500, 0, |_, _| 12.0)
             .expect("overflow");
         // the next state-action is the same (rows, 3), read before the
         // update: target = 12 + γ·q_before, delta = target − q_before

@@ -236,7 +236,7 @@ fn select_is_legal() {
                 false,
                 i,
                 0,
-                |_| target,
+                |_, _| target,
             );
         }
         let legal_mask = rng.gen_range(1u64..127) as u8;

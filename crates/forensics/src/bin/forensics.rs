@@ -21,7 +21,7 @@
 //! what lets CI call this binary directly as its smoke gate. `oracle`
 //! prints the standalone Belady bound of a raw trace file.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use chrome_forensics::{
@@ -30,33 +30,181 @@ use chrome_forensics::{
 };
 use chrome_serve::{BenchParams, PolicyKind, StreamKind};
 
-fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Print the usage and exit 2, the usage-error status.
+fn usage() -> ! {
+    eprintln!(
+        "usage: forensics sim    [--workload NAME | --trace FILE.ctf] [--cores N]\n\
+         \x20                        [--instructions N] [--warmup N] [--seed S]\n\
+         \x20                        [--audit-cap N] [--out DIR] [--quick]\n\
+         \x20      forensics serve  [--stream zipf|scan|churn|mixed] [--requests N]\n\
+         \x20                        [--keyspace N] [--shards N] [--shard-slots N]\n\
+         \x20                        [--shard-bytes N] [--seed S] [--audit-cap N]\n\
+         \x20                        [--out DIR] [--quick]\n\
+         \x20      forensics oracle --trace FILE.ctf"
+    );
+    std::process::exit(2)
 }
 
-fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+/// Print why the command line is wrong, then the usage, and exit 2.
+fn bad(reason: &str) -> ! {
+    eprintln!("{reason}");
+    usage()
 }
 
-fn arg_u64(name: &str) -> Option<u64> {
-    arg_string(name).map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| panic!("{name} wants an integer, got {s}"))
-    })
+/// Parse numeric flag `flag`'s value, or exit 2 with the usage.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| bad(&format!("{flag} takes a number, got {v:?}")))
 }
 
-fn out_dir() -> PathBuf {
-    PathBuf::from(arg_string("--out").unwrap_or_else(|| "results".into()))
+/// A subcommand and its settings.
+enum Cmd {
+    /// An audited hardware run; `trace` wins over `workload`.
+    Sim {
+        spec: SimSpec,
+        trace: Option<PathBuf>,
+        workload: Option<String>,
+    },
+    /// An audited serve run with a per-shard audit cap.
+    Serve {
+        params: BenchParams,
+        audit_cap: usize,
+    },
+    /// The standalone Belady bound of a trace file.
+    Oracle { trace: Option<PathBuf> },
+}
+
+/// Everything the command line asked for.
+struct Cli {
+    cmd: Cmd,
+    out: PathBuf,
+}
+
+impl Cli {
+    /// Parse `std::env::args` in one pass. `--quick` shrinks the
+    /// defaults before any explicit flag applies, wherever it appears.
+    /// A missing or unknown subcommand, a flag the subcommand does not
+    /// take, a missing or malformed value, an unknown stream, or a
+    /// geometry or cap the run cannot use is a usage error: print the
+    /// reason and the usage and exit 2.
+    fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let Some((sub, flags)) = args.split_first() else {
+            bad("missing subcommand")
+        };
+        let quick = flags.iter().any(|a| a == "--quick");
+        let mut cmd = match sub.as_str() {
+            "sim" => {
+                let mut spec = SimSpec::default();
+                if quick {
+                    spec.instructions = 200_000;
+                    spec.warmup = 20_000;
+                    spec.cores = 1;
+                }
+                Cmd::Sim {
+                    spec,
+                    trace: None,
+                    workload: None,
+                }
+            }
+            "serve" => {
+                let mut params = BenchParams::default();
+                if quick {
+                    params.requests = 30_000;
+                    params.keyspace = 5_000;
+                    params.shards = 8;
+                    params.shard_slots = 256;
+                    params.shard_bytes = 128 * 1024;
+                }
+                Cmd::Serve {
+                    params,
+                    audit_cap: SimSpec::default().audit_cap,
+                }
+            }
+            "oracle" => Cmd::Oracle { trace: None },
+            other => bad(&format!("unknown subcommand {other:?}")),
+        };
+        let mut out = PathBuf::from("results");
+        let mut it = flags.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            // a value flag's argument; the next flag is not a value
+            let mut value = || match it.next() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                Some(v) => bad(&format!("{flag} takes a value, got {v:?}")),
+                None => bad(&format!("{flag} takes a value")),
+            };
+            match (&mut cmd, flag) {
+                (Cmd::Sim { .. } | Cmd::Serve { .. }, "--quick") => {}
+                (Cmd::Sim { .. } | Cmd::Serve { .. }, "--out") => out = value().into(),
+                (Cmd::Sim { trace, .. } | Cmd::Oracle { trace }, "--trace") => {
+                    *trace = Some(value().into());
+                }
+                (Cmd::Sim { workload, .. }, "--workload") => *workload = Some(value()),
+                (Cmd::Sim { spec, .. }, "--cores") => spec.cores = number(flag, &value()),
+                (Cmd::Sim { spec, .. }, "--instructions") => {
+                    spec.instructions = number(flag, &value());
+                }
+                (Cmd::Sim { spec, .. }, "--warmup") => spec.warmup = number(flag, &value()),
+                (Cmd::Sim { spec, .. }, "--seed") => spec.seed = number(flag, &value()),
+                (Cmd::Sim { spec, .. }, "--audit-cap") => spec.audit_cap = number(flag, &value()),
+                (Cmd::Serve { params, .. }, "--stream") => {
+                    let s = value();
+                    params.stream = StreamKind::parse(&s)
+                        .unwrap_or_else(|| bad(&format!("unknown stream {s}")));
+                }
+                (Cmd::Serve { params, .. }, "--requests") => {
+                    params.requests = number(flag, &value());
+                }
+                (Cmd::Serve { params, .. }, "--keyspace") => {
+                    params.keyspace = number(flag, &value());
+                }
+                (Cmd::Serve { params, .. }, "--shards") => params.shards = number(flag, &value()),
+                (Cmd::Serve { params, .. }, "--shard-slots") => {
+                    params.shard_slots = number(flag, &value());
+                }
+                (Cmd::Serve { params, .. }, "--shard-bytes") => {
+                    params.shard_bytes = number(flag, &value());
+                }
+                (Cmd::Serve { params, .. }, "--seed") => params.seed = number(flag, &value()),
+                (Cmd::Serve { audit_cap, .. }, "--audit-cap") => {
+                    *audit_cap = number(flag, &value());
+                }
+                _ => bad(&format!("unknown flag {flag} for {sub}")),
+            }
+        }
+        let at_least_one = |flag: &str, v: u64| {
+            if v == 0 {
+                bad(&format!("{flag} must be at least 1"));
+            }
+        };
+        match &cmd {
+            Cmd::Sim { spec, .. } => {
+                at_least_one("--cores", spec.cores as u64);
+                at_least_one("--audit-cap", spec.audit_cap as u64);
+            }
+            Cmd::Serve { params, audit_cap } => {
+                if !params.shards.is_power_of_two() {
+                    bad(&format!(
+                        "--shards must be a power of two, got {}",
+                        params.shards
+                    ));
+                }
+                at_least_one("--keyspace", params.keyspace);
+                at_least_one("--shard-slots", params.shard_slots as u64);
+                at_least_one("--shard-bytes", params.shard_bytes);
+                at_least_one("--audit-cap", *audit_cap as u64);
+            }
+            Cmd::Oracle { trace: None } => bad("oracle needs --trace FILE.ctf"),
+            Cmd::Oracle { .. } => {}
+        }
+        Cli { cmd, out }
+    }
 }
 
 /// Write the JSONL + markdown artifact pair and echo where they went.
-fn write_reports(label: &str, feature_names: &[&str], summaries: &[Summary]) {
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
+fn write_reports(dir: &Path, label: &str, feature_names: &[&str], summaries: &[Summary]) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
     let jsonl: String = summaries
         .iter()
         .map(|s| format!("{}\n", s.to_json()))
@@ -110,16 +258,14 @@ fn print_summary(s: &Summary) {
     );
 }
 
-fn cmd_sim() -> Result<(), String> {
-    let mut spec = SimSpec::default();
-    if arg_flag("--quick") {
-        spec.instructions = 200_000;
-        spec.warmup = 20_000;
-        spec.cores = 1;
-    }
-    let label = match (arg_string("--trace"), arg_string("--workload")) {
-        (Some(path), _) => {
-            let p = PathBuf::from(path);
+fn cmd_sim(
+    mut spec: SimSpec,
+    trace: Option<PathBuf>,
+    workload: Option<String>,
+    out: &Path,
+) -> Result<(), String> {
+    let label = match (trace, workload) {
+        (Some(p), _) => {
             let label = p
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
@@ -133,21 +279,6 @@ fn cmd_sim() -> Result<(), String> {
         }
         (None, None) => "mcf".to_string(), // the SimSpec default
     };
-    if let Some(v) = arg_u64("--cores") {
-        spec.cores = v as usize;
-    }
-    if let Some(v) = arg_u64("--instructions") {
-        spec.instructions = v;
-    }
-    if let Some(v) = arg_u64("--warmup") {
-        spec.warmup = v;
-    }
-    if let Some(v) = arg_u64("--seed") {
-        spec.seed = v;
-    }
-    if let Some(v) = arg_u64("--audit-cap") {
-        spec.audit_cap = v as usize;
-    }
 
     let mut summaries = Vec::new();
     for aware in [true, false] {
@@ -162,41 +293,11 @@ fn cmd_sim() -> Result<(), String> {
         print_summary(&s);
         summaries.push(s);
     }
-    write_reports(&label, &["pc", "pn"], &summaries);
+    write_reports(out, &label, &["pc", "pn"], &summaries);
     gate(&summaries)
 }
 
-fn cmd_serve() -> Result<(), String> {
-    let mut p = BenchParams::default();
-    if arg_flag("--quick") {
-        p.requests = 30_000;
-        p.keyspace = 5_000;
-        p.shards = 8;
-        p.shard_slots = 256;
-        p.shard_bytes = 128 * 1024;
-    }
-    if let Some(s) = arg_string("--stream") {
-        p.stream = StreamKind::parse(&s).ok_or_else(|| format!("unknown stream {s}"))?;
-    }
-    if let Some(v) = arg_u64("--requests") {
-        p.requests = v as usize;
-    }
-    if let Some(v) = arg_u64("--keyspace") {
-        p.keyspace = v;
-    }
-    if let Some(v) = arg_u64("--shards") {
-        p.shards = v as usize;
-    }
-    if let Some(v) = arg_u64("--shard-slots") {
-        p.shard_slots = v as usize;
-    }
-    if let Some(v) = arg_u64("--shard-bytes") {
-        p.shard_bytes = v;
-    }
-    if let Some(v) = arg_u64("--seed") {
-        p.seed = v;
-    }
-    let audit_cap = arg_u64("--audit-cap").unwrap_or(1 << 22) as usize;
+fn cmd_serve(p: BenchParams, audit_cap: usize, out: &Path) -> Result<(), String> {
     let label = format!("serve_{}", p.stream.name());
 
     let mut summaries = Vec::new();
@@ -218,29 +319,30 @@ fn cmd_serve() -> Result<(), String> {
         print_summary(&s);
         summaries.push(s);
     }
-    write_reports(&label, &["flow", "neighborhood"], &summaries);
+    write_reports(out, &label, &["flow", "neighborhood"], &summaries);
     gate(&summaries)
 }
 
-fn cmd_oracle() -> Result<(), String> {
-    let path = arg_string("--trace").ok_or("oracle needs --trace FILE.ctf")?;
-    let (accesses, bound) = trace_min_bound(path.as_ref())?;
+fn cmd_oracle(path: &Path) -> Result<(), String> {
+    let (accesses, bound) = trace_min_bound(path)?;
     println!(
-        "{path}: {accesses} line accesses, Belady LLC hit-ratio bound {:.4}",
+        "{}: {accesses} line accesses, Belady LLC hit-ratio bound {:.4}",
+        path.display(),
         bound
     );
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let cmd = std::env::args().nth(1).unwrap_or_default();
-    let result = match cmd.as_str() {
-        "sim" => cmd_sim(),
-        "serve" => cmd_serve(),
-        "oracle" => cmd_oracle(),
-        other => Err(format!(
-            "usage: forensics <sim|serve|oracle> [flags] (got {other:?})"
-        )),
+    let Cli { cmd, out } = Cli::from_args();
+    let result = match cmd {
+        Cmd::Sim {
+            spec,
+            trace,
+            workload,
+        } => cmd_sim(spec, trace, workload, &out),
+        Cmd::Serve { params, audit_cap } => cmd_serve(params, audit_cap, &out),
+        Cmd::Oracle { trace } => cmd_oracle(&trace.expect("checked at parse time")),
     };
     match result {
         Ok(()) => {

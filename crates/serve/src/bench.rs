@@ -104,20 +104,6 @@ pub struct BenchResult {
     pub timing: Option<PolicyTiming>,
 }
 
-/// Where the decision-event stream went: how much the run produced,
-/// how much the bounded rings kept, and how much an export cap cut.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventsMeta {
-    /// Decision events the run offered to the rings.
-    pub offered: u64,
-    /// Stored events the bounded rings later overwrote.
-    pub overwritten: u64,
-    /// JSONL lines actually exported.
-    pub exported: u64,
-    /// Retained lines dropped by an explicit export cap.
-    pub truncated: u64,
-}
-
 /// Run one benchmark cell.
 pub fn run(p: &BenchParams) -> BenchResult {
     run_inner(p, None).0
@@ -183,61 +169,6 @@ fn run_inner(p: &BenchParams, audit_cap: Option<usize>) -> (BenchResult, Option<
     (result, audit)
 }
 
-/// Run one cell and also return the cache's decision-event JSONL
-/// (empty unless the policy keeps a ring).
-pub fn run_with_events(p: &BenchParams) -> (BenchResult, String) {
-    let (result, jsonl, _) = run_with_events_capped(p, None);
-    (result, jsonl)
-}
-
-/// Like [`run_with_events`], but drop retained lines past `max_events`
-/// and account for everything the export did not keep in the returned
-/// [`EventsMeta`].
-pub fn run_with_events_capped(
-    p: &BenchParams,
-    max_events: Option<u64>,
-) -> (BenchResult, String, EventsMeta) {
-    let stream_seed = workload_seed(p.stream.name(), p.shards as u32, p.seed);
-    let requests = RequestStream::generate(p.stream, p.requests, p.keyspace, stream_seed);
-    let cache = ServeCache::new(&p.serve_config());
-    for r in &requests {
-        cache.access(r);
-    }
-    let hist = cache.histogram();
-    let result = BenchResult {
-        policy: p.policy.name(),
-        stream: p.stream.name(),
-        threads: 1,
-        stats: cache.stats(),
-        p50_us: hist.percentile(0.50),
-        p99_us: hist.percentile(0.99),
-        wall_ms: 0.0,
-        rps: 0.0,
-        timing: cache.timing(),
-    };
-    let jsonl = cache.events_jsonl();
-    let retained = jsonl.lines().count() as u64;
-    let (offered, overwritten) = cache.events_meta();
-    let (jsonl, exported) = match max_events {
-        Some(cap) if retained > cap => {
-            let mut kept = String::new();
-            for line in jsonl.lines().take(cap as usize) {
-                kept.push_str(line);
-                kept.push('\n');
-            }
-            (kept, cap)
-        }
-        _ => (jsonl, retained),
-    };
-    let meta = EventsMeta {
-        offered,
-        overwritten,
-        exported,
-        truncated: retained - exported,
-    };
-    (result, jsonl, meta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,33 +203,6 @@ mod tests {
         assert!(r.p50_us <= r.p99_us);
         assert!(r.stats.hit_ratio() > 0.0);
         assert_eq!(r.stats.errors, 0);
-    }
-
-    #[test]
-    fn events_variant_matches_plain_run() {
-        let p = quick(PolicyKind::Chrome, StreamKind::Zipf, 1);
-        let plain = run(&p);
-        let (with_events, jsonl) = run_with_events(&p);
-        assert_eq!(plain.stats, with_events.stats);
-        assert!(!jsonl.is_empty());
-    }
-
-    #[test]
-    fn events_cap_truncates_and_accounts() {
-        let p = quick(PolicyKind::Chrome, StreamKind::Zipf, 1);
-        let (_, full, meta_full) = run_with_events_capped(&p, None);
-        let retained = full.lines().count() as u64;
-        assert_eq!(meta_full.exported, retained);
-        assert_eq!(meta_full.truncated, 0);
-        assert!(meta_full.offered >= retained + meta_full.overwritten);
-
-        let cap = retained / 2;
-        let (_, capped, meta) = run_with_events_capped(&p, Some(cap));
-        assert_eq!(capped.lines().count() as u64, cap);
-        assert_eq!(meta.exported, cap);
-        assert_eq!(meta.truncated, retained - cap);
-        // the capped export is a prefix of the full one
-        assert!(full.starts_with(&capped));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!            [--threads N] [--requests N] [--keyspace N] [--seed S]
 //!            [--shards N] [--shard-slots N] [--shard-bytes N]
 //!            [--quick] [--out FILE] [--baseline FILE]
-//!            [--gate-chrome] [--telemetry-out FILE] [--max-events N]
-//!            [--time-policy]
+//!            [--gate-chrome] [--telemetry-out FILE] [--time-policy]
 //! ```
 //!
 //! Counters and percentiles are byte-reproducible for a fixed seed at
@@ -17,24 +16,31 @@
 //! `BENCH_serve_throughput.json` is one of these). With `--baseline
 //! FILE` the run exits non-zero if any matching policy row's hit ratio
 //! fell below the baseline's by more than one point, or aggregate
-//! throughput fell below 30% of the baseline's — the CI smoke gate.
-//! `--gate-chrome` additionally requires CHROME to beat plain LRU on
-//! hit ratio (the paper's serve-side acceptance claim). With
-//! `--telemetry-out FILE` the CHROME run's per-decision event JSONL
-//! (features, action, Q-estimate, rewards) is captured as well,
-//! bounded by `--max-events N` (default 1,000,000 lines) with a
-//! `meta` trailer line accounting for everything not kept.
-//! `--time-policy` measures wall time inside each policy's decision
-//! callbacks and reports ns/call per policy — the instrument behind
-//! the "where does CHROME's throughput gap come from" question.
+//! throughput fell below 30% of the baseline's — the CI smoke gate; the
+//! baseline is read and parsed with the flags, so a missing or
+//! malformed file is a usage error. `--gate-chrome` additionally
+//! requires CHROME to beat plain LRU on hit ratio (the paper's
+//! serve-side acceptance claim). With `--telemetry-out FILE` a CHROME
+//! run also writes its binary audit trail: every decision with its
+//! features, action and per-feature Q, and every reward, one segment
+//! per shard of at most `AUDIT_CAP` records, with drops counted in the
+//! segment header. `--time-policy` measures wall time inside each
+//! policy's decision callbacks and reports ns/call per policy — the
+//! instrument behind the "where does CHROME's throughput gap come
+//! from" question.
 
-use chrome_exec::json;
+use chrome_exec::json::{self, JsonValue};
 use chrome_serve::{bench, BenchParams, BenchResult, PolicyKind, StreamKind};
+use chrome_telemetry::parse_audit;
 
 /// Tolerated wall-clock regression vs the checked-in baseline.
 const RPS_REGRESSION_FLOOR: f64 = 0.3;
 /// Tolerated absolute hit-ratio regression vs the baseline.
 const HIT_RATIO_SLACK: f64 = 0.01;
+/// Per-shard record cap of the `--telemetry-out` audit trail: the
+/// `forensics` binary's default, far above what a shard records in a
+/// default run.
+const AUDIT_CAP: usize = 1 << 22;
 
 /// Print the usage and exit 2, the usage-error status.
 fn usage() -> ! {
@@ -43,8 +49,7 @@ fn usage() -> ! {
          \x20                 [--threads N] [--requests N] [--keyspace N] [--seed S]\n\
          \x20                 [--shards N] [--shard-slots N] [--shard-bytes N]\n\
          \x20                 [--quick] [--out FILE] [--baseline FILE]\n\
-         \x20                 [--gate-chrome] [--telemetry-out FILE] [--max-events N]\n\
-         \x20                 [--time-policy]"
+         \x20                 [--gate-chrome] [--telemetry-out FILE] [--time-policy]"
     );
     std::process::exit(2)
 }
@@ -61,17 +66,18 @@ struct Cli {
     policies: Vec<PolicyKind>,
     gate_chrome: bool,
     telemetry_out: Option<String>,
-    max_events: u64,
     out: Option<String>,
-    baseline: Option<String>,
+    /// The `--baseline` path and its parsed contents.
+    baseline: Option<(String, JsonValue)>,
 }
 
 impl Cli {
     /// Parse `std::env::args`. `--quick` shrinks the defaults before
     /// any explicit geometry flag applies, wherever it appears. An
     /// unknown flag, a missing or malformed value, an unknown stream or
-    /// policy, or a geometry the cache cannot be built with is a usage
-    /// error: print the reason and the usage and exit 2.
+    /// policy, a geometry the cache cannot be built with, or a baseline
+    /// file that cannot be read or parsed is a usage error: print the
+    /// reason and the usage and exit 2.
     fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut base = BenchParams::default();
@@ -87,7 +93,6 @@ impl Cli {
             policies: PolicyKind::all().to_vec(),
             gate_chrome: false,
             telemetry_out: None,
-            max_events: 1_000_000,
             out: None,
             baseline: None,
         };
@@ -130,9 +135,12 @@ impl Cli {
                 "--shards" => p.shards = number(flag, &value()),
                 "--shard-slots" => p.shard_slots = number(flag, &value()),
                 "--shard-bytes" => p.shard_bytes = number(flag, &value()),
-                "--max-events" => cli.max_events = number(flag, &value()),
                 "--out" => cli.out = Some(value()),
-                "--baseline" => cli.baseline = Some(value()),
+                "--baseline" => {
+                    let path = value();
+                    let doc = baseline(&path).unwrap_or_else(|e| bad(&format!("--baseline {e}")));
+                    cli.baseline = Some((path, doc));
+                }
                 "--telemetry-out" => cli.telemetry_out = Some(value()),
                 other => bad(&format!("unknown flag {other}")),
             }
@@ -155,6 +163,12 @@ impl Cli {
         }
         cli
     }
+}
+
+/// Read and parse a `--baseline` summary file.
+fn baseline(path: &str) -> Result<JsonValue, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    json::parse(&text).ok_or_else(|| format!("{path}: malformed JSON"))
 }
 
 /// Parse numeric flag `flag`'s value, or exit 2 with the usage.
@@ -236,26 +250,19 @@ fn main() {
     }
 
     if let Some(path) = &cli.telemetry_out {
-        let cap = cli.max_events;
-        let (_, mut jsonl, meta) = bench::run_with_events_capped(
-            &BenchParams {
-                policy: PolicyKind::Chrome,
-                ..base
-            },
-            Some(cap),
-        );
-        // trailer line: what the bounded rings and the cap dropped, so
-        // a consumer can tell a short file from a truncated one
-        jsonl.push_str(&format!(
-            "{{\"kind\":\"meta\",\"offered\":{},\"overwritten\":{},\"exported\":{},\
-             \"truncated\":{},\"max_events\":{}}}\n",
-            meta.offered, meta.overwritten, meta.exported, meta.truncated, cap
-        ));
-        std::fs::write(path, &jsonl).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        let chrome = BenchParams {
+            policy: PolicyKind::Chrome,
+            ..base
+        };
+        let (_, blob) = bench::run_audited(&chrome, AUDIT_CAP);
+        std::fs::write(path, &blob).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        let segments = parse_audit(&blob).expect("the audit trail parses");
+        let records: usize = segments.iter().map(|s| s.records.len()).sum();
+        let dropped: u64 = segments.iter().map(|s| s.dropped).sum();
         println!(
-            "wrote {path} ({} decision-event lines; {} offered, {} overwritten in-ring, {} \
-             dropped by --max-events {cap})",
-            meta.exported, meta.offered, meta.overwritten, meta.truncated
+            "wrote {path} (chrome audit trail: {} shard segments, {records} records, {dropped} \
+             dropped at the {AUDIT_CAP}-record cap)",
+            segments.len()
         );
     }
 
@@ -265,8 +272,8 @@ fn main() {
         println!("wrote {path}");
     }
 
-    if let Some(path) = &cli.baseline {
-        gate_baseline(path, &base, &rows, aggregate_rps);
+    if let Some((path, doc)) = &cli.baseline {
+        gate_baseline(path, doc, &base, &rows, aggregate_rps);
     }
 }
 
@@ -286,15 +293,19 @@ fn gate_chrome(rows: &[BenchResult]) {
     }
 }
 
-/// CI regression gate against a checked-in baseline file: per-policy
-/// hit ratios within slack, aggregate throughput above the floor. Only
-/// applies when the baseline ran comparable parameters.
-fn gate_baseline(path: &str, base: &BenchParams, rows: &[BenchResult], aggregate_rps: f64) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let doc = json::parse(&text).unwrap_or_else(|| panic!("{path}: malformed JSON"));
-    let num = |k: &str| doc.get(k).and_then(json::JsonValue::as_u64);
-    let comparable = doc.get("stream").and_then(json::JsonValue::as_str)
-        == Some(base.stream.name())
+/// CI regression gate against the baseline file `doc`, read from
+/// `path`: per-policy hit ratios within slack, aggregate throughput
+/// above the floor. Only applies when the baseline ran comparable
+/// parameters.
+fn gate_baseline(
+    path: &str,
+    doc: &JsonValue,
+    base: &BenchParams,
+    rows: &[BenchResult],
+    aggregate_rps: f64,
+) {
+    let num = |k: &str| doc.get(k).and_then(JsonValue::as_u64);
+    let comparable = doc.get("stream").and_then(JsonValue::as_str) == Some(base.stream.name())
         && num("requests") == Some(base.requests as u64)
         && num("keyspace") == Some(base.keyspace)
         && num("shards") == Some(base.shards as u64)
@@ -304,11 +315,11 @@ fn gate_baseline(path: &str, base: &BenchParams, rows: &[BenchResult], aggregate
         return;
     }
     let mut failed = false;
-    if let Some(policies) = doc.get("policies").and_then(json::JsonValue::as_arr) {
+    if let Some(policies) = doc.get("policies").and_then(JsonValue::as_arr) {
         for base_row in policies {
             let (Some(name), Some(base_hit)) = (
-                base_row.get("policy").and_then(json::JsonValue::as_str),
-                base_row.get("hit_ratio").and_then(json::JsonValue::as_f64),
+                base_row.get("policy").and_then(JsonValue::as_str),
+                base_row.get("hit_ratio").and_then(JsonValue::as_f64),
             ) else {
                 continue;
             };
@@ -325,7 +336,7 @@ fn gate_baseline(path: &str, base: &BenchParams, rows: &[BenchResult], aggregate
             }
         }
     }
-    if let Some(base_rps) = doc.get("aggregate_rps").and_then(json::JsonValue::as_f64) {
+    if let Some(base_rps) = doc.get("aggregate_rps").and_then(JsonValue::as_f64) {
         let floor = base_rps * RPS_REGRESSION_FLOOR;
         println!(
             "baseline gate: current {aggregate_rps:.0} req/s vs baseline {base_rps:.0} \

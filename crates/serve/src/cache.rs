@@ -24,7 +24,6 @@ use std::time::Instant;
 use chrome_exec::splitmix64;
 use chrome_sim::mmu::PageHasher;
 use chrome_sim::types::mix64;
-use chrome_telemetry::export::events_jsonl;
 
 use crate::policy::{PolicyKind, ShardPolicy, ShardPressure};
 use crate::serve_agent::HIT_US;
@@ -468,35 +467,6 @@ impl ServeCache {
             .sum()
     }
 
-    /// Concatenated JSONL of every shard's retained decision events
-    /// (empty for policies that keep no ring).
-    pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.shards {
-            let shard = s.lock().expect("shard lock poisoned");
-            if let Some(ring) = shard.policy.events() {
-                out.push_str(&events_jsonl(ring));
-            }
-        }
-        out
-    }
-
-    /// `(offered, overwritten)` event counts summed over every shard's
-    /// ring: how many decision events the run produced versus how many
-    /// the bounded rings have already discarded.
-    pub fn events_meta(&self) -> (u64, u64) {
-        let mut offered = 0;
-        let mut overwritten = 0;
-        for s in &self.shards {
-            let shard = s.lock().expect("shard lock poisoned");
-            if let Some(ring) = shard.policy.events() {
-                offered += ring.offered();
-                overwritten += ring.overwritten();
-            }
-        }
-        (offered, overwritten)
-    }
-
     /// Turn on per-decision audit recording in every shard, each shard
     /// tagged as its own stream and bounded to `cap` records. Returns
     /// the number of shards whose policy supports auditing (0 for
@@ -515,8 +485,7 @@ impl ServeCache {
     /// The audit trail as one binary blob: each shard's segment in
     /// shard-index order. Since requests are routed to shards by a
     /// pure key hash and each shard is single-writer, the blob is
-    /// byte-identical at any thread count — the same argument that
-    /// makes [`ServeCache::events_jsonl`] deterministic.
+    /// byte-identical at any thread count.
     pub fn audit_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for s in &self.shards {
@@ -629,19 +598,23 @@ mod tests {
     #[test]
     fn chrome_cache_exports_decision_events() {
         let cache = small(PolicyKind::Chrome);
-        for r in RequestStream::generate(StreamKind::Zipf, 5_000, 500, 3) {
-            cache.access(&r);
+        assert_eq!(cache.enable_audit(1 << 16), 4, "every shard audits");
+        let requests = RequestStream::generate(StreamKind::Zipf, 5_000, 500, 3);
+        for r in &requests {
+            cache.access(r);
         }
-        let jsonl = cache.events_jsonl();
-        assert!(jsonl.contains("\"kind\":\"serve_decision\""));
-        assert!(jsonl.contains("\"kind\":\"q_update\""));
-        // every line parses as a JSON object
-        for line in jsonl.lines() {
-            assert!(chrome_exec::json::parse(line).is_some(), "bad line {line}");
-        }
+        let segs = chrome_telemetry::parse_audit(&cache.audit_bytes()).expect("blob parses");
+        assert_eq!(segs.len(), 4, "one segment per shard");
+        let decisions = segs
+            .iter()
+            .flat_map(|s| &s.records)
+            .filter(|r| matches!(r, chrome_telemetry::AuditRecord::Decision(_)))
+            .count();
+        assert_eq!(decisions, requests.len(), "one decision per request");
         let lru = small(PolicyKind::Lru);
+        assert_eq!(lru.enable_audit(1 << 16), 0, "heuristics make no decisions");
         lru.access(&req(1));
-        assert!(lru.events_jsonl().is_empty(), "heuristics keep no ring");
+        assert!(lru.audit_bytes().is_empty());
     }
 
     #[test]

@@ -29,9 +29,7 @@ pub mod policy;
 pub mod serve_agent;
 pub mod stream;
 
-pub use bench::{
-    run, run_audited, run_with_events, run_with_events_capped, BenchParams, BenchResult, EventsMeta,
-};
+pub use bench::{run, run_audited, BenchParams, BenchResult};
 pub use cache::{CacheStats, LatencyHist, PolicyTiming, ServeCache, ServeConfig};
 pub use policy::{PolicyKind, ShardPolicy, ShardPressure};
 pub use serve_agent::ChromeServePolicy;

@@ -15,7 +15,7 @@
 //! per-node allocation, mirroring the way hardware policies keep RRPV
 //! state per way rather than boxed nodes.
 
-use chrome_telemetry::{AuditLog, EventRing};
+use chrome_telemetry::AuditLog;
 
 use crate::heuristics::{Gdsf, Lfu, Lfuda, Lru, Slru};
 use crate::serve_agent::ChromeServePolicy;
@@ -62,12 +62,6 @@ pub trait ShardPolicy: Send {
 
     /// `slot` was evicted; drop its metadata.
     fn on_remove(&mut self, slot: u32);
-
-    /// The policy's decision-event ring, when it keeps one (only the
-    /// learned policy does).
-    fn events(&self) -> Option<&EventRing> {
-        None
-    }
 
     /// Start recording a per-decision audit trail into a bounded log
     /// tagged with `stream` (the shard index), holding at most `cap`

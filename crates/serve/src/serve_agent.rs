@@ -27,11 +27,10 @@
 //! "raise everyone's eviction priority by k" is a rotation instead of
 //! a walk over all slots.
 
-use chrome_core::engine::{EngineConfig, RlEngine, ACTION_BYPASS, ACTION_HIT_EPVH};
-use chrome_core::eq::EqEntry;
-use chrome_core::{Agent, DecisionObserver, DecisionSnapshot, Environment, RewardTable};
+use chrome_core::engine::{EngineConfig, RlEngine, ACTION_BYPASS};
+use chrome_core::{Agent, Environment, RewardTable};
 use chrome_sim::types::mix64;
-use chrome_telemetry::{AuditLog, EventKind, EventRing, RewardRecord, TraceEvent};
+use chrome_telemetry::AuditLog;
 
 use crate::policy::{DList, ShardPolicy, ShardPressure};
 use crate::stream::Request;
@@ -44,11 +43,6 @@ const EWMA_SHIFT: f64 = 1.0 / 64.0;
 /// Latency gap (µs) at which rewards carry their nominal Table II
 /// magnitude; the observed gap scales them between 0.25× and 4×.
 const NOMINAL_GAP_US: f64 = 538.0;
-
-/// Decision-event ring capacity per shard.
-const RING_CAPACITY: usize = 2048;
-/// Keep every Nth offered decision event.
-const RING_SAMPLE: u64 = 8;
 
 /// Frequency-sketch counters (power of two).
 const SKETCH_SLOTS: usize = 4096;
@@ -159,76 +153,9 @@ impl Environment for ServeEnv {
         base * self.scale()
     }
 
-    fn unmatched_reward(&self, pressure: &ShardPressure, entry: &EqEntry) -> f64 {
-        let action = usize::from(entry.action);
-        let accurate = if entry.trigger_hit {
-            action == ACTION_HIT_EPVH
-        } else {
-            action == ACTION_BYPASS
-        };
+    fn unmatched_reward(&self, pressure: &ShardPressure, _lane: usize, accurate: bool) -> f64 {
         let obstructed = self.concurrency_aware && pressure.thrashing;
         self.rewards.not_requested(accurate, obstructed) * self.scale()
-    }
-}
-
-/// Observer that forwards reward/Q-update telemetry into the shard's
-/// event ring and (when auditing) snapshots decisions and rewards into
-/// the shard's audit log.
-struct RingObserver<'a> {
-    ring: &'a mut EventRing,
-    audit: Option<&'a mut AuditLog>,
-    cycle: u64,
-    lane: u32,
-}
-
-impl RingObserver<'_> {
-    fn emit(&mut self, kind: EventKind) {
-        self.ring.offer(TraceEvent {
-            cycle: self.cycle,
-            core: self.lane,
-            kind,
-        });
-    }
-
-    fn audit_reward(&mut self, id: u64, matched: bool, reward: f64) {
-        if let Some(audit) = self.audit.as_deref_mut() {
-            audit.push_reward(RewardRecord {
-                id,
-                matched,
-                reward,
-            });
-        }
-    }
-}
-
-impl DecisionObserver for RingObserver<'_> {
-    fn reward_matched(&mut self, id: u64, reward: f64) {
-        self.emit(EventKind::RewardApplied {
-            reward,
-            matched: true,
-        });
-        self.audit_reward(id, true, reward);
-    }
-    fn reward_unmatched(&mut self, id: u64, reward: f64) {
-        self.emit(EventKind::RewardApplied {
-            reward,
-            matched: false,
-        });
-        self.audit_reward(id, false, reward);
-    }
-    fn q_update(&mut self, delta: f64, action: usize) {
-        self.emit(EventKind::QUpdate {
-            delta,
-            action: action as u8,
-        });
-    }
-    fn wants_decisions(&self) -> bool {
-        self.audit.is_some()
-    }
-    fn decision(&mut self, snap: &DecisionSnapshot) {
-        if let Some(audit) = self.audit.as_deref_mut() {
-            audit.push_decision(snap.to_record());
-        }
     }
 }
 
@@ -264,10 +191,6 @@ pub struct ChromeServePolicy {
     slot_list: Vec<u8>,
     /// EPV chosen by the admission decision, consumed by `on_insert`.
     pending_epv: u8,
-    /// Decision counter; the telemetry cycle stamp.
-    clock: u64,
-    ring: EventRing,
-    audit: Option<AuditLog>,
     name: &'static str,
 }
 
@@ -293,9 +216,6 @@ impl ChromeServePolicy {
             order: [0, 1, 2],
             slot_list: vec![0; cap],
             pending_epv: 0,
-            clock: 0,
-            ring: EventRing::new(RING_CAPACITY, RING_SAMPLE),
-            audit: None,
             name: if concurrency_aware {
                 "chrome"
             } else {
@@ -315,29 +235,10 @@ impl ChromeServePolicy {
         (mix64(key) % self.agent.engine.config().sampled_sets as u64) as usize
     }
 
-    /// Run one request through the agent and emit its decision event.
+    /// Run one request through the agent; returns the chosen action.
     fn decide(&mut self, req: &Request, hit: bool, pressure: &ShardPressure) -> usize {
-        self.clock += 1;
         let si = self.bucket(req.key);
-        let mut obs = RingObserver {
-            ring: &mut self.ring,
-            audit: self.audit.as_mut(),
-            cycle: self.clock,
-            lane: u32::from(req.tenant),
-        };
-        let d = self.agent.on_access(Some(si), req, hit, pressure, &mut obs);
-        let q = self.agent.engine.qtable().q(&d.rows, d.action);
-        self.ring.offer(TraceEvent {
-            cycle: self.clock,
-            core: u32::from(req.tenant),
-            kind: EventKind::ServeDecision {
-                f1: d.state[0],
-                f2: d.state[1],
-                action: d.action as u8,
-                q,
-            },
-        });
-        d.action
+        self.agent.on_access(Some(si), req, hit, pressure).action
     }
 }
 
@@ -399,23 +300,20 @@ impl ShardPolicy for ChromeServePolicy {
         self.lists[cur].remove(slot);
     }
 
-    fn events(&self) -> Option<&EventRing> {
-        Some(&self.ring)
-    }
-
     fn enable_audit(&mut self, stream: u32, cap: usize) -> bool {
-        self.audit = Some(AuditLog::new(stream, cap));
+        self.agent.enable_audit(stream, cap);
         true
     }
 
     fn audit(&self) -> Option<&AuditLog> {
-        self.audit.as_ref()
+        self.agent.audit()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chrome_telemetry::AuditRecord;
 
     const CALM: ShardPressure = ShardPressure { thrashing: false };
     const THRASH: ShardPressure = ShardPressure { thrashing: true };
@@ -451,28 +349,14 @@ mod tests {
     #[test]
     fn unmatched_reward_credits_bypass_and_punishes_dead_inserts() {
         let env = ServeEnv::new();
-        let dead_bypass = EqEntry {
-            id: 0,
-            rows: chrome_core::qtable::Rows::default(),
-            key: 9,
-            reward: None,
-            lane: 0,
-            action: ACTION_BYPASS as u8,
-            trigger_hit: false,
-        };
-        let dead_insert = EqEntry {
-            action: 2,
-            ..dead_bypass
-        };
-        assert!(env.unmatched_reward(&CALM, &dead_bypass) > 0.0);
-        assert!(env.unmatched_reward(&CALM, &dead_insert) < 0.0);
+        // a dead key's bypass was accurate, its insert was not
+        let dead_bypass = |p: &ShardPressure| env.unmatched_reward(p, 0, true);
+        let dead_insert = |p: &ShardPressure| env.unmatched_reward(p, 0, false);
+        assert!(dead_bypass(&CALM) > 0.0);
+        assert!(dead_insert(&CALM) < 0.0);
         // thrashing amplifies both judgments
-        assert!(
-            env.unmatched_reward(&THRASH, &dead_bypass) > env.unmatched_reward(&CALM, &dead_bypass)
-        );
-        assert!(
-            env.unmatched_reward(&THRASH, &dead_insert) < env.unmatched_reward(&CALM, &dead_insert)
-        );
+        assert!(dead_bypass(&THRASH) > dead_bypass(&CALM));
+        assert!(dead_insert(&THRASH) < dead_insert(&CALM));
     }
 
     #[test]
@@ -544,15 +428,29 @@ mod tests {
     }
 
     #[test]
-    fn decision_events_flow_into_the_ring() {
+    fn decisions_flow_into_the_audit_log() {
         let mut p = ChromeServePolicy::new(32, 5);
+        assert!(p.audit().is_none(), "auditing is opt-in");
+        assert!(p.enable_audit(3, 1 << 12));
         for k in 0..300u64 {
-            p.admit(&req(k, 0), &CALM);
+            p.admit(&req(k % 40, 0), &CALM);
         }
-        let ring = p.events().expect("chrome keeps a ring");
-        assert!(!ring.is_empty());
-        assert!(ring
+        let log = p.audit().expect("auditing enabled");
+        assert_eq!(log.stream(), 3);
+        let decisions = log
+            .records()
             .iter()
-            .any(|e| matches!(e.kind, EventKind::ServeDecision { .. })));
+            .filter(|r| matches!(r, AuditRecord::Decision(d) if d.sampled && !d.hit))
+            .count();
+        assert_eq!(
+            decisions, 300,
+            "every admission is one sampled miss decision"
+        );
+        let stats = p.engine().stats;
+        assert_eq!(
+            log.len() as u64,
+            300 + stats.matched_rewards + stats.unmatched_rewards,
+            "plus one record per reward"
+        );
     }
 }

@@ -13,8 +13,7 @@
 //! Encoding is little-endian with an explicit magic + version header
 //! per segment. Multiple segments concatenate: the serving cache emits
 //! one segment per shard, merged in shard-index order, which makes the
-//! byte stream identical at any thread count (same discipline as the
-//! servebench event JSONL).
+//! byte stream identical at any thread count.
 
 /// Actions per decision (the paper's 7-action space).
 pub const AUDIT_ACTIONS: usize = 7;

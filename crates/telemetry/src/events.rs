@@ -50,19 +50,6 @@ pub enum EventKind {
         /// Epoch index.
         epoch: u64,
     },
-    /// A serving-cache agent decision: the per-decision state the
-    /// decision-forensics work keys on (feature slice values, the chosen
-    /// action, and its Q-estimate at decision time).
-    ServeDecision {
-        /// First state feature (flow signature).
-        f1: u64,
-        /// Second state feature (key neighborhood).
-        f2: u64,
-        /// Chosen action (paper encoding, 0..=6).
-        action: u8,
-        /// Q-estimate of the chosen action at decision time.
-        q: f64,
-    },
 }
 
 impl EventKind {
@@ -75,7 +62,6 @@ impl EventKind {
             EventKind::QUpdate { .. } => "q_update",
             EventKind::PredictorVerdict { .. } => "predictor_verdict",
             EventKind::EpochBoundary { .. } => "epoch_boundary",
-            EventKind::ServeDecision { .. } => "serve_decision",
         }
     }
 }
@@ -98,9 +84,8 @@ pub struct EventRing {
     capacity: usize,
     /// Next write position.
     next: usize,
-    /// Events stored (monotonic; `stored - len()` have been overwritten).
-    stored: u64,
-    /// Events offered, including ones the sampler skipped.
+    /// Events offered, including ones the sampler skipped (the
+    /// sampling phase).
     offered: u64,
     sample_every: u64,
 }
@@ -119,7 +104,6 @@ impl EventRing {
             buf: Vec::with_capacity(capacity.min(4096)),
             capacity,
             next: 0,
-            stored: 0,
             offered: 0,
             sample_every,
         }
@@ -139,7 +123,6 @@ impl EventRing {
             self.buf[self.next] = ev;
         }
         self.next = (self.next + 1) % self.capacity;
-        self.stored += 1;
         true
     }
 
@@ -151,21 +134,6 @@ impl EventRing {
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events offered so far (stored or not).
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Stored events that wraparound has since overwritten.
-    pub fn overwritten(&self) -> u64 {
-        self.stored - self.buf.len() as u64
     }
 
     /// Retained events, oldest first.
@@ -183,7 +151,6 @@ impl EventRing {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.next = 0;
-        self.stored = 0;
         self.offered = 0;
     }
 }
@@ -207,7 +174,6 @@ mod tests {
             r.offer(ev(c));
         }
         assert_eq!(r.len(), 4);
-        assert_eq!(r.overwritten(), 6);
         let cycles: Vec<u64> = r.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, [6, 7, 8, 9], "oldest-first, newest retained");
     }
@@ -220,7 +186,6 @@ mod tests {
         }
         let cycles: Vec<u64> = r.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, [0, 1, 2]);
-        assert_eq!(r.overwritten(), 0);
     }
 
     #[test]
@@ -228,7 +193,6 @@ mod tests {
         let mut r = EventRing::new(100, 3);
         let stored = (0..30).filter(|&c| r.offer(ev(c))).count();
         assert_eq!(stored, 10);
-        assert_eq!(r.offered(), 30);
         let cycles: Vec<u64> = r.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
     }

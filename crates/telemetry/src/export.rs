@@ -223,33 +223,7 @@ fn event_args(kind: &EventKind) -> String {
             format!("{{\"signature\":{signature},\"friendly\":{friendly}}}")
         }
         EventKind::EpochBoundary { epoch } => format!("{{\"epoch\":{epoch}}}"),
-        EventKind::ServeDecision { f1, f2, action, q } => {
-            format!(
-                "{{\"f1\":{f1},\"f2\":{f2},\"action\":{action},\"q\":{}}}",
-                fmt_f64(*q)
-            )
-        }
     }
-}
-
-/// Render an event ring as JSON-lines: one object per retained event
-/// (oldest first) with its cycle stamp, lane (core/tenant), kind name,
-/// and kind-specific args. This is the decision-forensics feed: piping
-/// a CHROME agent's ring through here yields an audit log of every
-/// sampled decision with its state, Q-estimate, and realized rewards.
-pub fn events_jsonl(ring: &EventRing) -> String {
-    let mut out = String::new();
-    for ev in ring.iter() {
-        let _ = writeln!(
-            out,
-            "{{\"cycle\":{},\"lane\":{},\"kind\":\"{}\",\"args\":{}}}",
-            ev.cycle,
-            ev.core,
-            json_escape(ev.kind.name()),
-            event_args(&ev.kind),
-        );
-    }
-    out
 }
 
 /// Render the event ring (plus epoch boundaries from the series and any
