@@ -31,8 +31,8 @@ use std::process::exit;
 
 use chrome_bench::experiments::sampling;
 use chrome_bench::grid::{run_grid, sampled_cell_result};
-use chrome_bench::runner::number;
 use chrome_bench::RunParams;
+use chrome_exec::cli::Args;
 use chrome_exec::{workload_seed, CellSpec};
 use chrome_sim::Kernel;
 use chrome_simpoint::features::DIM_NAMES;
@@ -40,19 +40,14 @@ use chrome_simpoint::{build_plan, extract_features, ErrorRow, SamplingSpec};
 use chrome_tracefile::recorder::record_workload;
 use chrome_tracefile::{Codec, TraceFile, TraceIndex};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simpoint cluster --trace FILE --sampling k=<k>,ramp=<n> [--base-seed N]\n\
-         \x20      simpoint inspect --trace FILE [--csv PATH]\n\
-         \x20      simpoint validate --trace-dir DIR [--sampling SPEC] [--scheme NAME]\n\
-         \x20               [--workloads N] [--cores N] [--instructions N] [--warmup N]\n\
-         \x20               [--interval N] [--base-seed N] [--jobs N] [--record-missing]\n\
-         \x20               [--out-table PATH] [--manifest PATH] [--resume]\n\
-         \x20               [--ipc-tol PCT] [--mpki-tol PCT] [--min-reduction X]\n\
-         \x20               [--check-kernels] [--no-progress]"
-    );
-    exit(2);
-}
+const USAGE: &str = "cluster --trace FILE --sampling k=<k>,ramp=<n> [--base-seed N]\n\
+     \x20      simpoint inspect --trace FILE [--csv PATH]\n\
+     \x20      simpoint validate --trace-dir DIR [--sampling SPEC] [--scheme NAME]\n\
+     \x20               [--workloads N] [--cores N] [--instructions N] [--warmup N]\n\
+     \x20               [--interval N] [--base-seed N] [--jobs N] [--record-missing]\n\
+     \x20               [--out-table PATH] [--manifest PATH] [--resume]\n\
+     \x20               [--ipc-tol PCT] [--mpki-tol PCT] [--min-reduction X]\n\
+     \x20               [--check-kernels] [--no-progress]";
 
 struct Options {
     command: String,
@@ -80,9 +75,15 @@ struct Options {
 }
 
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::new(USAGE);
+    let command = args
+        .next()
+        .unwrap_or_else(|| args.bad("missing subcommand"));
+    if !["cluster", "inspect", "validate"].contains(&command.as_str()) {
+        args.bad(&format!("unknown subcommand {command:?}"));
+    }
     let mut opts = Options {
-        command: args.first().cloned().unwrap_or_default(),
+        command,
         trace: None,
         trace_dir: None,
         sampling: "k=26,ramp=2200,reps=3".to_string(),
@@ -105,104 +106,54 @@ fn parse_args() -> Options {
         check_kernels: false,
         progress: true,
     };
-    if opts.command.is_empty() {
-        usage();
-    }
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace" => {
-                i += 1;
-                opts.trace = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--trace-dir" => {
-                i += 1;
-                opts.trace_dir = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--sampling" => {
-                i += 1;
-                opts.sampling = args.get(i).unwrap_or_else(|| usage()).clone();
-            }
-            "--scheme" => {
-                i += 1;
-                opts.scheme = args.get(i).unwrap_or_else(|| usage()).clone();
-            }
-            "--workloads" => {
-                i += 1;
-                opts.workloads = Some(number(&args, i, "--workloads", usage));
-            }
-            "--cores" => {
-                i += 1;
-                opts.cores = number(&args, i, "--cores", usage);
-            }
-            "--instructions" => {
-                i += 1;
-                opts.instructions = number(&args, i, "--instructions", usage);
-            }
-            "--warmup" => {
-                i += 1;
-                opts.warmup = number(&args, i, "--warmup", usage);
-            }
-            "--interval" => {
-                i += 1;
-                opts.interval = number(&args, i, "--interval", usage);
-            }
-            "--base-seed" => {
-                i += 1;
-                opts.base_seed = number(&args, i, "--base-seed", usage);
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = Some(number(&args, i, "--jobs", usage));
-            }
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        match flag {
+            "--trace" => opts.trace = Some(args.value(flag).into()),
+            "--trace-dir" => opts.trace_dir = Some(args.value(flag).into()),
+            "--sampling" => opts.sampling = args.value(flag),
+            "--scheme" => opts.scheme = args.value(flag),
+            "--workloads" => opts.workloads = Some(args.number(flag)),
+            "--cores" => opts.cores = args.number(flag),
+            "--instructions" => opts.instructions = args.number(flag),
+            "--warmup" => opts.warmup = args.number(flag),
+            "--interval" => opts.interval = args.number(flag),
+            "--base-seed" => opts.base_seed = args.number(flag),
+            "--jobs" => opts.jobs = Some(args.number(flag)),
             "--record-missing" => opts.record_missing = true,
-            "--out-table" => {
-                i += 1;
-                opts.out_table = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--csv" => {
-                i += 1;
-                opts.csv = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--manifest" => {
-                i += 1;
-                opts.manifest = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
+            "--out-table" => opts.out_table = Some(args.value(flag).into()),
+            "--csv" => opts.csv = Some(args.value(flag).into()),
+            "--manifest" => opts.manifest = Some(args.value(flag).into()),
             "--resume" => opts.resume = true,
-            "--ipc-tol" => {
-                i += 1;
-                opts.ipc_tol = number(&args, i, "--ipc-tol", usage);
-            }
-            "--mpki-tol" => {
-                i += 1;
-                opts.mpki_tol = number(&args, i, "--mpki-tol", usage);
-            }
-            "--min-reduction" => {
-                i += 1;
-                opts.min_reduction = number(&args, i, "--min-reduction", usage);
-            }
+            "--ipc-tol" => opts.ipc_tol = args.number(flag),
+            "--mpki-tol" => opts.mpki_tol = args.number(flag),
+            "--min-reduction" => opts.min_reduction = args.number(flag),
             "--check-kernels" => opts.check_kernels = true,
             "--no-progress" => opts.progress = false,
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+            _ => args.unknown(flag),
         }
-        i += 1;
+    }
+    let needs = match opts.command.as_str() {
+        "validate" if opts.trace_dir.is_none() => "--trace-dir DIR",
+        "cluster" | "inspect" if opts.trace.is_none() => "--trace FILE",
+        _ => "",
+    };
+    if !needs.is_empty() {
+        args.bad(&format!("{} needs {needs}", opts.command));
+    }
+    if let Err(e) = SamplingSpec::parse(&opts.sampling) {
+        args.bad(&format!("--sampling: {e}"));
     }
     opts
 }
 
 fn spec_of(opts: &Options) -> SamplingSpec {
-    SamplingSpec::parse(&opts.sampling).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2);
-    })
+    SamplingSpec::parse(&opts.sampling).expect("checked while parsing")
 }
 
 /// `cluster`: print the deterministic sampling plan for one trace.
 fn cluster(opts: &Options) -> i32 {
-    let path = opts.trace.clone().unwrap_or_else(|| usage());
+    let path = opts.trace.clone().expect("checked while parsing");
     let spec = spec_of(opts);
     let tf = TraceFile::open(&path).unwrap_or_else(|e| {
         eprintln!("opening {}: {e}", path.display());
@@ -254,7 +205,7 @@ fn cluster(opts: &Options) -> i32 {
 
 /// `inspect`: dump the per-interval feature matrix.
 fn inspect(opts: &Options) -> i32 {
-    let path = opts.trace.clone().unwrap_or_else(|| usage());
+    let path = opts.trace.clone().expect("checked while parsing");
     let tf = TraceFile::open(&path).unwrap_or_else(|e| {
         eprintln!("opening {}: {e}", path.display());
         exit(1);
@@ -396,8 +347,7 @@ fn check_kernels(opts: &Options, workloads: &[String]) -> usize {
 
 /// `validate`: full-vs-sampled error table with a hard gate.
 fn validate(opts: &Options) -> i32 {
-    let dir = opts.trace_dir.clone().unwrap_or_else(|| usage());
-    spec_of(opts); // reject malformed specs before any work
+    let dir = opts.trace_dir.clone().expect("checked while parsing");
     let params = RunParams {
         cores: opts.cores,
         instructions: opts.instructions,
@@ -502,8 +452,7 @@ fn main() {
     let code = match opts.command.as_str() {
         "cluster" => cluster(&opts),
         "inspect" => inspect(&opts),
-        "validate" => validate(&opts),
-        _ => usage(),
+        _ => validate(&opts),
     };
     exit(code);
 }

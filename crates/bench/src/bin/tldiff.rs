@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
+use chrome_exec::cli::Args;
 use chrome_telemetry::diff::{diff_attrib_csv, diff_epoch_csv};
 
 struct Options {
@@ -41,7 +42,7 @@ struct Options {
 }
 
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::new("DIR_A DIR_B [--t THRESH] [--rel THRESH] [--all] [--fail-on-diff]");
     let mut dirs = Vec::new();
     let mut opts = Options {
         dir_a: PathBuf::new(),
@@ -51,30 +52,24 @@ fn parse_args() -> Options {
         show_all: false,
         fail_on_diff: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--t" => {
-                i += 1;
-                opts.t_threshold = args[i].parse().expect("--t takes a number");
-            }
-            "--rel" => {
-                i += 1;
-                opts.rel_threshold = args[i].parse().expect("--rel takes a number");
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--t" => opts.t_threshold = args.number(&arg),
+            "--rel" => opts.rel_threshold = args.number(&arg),
             "--all" => opts.show_all = true,
             "--fail-on-diff" => opts.fail_on_diff = true,
-            other if !other.starts_with("--") => dirs.push(PathBuf::from(other)),
-            other => panic!("unknown flag {other}"),
+            dir if !dir.starts_with("--") => dirs.push(PathBuf::from(dir)),
+            flag => args.unknown(flag),
         }
-        i += 1;
     }
-    if dirs.len() != 2 {
-        eprintln!("usage: tldiff DIR_A DIR_B [--t THRESH] [--rel THRESH] [--all] [--fail-on-diff]");
-        exit(2);
-    }
-    opts.dir_b = dirs.pop().unwrap();
-    opts.dir_a = dirs.pop().unwrap();
+    let [a, b] = <[PathBuf; 2]>::try_from(dirs).unwrap_or_else(|dirs| {
+        args.bad(&format!(
+            "tldiff compares two directories, got {}",
+            dirs.len()
+        ))
+    });
+    opts.dir_a = a;
+    opts.dir_b = b;
     opts
 }
 

@@ -2,6 +2,7 @@
 
 use std::path::{Path, PathBuf};
 
+use chrome_exec::cli::Args;
 use chrome_exec::CellSpec;
 use chrome_sim::{SimConfig, SimResults, System};
 use chrome_telemetry::{AttribProfiler, EpochSeries, TelemetryConfig, TelemetrySink};
@@ -9,8 +10,8 @@ use chrome_telemetry::{AttribProfiler, EpochSeries, TelemetryConfig, TelemetrySi
 use crate::grid::prefetch_config;
 use crate::registry::build_any_slot;
 
-/// Parameters for one experiment run. Command-line parsing for the
-/// experiment binaries lives in [`RunParams::from_args`].
+/// Parameters for one experiment run, parsed from the experiment flags
+/// by [`RunParams::flag`].
 #[derive(Debug, Clone)]
 pub struct RunParams {
     /// Cores in the simulated system.
@@ -48,9 +49,6 @@ pub struct RunParams {
     pub homo_workloads: Option<usize>,
     /// Paint live grid progress to stderr (tests switch it off).
     pub progress: bool,
-    /// Per-run decision-audit record cap for `forensics_sweep`
-    /// (`--audit N`).
-    pub audit: Option<usize>,
     /// Representative-interval sampling spec (`--sampling k=<k>,ramp=<n>`);
     /// file-backed grid cells replay only clustered representative
     /// intervals with functional warmup and reconstruct full-run
@@ -78,162 +76,77 @@ impl Default for RunParams {
             mixes: None,
             homo_workloads: None,
             progress: true,
-            audit: None,
             sampling: None,
             noc: String::new(),
         }
     }
 }
 
-/// Print the common experiment flags and exit 2, the usage-error
-/// status of every experiment binary.
-fn usage() -> ! {
-    let arg0 = std::env::args().next().unwrap_or_default();
-    let bin = Path::new(&arg0)
-        .file_name()
-        .map_or_else(|| "experiment".into(), |n| n.to_string_lossy());
-    eprintln!(
-        "usage: {bin} [--cores N] [--instructions N] [--warmup N] [--seed N] [--quick]\n\
-         \x20      [--full] [--jobs N] [--retries K] [--resume] [--manifest PATH]\n\
-         \x20      [--trace-dir DIR] [--mixes N] [--homo-workloads N] [--audit N]\n\
-         \x20      [--sampling k=<k>,ramp=<n>] [--noc slices=..,hop=..,..]\n\
-         \x20      [--telemetry-out DIR]"
-    );
-    std::process::exit(2)
-}
-
-/// The value of numeric flag `flag`, taken from `args[i]`. A missing or
-/// malformed value is a usage error: print why, then call `usage`.
-pub fn number<T: std::str::FromStr>(args: &[String], i: usize, flag: &str, usage: fn() -> !) -> T {
-    match args.get(i) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} takes a number, got {v:?}");
-            usage()
-        }),
-        None => {
-            eprintln!("{flag} takes a number");
-            usage()
-        }
-    }
-}
-
 impl RunParams {
-    /// Parse common experiment flags from `std::env::args`:
-    /// `--cores N`, `--instructions N`, `--warmup N`, `--quick`
-    /// (divides the instruction budget by 10), `--full` (multiplies it
-    /// by 10), `--seed N`, `--telemetry-out DIR`, and the grid flags.
-    /// An unknown flag or a missing or malformed value prints the
-    /// reason and the usage and exits 2.
+    /// Parse the experiment binaries' command line, which takes the
+    /// experiment flags and nothing else (see [`RunParams::flag`]).
     pub fn from_args() -> Self {
-        Self::from_args_ignoring(&[])
-    }
-
-    /// Like [`RunParams::from_args`], but skips the listed
-    /// experiment-specific flags (each consuming one value argument),
-    /// which the binary reads itself.
-    pub fn from_args_ignoring(extra_value_flags: &[&str]) -> Self {
+        let mut args = Args::new(
+            "[--cores N] [--instructions N] [--warmup N] [--seed N]\n\
+             \x20      [--quick] [--full] [--jobs N] [--retries K] [--resume]\n\
+             \x20      [--manifest PATH] [--trace-dir DIR] [--mixes N] [--homo-workloads N]\n\
+             \x20      [--sampling k=<k>,ramp=<n>] [--noc slices=..,hop=..,..]\n\
+             \x20      [--telemetry-out DIR]",
+        );
         let mut p = RunParams::default();
-        let args: Vec<String> = std::env::args().collect();
-        let value = |i: usize, flag: &str| -> String {
-            args.get(i).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} takes a value");
-                usage()
-            })
-        };
-        let mut i = 1;
-        while i < args.len() {
-            if extra_value_flags.contains(&args[i].as_str()) {
-                i += 2;
-                continue;
+        while let Some(flag) = args.next() {
+            if !p.flag(&flag, &mut args) {
+                args.unknown(&flag);
             }
-            match args[i].as_str() {
-                "--cores" => {
-                    i += 1;
-                    p.cores = number(&args, i, "--cores", usage);
-                }
-                "--instructions" => {
-                    i += 1;
-                    p.instructions = number(&args, i, "--instructions", usage);
-                }
-                "--warmup" => {
-                    i += 1;
-                    p.warmup = number(&args, i, "--warmup", usage);
-                }
-                "--seed" => {
-                    i += 1;
-                    p.seed = number(&args, i, "--seed", usage);
-                }
-                "--telemetry-out" => {
-                    i += 1;
-                    p.telemetry_out = Some(PathBuf::from(value(i, "--telemetry-out")));
-                }
-                "--jobs" => {
-                    i += 1;
-                    p.jobs = Some(number(&args, i, "--jobs", usage));
-                }
-                "--retries" => {
-                    i += 1;
-                    p.retries = number(&args, i, "--retries", usage);
-                }
-                "--resume" => {
-                    p.resume = true;
-                }
-                "--manifest" => {
-                    i += 1;
-                    p.manifest = Some(PathBuf::from(value(i, "--manifest")));
-                }
-                "--trace-dir" => {
-                    i += 1;
-                    p.trace_dir = Some(PathBuf::from(value(i, "--trace-dir")));
-                }
-                "--mixes" => {
-                    i += 1;
-                    p.mixes = Some(number(&args, i, "--mixes", usage));
-                }
-                "--homo-workloads" => {
-                    i += 1;
-                    p.homo_workloads = Some(number(&args, i, "--homo-workloads", usage));
-                }
-                "--audit" => {
-                    i += 1;
-                    p.audit = Some(number(&args, i, "--audit", usage));
-                }
-                "--sampling" => {
-                    i += 1;
-                    let spec = value(i, "--sampling");
-                    if let Err(e) = chrome_simpoint::SamplingSpec::parse(&spec) {
-                        eprintln!("--sampling: {e}");
-                        usage();
-                    }
-                    p.sampling = Some(spec);
-                }
-                "--noc" => {
-                    i += 1;
-                    let cfg =
-                        chrome_noc::NocConfig::parse(&value(i, "--noc")).unwrap_or_else(|e| {
-                            eprintln!("--noc: {e}");
-                            usage()
-                        });
-                    // Canonicalize at the CLI boundary so spec hashes
-                    // never depend on key order or omitted defaults.
-                    p.noc = cfg.canonical();
-                }
-                "--quick" => {
-                    p.instructions /= 10;
-                    p.warmup /= 10;
-                }
-                "--full" => {
-                    p.instructions *= 10;
-                    p.warmup *= 10;
-                }
-                other => {
-                    eprintln!("unknown flag {other}");
-                    usage();
-                }
-            }
-            i += 1;
         }
         p
+    }
+
+    /// Parse `flag` if it is an experiment flag, taking its value from
+    /// `args`: `--cores N`, `--instructions N`, `--warmup N`, `--seed N`,
+    /// `--quick` (divides the instruction budget set so far by 10),
+    /// `--full` (multiplies it by 10), `--telemetry-out DIR` and the grid
+    /// flags. A missing or malformed value, sampling spec or NoC spec is
+    /// a usage error. Returns false for any other flag.
+    pub fn flag(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--cores" => self.cores = args.number(flag),
+            "--instructions" => self.instructions = args.number(flag),
+            "--warmup" => self.warmup = args.number(flag),
+            "--seed" => self.seed = args.number(flag),
+            "--telemetry-out" => self.telemetry_out = Some(args.value(flag).into()),
+            "--jobs" => self.jobs = Some(args.number(flag)),
+            "--retries" => self.retries = args.number(flag),
+            "--resume" => self.resume = true,
+            "--manifest" => self.manifest = Some(args.value(flag).into()),
+            "--trace-dir" => self.trace_dir = Some(args.value(flag).into()),
+            "--mixes" => self.mixes = Some(args.number(flag)),
+            "--homo-workloads" => self.homo_workloads = Some(args.number(flag)),
+            "--sampling" => {
+                let spec = args.value(flag);
+                if let Err(e) = chrome_simpoint::SamplingSpec::parse(&spec) {
+                    args.bad(&format!("--sampling: {e}"));
+                }
+                self.sampling = Some(spec);
+            }
+            "--noc" => {
+                let cfg = chrome_noc::NocConfig::parse(&args.value(flag))
+                    .unwrap_or_else(|e| args.bad(&format!("--noc: {e}")));
+                // Canonicalize at the CLI boundary so spec hashes
+                // never depend on key order or omitted defaults.
+                self.noc = cfg.canonical();
+            }
+            "--quick" => {
+                self.instructions /= 10;
+                self.warmup /= 10;
+            }
+            "--full" => {
+                self.instructions *= 10;
+                self.warmup *= 10;
+            }
+            _ => return false,
+        }
+        true
     }
 
     /// The [`SimConfig`] this run implies.

@@ -23,7 +23,10 @@
 //! The crate is dependency-free and knows nothing about the simulator:
 //! results are any `T: Send` plus a [`Codec`] that (de)serializes them
 //! for the manifest. `chrome-bench` supplies the simulation cells.
+//! [`cli::Args`] is the command-line parser every workspace binary
+//! shares.
 
+pub mod cli;
 pub mod engine;
 pub mod json;
 pub mod manifest;

@@ -3,7 +3,8 @@
 //! with no value (at the end, or followed by another flag), a malformed
 //! number, an unknown stream, a non-power-of-two shard count, and a zero
 //! core count, keyspace, shard geometry or audit cap all print the
-//! reason and the usage and exit 2, before any run starts.
+//! reason and the usage and exit 2, before any run starts. `sim`
+//! writes one report pair per workload of a `--workload` list.
 
 use std::process::Command;
 
@@ -87,4 +88,26 @@ fn bad_forensics_flags_are_usage_errors() {
         );
         assert!(out.stdout.is_empty(), "{args:?} started a run");
     }
+}
+
+#[test]
+fn sim_reports_every_workload_of_a_list() {
+    let out_dir = std::env::temp_dir().join(format!("forensics_cli_{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_forensics"))
+        .args(["sim", "--quick", "--workload", "mcf,lbm", "--out"])
+        .arg(&out_dir)
+        .output()
+        .expect("forensics runs");
+    assert!(out.status.success(), "{out:?}");
+    for workload in ["mcf", "lbm"] {
+        for ext in ["jsonl", "md"] {
+            let report = out_dir.join(format!("forensics_{workload}.{ext}"));
+            let text = std::fs::read_to_string(&report).expect("report written");
+            assert!(!text.is_empty(), "{} is empty", report.display());
+        }
+        let jsonl = std::fs::read_to_string(out_dir.join(format!("forensics_{workload}.jsonl")))
+            .expect("report written");
+        assert_eq!(jsonl.lines().count(), 2, "CHROME and N-CHROME rows");
+    }
+    std::fs::remove_dir_all(&out_dir).expect("temp dir removed");
 }

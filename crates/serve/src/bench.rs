@@ -19,6 +19,7 @@
 
 use std::time::Instant;
 
+use chrome_exec::cli::Args;
 use chrome_exec::workload_seed;
 
 use crate::cache::{CacheStats, PolicyTiming, ServeCache, ServeConfig};
@@ -69,6 +70,63 @@ impl Default for BenchParams {
 }
 
 impl BenchParams {
+    /// The `--quick` cell of `servebench` and `forensics serve`: a
+    /// smaller stream on a smaller cache.
+    pub fn quick() -> Self {
+        BenchParams {
+            requests: 30_000,
+            keyspace: 5_000,
+            shards: 8,
+            shard_slots: 256,
+            shard_bytes: 128 * 1024,
+            ..BenchParams::default()
+        }
+    }
+
+    /// Parse `flag` if it is a stream or cache-geometry flag, taking
+    /// its value from `args`: `--stream`, `--requests`, `--keyspace`,
+    /// `--seed`, `--shards`, `--shard-slots` or `--shard-bytes`. An
+    /// unknown stream or a missing or malformed value is a usage error.
+    /// Returns false for any other flag.
+    pub fn flag(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--stream" => {
+                let s = args.value(flag);
+                self.stream = StreamKind::parse(&s)
+                    .unwrap_or_else(|| args.bad(&format!("unknown stream {s}")));
+            }
+            "--requests" => self.requests = args.number(flag),
+            "--keyspace" => self.keyspace = args.number(flag),
+            "--seed" => self.seed = args.number(flag),
+            "--shards" => self.shards = args.number(flag),
+            "--shard-slots" => self.shard_slots = args.number(flag),
+            "--shard-bytes" => self.shard_bytes = args.number(flag),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Exit 2 with the usage of `args` unless a cache can be built with
+    /// this geometry: a power-of-two shard count and a nonzero keyspace,
+    /// slot count and byte budget.
+    pub fn check(&self, args: &Args) {
+        if !self.shards.is_power_of_two() {
+            args.bad(&format!(
+                "--shards must be a power of two, got {}",
+                self.shards
+            ));
+        }
+        for (flag, v) in [
+            ("--keyspace", self.keyspace),
+            ("--shard-slots", self.shard_slots as u64),
+            ("--shard-bytes", self.shard_bytes),
+        ] {
+            if v == 0 {
+                args.bad(&format!("{flag} must be at least 1"));
+            }
+        }
+    }
+
     fn serve_config(&self) -> ServeConfig {
         ServeConfig {
             policy: self.policy,

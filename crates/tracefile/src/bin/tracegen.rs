@@ -19,6 +19,7 @@
 use std::path::PathBuf;
 use std::process::exit;
 
+use chrome_exec::cli::Args;
 use chrome_tracefile::recorder::{record_workload, DEFAULT_INTERVAL_INSTR};
 use chrome_tracefile::Codec;
 
@@ -26,114 +27,89 @@ struct Options {
     workload: String,
     cores: usize,
     seed: u64,
-    base_seed: Option<u64>,
     instructions: u64,
-    out: Option<PathBuf>,
-    out_dir: Option<PathBuf>,
+    /// The file to write: `--out`, or its name under `--out-dir`.
+    path: PathBuf,
     codec: Codec,
     interval: u64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tracegen --workload NAME [--cores N] [--seed N | --base-seed N] \
-         [--instructions N] (--out FILE | --out-dir DIR) \
-         [--codec compact|champsim] [--interval N]"
-    );
-    exit(2);
-}
-
+/// Parse the command line. An unknown flag, a missing or malformed
+/// value, an unknown workload or codec, or anything but exactly one of
+/// `--out` and `--out-dir` is a usage error.
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Options {
-        workload: String::new(),
-        cores: 1,
-        seed: 0x5EED,
-        base_seed: None,
-        instructions: 200_000,
-        out: None,
-        out_dir: None,
-        codec: Codec::Compact,
-        interval: DEFAULT_INTERVAL_INSTR,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::new(
+        "--workload NAME [--cores N] [--seed N | --base-seed N] [--instructions N]\n\
+         \x20      (--out FILE | --out-dir DIR) [--codec compact|champsim] [--interval N]",
+    );
+    let mut workload = String::new();
+    let (mut cores, mut seed, mut base_seed) = (1, 0x5EED, None);
+    let (mut out, mut out_dir): (Option<PathBuf>, Option<PathBuf>) = (None, None);
+    let mut instructions = 200_000;
+    let mut codec = Codec::Compact;
+    let mut interval = DEFAULT_INTERVAL_INSTR;
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        match flag {
             "--workload" => {
-                i += 1;
-                opts.workload = args.get(i).unwrap_or_else(|| usage()).clone();
+                workload = args.value(flag);
+                let all = chrome_traces::all_workloads();
+                if let Some(w) = workload.split('+').find(|w| !all.contains(w)) {
+                    args.bad(&format!("unknown workload {w}"));
+                }
             }
-            "--cores" => {
-                i += 1;
-                opts.cores = args[i].parse().expect("--cores takes a number");
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--base-seed" => {
-                i += 1;
-                opts.base_seed = Some(args[i].parse().expect("--base-seed takes a number"));
-            }
-            "--instructions" => {
-                i += 1;
-                opts.instructions = args[i].parse().expect("--instructions takes a number");
-            }
-            "--out" => {
-                i += 1;
-                opts.out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--out-dir" => {
-                i += 1;
-                opts.out_dir = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
+            "--cores" => cores = args.number(flag),
+            "--seed" => seed = args.number(flag),
+            "--base-seed" => base_seed = Some(args.number(flag)),
+            "--instructions" => instructions = args.number(flag),
+            "--out" => out = Some(args.value(flag).into()),
+            "--out-dir" => out_dir = Some(args.value(flag).into()),
             "--codec" => {
-                i += 1;
-                opts.codec = Codec::parse(args.get(i).unwrap_or_else(|| usage()))
-                    .unwrap_or_else(|| panic!("--codec takes 'compact' or 'champsim'"));
+                let name = args.value(flag);
+                codec = Codec::parse(&name)
+                    .unwrap_or_else(|| args.bad(&format!("unknown codec {name}")));
             }
-            "--interval" => {
-                i += 1;
-                opts.interval = args[i].parse().expect("--interval takes a number");
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+            "--interval" => interval = args.number(flag),
+            _ => args.unknown(flag),
         }
-        i += 1;
     }
-    if opts.workload.is_empty() || (opts.out.is_none() == opts.out_dir.is_none()) {
-        usage();
+    if workload.is_empty() {
+        args.bad("--workload is required");
     }
     // a `+`-joined mix names one workload per core
-    if opts.workload.contains('+') {
-        opts.cores = opts.workload.split('+').count();
+    if workload.contains('+') {
+        cores = workload.split('+').count();
     }
-    if let Some(base) = opts.base_seed {
-        opts.seed = chrome_exec::workload_seed(&opts.workload, opts.cores as u32, base);
+    if let Some(base) = base_seed {
+        seed = chrome_exec::workload_seed(&workload, cores as u32, base);
     }
-    opts
+    let path = match (out, out_dir) {
+        (Some(f), None) => f,
+        (None, Some(d)) => {
+            std::fs::create_dir_all(&d).unwrap_or_else(|e| panic!("creating {}: {e}", d.display()));
+            d.join(format!(
+                "{}_c{cores}_s{seed}.ctf",
+                workload.replace('+', "-")
+            ))
+        }
+        _ => args.bad("give exactly one of --out FILE and --out-dir DIR"),
+    };
+    Options {
+        workload,
+        cores,
+        seed,
+        instructions,
+        path,
+        codec,
+        interval,
+    }
 }
 
 fn main() {
     let opts = parse_args();
-    let path = match (&opts.out, &opts.out_dir) {
-        (Some(f), None) => f.clone(),
-        (None, Some(d)) => {
-            std::fs::create_dir_all(d).unwrap_or_else(|e| panic!("creating {}: {e}", d.display()));
-            d.join(format!(
-                "{}_c{}_s{}.ctf",
-                opts.workload.replace('+', "-"),
-                opts.cores,
-                opts.seed
-            ))
-        }
-        _ => usage(),
-    };
+    let path = &opts.path;
     match record_workload(
-        &path,
+        path,
         &opts.workload,
         opts.cores,
         opts.seed,
