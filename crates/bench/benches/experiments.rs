@@ -1,9 +1,9 @@
 //! Miniature figure-shaped benchmarks: each paper experiment's code path
 //! exercised end-to-end at a tiny scale, so the bench target touches
 //! every experiment without the multi-minute budgets of the real
-//! regenerators (run those via `cargo run -p chrome-bench --bin <figNN>`
-//! or `--bin run_all`). Each bench runs one grid cell through
-//! [`run_cell`], as the experiment plans do.
+//! regenerators (run those via `cargo run -p chrome-bench --bin run_all
+//! -- <name>`). Each bench runs one grid cell through [`run_cell`], as
+//! the experiment plans do.
 //!
 //! Run with `cargo bench -p chrome-bench --features bench-harness`.
 

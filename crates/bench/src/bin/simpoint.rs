@@ -30,10 +30,10 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use chrome_bench::experiments::sampling;
-use chrome_bench::grid::{run_grid, sampled_cell_result};
+use chrome_bench::grid::{resolve_traces, run_grid, sampled_cell_result};
 use chrome_bench::RunParams;
 use chrome_exec::cli::Args;
-use chrome_exec::{workload_seed, CellSpec};
+use chrome_exec::workload_seed;
 use chrome_sim::Kernel;
 use chrome_simpoint::features::DIM_NAMES;
 use chrome_simpoint::{build_plan, extract_features, ErrorRow, SamplingSpec};
@@ -86,7 +86,16 @@ fn parse_args() -> Options {
         command,
         trace: None,
         trace_dir: None,
+        // the operating point for traces recorded at 5000-instruction
+        // intervals: it balances per-segment warmup-handoff bias against
+        // cluster-selection variance at that granularity
         sampling: "k=26,ramp=2200,reps=3".to_string(),
+        // the gate validates the sampling estimator itself, so it runs
+        // the static LRU policy. Online-learning schemes (CHROME) are
+        // path-dependent: sampled replay compresses the reward timeline
+        // ~10x, the agent's learning trajectory diverges from the full
+        // run's, and the gap is policy-state error the reconstruction
+        // cannot (and should not) hide. See EXPERIMENTS.md.
         scheme: "LRU".to_string(),
         workloads: None,
         cores: 1,
@@ -143,6 +152,12 @@ fn parse_args() -> Options {
     }
     if let Err(e) = SamplingSpec::parse(&opts.sampling) {
         args.bad(&format!("--sampling: {e}"));
+    }
+    // --record-missing creates the directory; otherwise it must exist
+    if let Some(dir) = opts.trace_dir.as_deref() {
+        if opts.command == "validate" && !opts.record_missing && !dir.is_dir() {
+            args.bad(&format!("--trace-dir {}: no such directory", dir.display()));
+        }
     }
     opts
 }
@@ -286,42 +301,31 @@ fn record_missing(opts: &Options, dir: &std::path::Path, workloads: &[String]) {
     }
 }
 
-/// Rerun every sampled cell on the reference kernel and demand
-/// result-identity with the event-driven run.
-fn check_kernels(opts: &Options, workloads: &[String]) -> usize {
-    let dir = opts.trace_dir.clone().expect("checked in validate");
-    let index = TraceIndex::scan(&dir).unwrap_or_else(|e| {
-        eprintln!("scanning {}: {e}", dir.display());
-        exit(1);
-    });
+/// Rerun every sampled cell of the validation grid on both kernels and
+/// demand identical results. The cells are the grid's own
+/// (`sampling::cells`), resolved against the trace directory as the
+/// grid resolves them.
+fn check_kernels(params: &RunParams, opts: &Options, workloads: &[String]) -> usize {
+    let dir = params
+        .trace_dir
+        .as_deref()
+        .expect("validate sets --trace-dir");
+    let mut cells = sampling::cells(params, workloads, &opts.scheme, &opts.sampling);
+    let traces = resolve_traces(&mut cells, dir);
     let spec = spec_of(opts);
     let mut mismatches = 0;
-    for wl in workloads {
-        let seed = workload_seed(wl, opts.cores as u32, opts.base_seed);
-        let Some(entry) = index.lookup(wl, opts.cores, seed) else {
+    // each workload's pair of cells is [full, sampled]
+    for cell in cells.iter().skip(1).step_by(2) {
+        let wl = &cell.workload;
+        let Some(path) = traces.get(&cell.trace) else {
             eprintln!("kernel check: no trace for {wl}, skipping");
             mismatches += 1;
             continue;
         };
-        let tf = TraceFile::open(&entry.path).unwrap_or_else(|e| {
-            eprintln!("opening {}: {e}", entry.path.display());
+        let tf = TraceFile::open(path).unwrap_or_else(|e| {
+            eprintln!("opening {}: {e}", path.display());
             exit(1);
         });
-        let cell = CellSpec {
-            experiment: sampling::NAME.to_string(),
-            workload: wl.clone(),
-            scheme: opts.scheme.clone(),
-            cores: opts.cores as u32,
-            instructions: opts.instructions,
-            warmup: opts.warmup,
-            seed: opts.base_seed,
-            prefetch: "paper".to_string(),
-            track_unused: false,
-            record_epochs: false,
-            trace: entry.hash_hex(),
-            sampling: opts.sampling.clone(),
-            noc: String::new(),
-        };
         let plan = chrome_simpoint::build_plan_windowed(
             &tf,
             spec,
@@ -333,8 +337,8 @@ fn check_kernels(opts: &Options, workloads: &[String]) -> usize {
             eprintln!("plan for {wl}: {e}");
             exit(1);
         });
-        let event = sampled_cell_result(&cell, None, &tf, &plan, Kernel::EventDriven);
-        let reference = sampled_cell_result(&cell, None, &tf, &plan, Kernel::Reference);
+        let event = sampled_cell_result(cell, None, &tf, &plan, Kernel::EventDriven);
+        let reference = sampled_cell_result(cell, None, &tf, &plan, Kernel::Reference);
         if event == reference {
             eprintln!("kernel check: {wl} identical");
         } else {
@@ -430,7 +434,7 @@ fn validate(opts: &Options) -> i32 {
         }
     }
     if opts.check_kernels {
-        failures += check_kernels(opts, &workloads);
+        failures += check_kernels(&params, opts, &workloads);
     }
     if failures == 0 {
         eprintln!(

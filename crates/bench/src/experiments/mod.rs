@@ -1,12 +1,13 @@
 //! Declarative experiment plans over the grid engine.
 //!
-//! Every multi-cell experiment is a [`ExperimentPlan`]: a flat list of
+//! Every experiment is an [`ExperimentPlan`]: a flat list of
 //! [`CellSpec`]s plus an `assemble` closure that turns the outcomes
-//! (always delivered in cell order) into its output tables. One plan
-//! runs standalone through [`run_plans`]; `run_all` concatenates every
-//! plan into a single scheduled grid and assembles each experiment from
-//! its slice — so the full reproduction shares one work-stealing queue,
-//! one checkpoint manifest, and one progress line.
+//! (always delivered in cell order) into its output tables. Each plan
+//! is registered once, under its table name, in [`EXPERIMENTS`];
+//! `run_all NAME...` builds the named plans, [`run_plans`] concatenates
+//! them into a single scheduled grid and assembles each experiment from
+//! its slice — so any selection shares one cell queue, one checkpoint
+//! manifest, and one progress line.
 
 pub mod fig01;
 pub mod fig02;
@@ -84,32 +85,77 @@ pub(crate) fn limit<T>(items: Vec<T>, cap: Option<usize>) -> Vec<T> {
     }
 }
 
-/// Every experiment plan, in `run_all` replay order.
+/// One registered experiment: its table name, its plan, and whether
+/// the default replay (`run_all` with no name) runs it.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The experiment's (and its primary TSV's) name.
+    pub name: &'static str,
+    /// Builds the experiment's plan from the run flags.
+    pub plan: fn(&RunParams) -> ExperimentPlan,
+    /// Part of the default replay.
+    pub replay: bool,
+}
+
+const fn replayed(name: &'static str, plan: fn(&RunParams) -> ExperimentPlan) -> Experiment {
+    Experiment {
+        name,
+        plan,
+        replay: true,
+    }
+}
+
+/// Every experiment, in registry order: the order `run_all` runs and
+/// assembles a selection in.
+pub const EXPERIMENTS: [Experiment; 15] = [
+    replayed("tab03_overhead", overheads::tab03),
+    replayed("tab04_overhead_cmp", overheads::tab04),
+    replayed("fig06_4core_spec", fig06::plan),
+    replayed("fig02_unused_blocks", fig02::plan),
+    replayed("fig03_prefetcher_sensitivity", fig03::plan),
+    replayed("fig10_hetero_4core", fig10::plan),
+    replayed("fig12_nchrome", fig12::plan),
+    replayed("fig15_features", fig15::plan),
+    replayed("fig14_prefetch_schemes", fig14::plan),
+    replayed("tab07_fifo_size", tab07::plan),
+    replayed("fig16_hyperparams", fig16::plan),
+    replayed("fig11_scalability", fig11::plan),
+    replayed("fig13_gap", fig13::plan),
+    replayed("fig01_16core", fig01::plan),
+    // the NoC sweep runs only when named
+    Experiment {
+        name: "scaling_sweep",
+        plan: scaling::plan,
+        replay: false,
+    },
+];
+
+/// The plans of the experiments `names` selects, each once, in registry
+/// order; no name selects the default replay. A name outside
+/// [`EXPERIMENTS`] selects nothing.
 #[must_use]
-pub fn all_plans(params: &RunParams) -> Vec<ExperimentPlan> {
-    vec![
-        fig06::plan(params),
-        fig02::plan(params),
-        fig03::plan(params),
-        fig10::plan(params),
-        fig12::plan(params),
-        fig15::plan(params),
-        fig14::plan(params),
-        tab07::plan(params),
-        fig16::plan(params),
-        fig11::plan(params),
-        fig13::plan(params),
-        fig01::plan(params),
-    ]
+pub fn plans(params: &RunParams, names: &[&str]) -> Vec<ExperimentPlan> {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| {
+            if names.is_empty() {
+                e.replay
+            } else {
+                names.contains(&e.name)
+            }
+        })
+        .map(|e| (e.plan)(params))
+        .collect()
 }
 
 /// Execute one or more plans as a single scheduled grid, assemble and
-/// write each experiment's tables, and report failures.
+/// write each experiment's tables, and report failures. A selection
+/// without cells (Tables III and IV alone) skips the grid and never
+/// opens the manifest.
 ///
-/// Unlike the old sequential replay, a failed cell does not abort the
-/// run: remaining cells still execute, the failure summary lists every
-/// permanently failed cell, and only the final exit code (the returned
-/// value) reflects them.
+/// A failed cell does not abort the run: remaining cells still
+/// execute, the failure summary lists every permanently failed cell,
+/// and only the final exit code (the returned value) reflects them.
 ///
 /// # Panics
 ///
@@ -125,22 +171,28 @@ pub fn run_plans(params: &RunParams, plans: Vec<ExperimentPlan>) -> i32 {
         cells.extend(p.cells.iter().cloned());
         ranges.push(start..cells.len());
     }
-    let jobs = EngineConfig {
-        jobs: params.jobs.unwrap_or(0),
-        ..EngineConfig::default()
-    }
-    .effective_jobs(total);
-    eprintln!(
-        "[exec] scheduling {total} cells from {} experiment(s) across {jobs} job(s)",
-        plans.len(),
-    );
-    let report = grid::run_grid(params, cells);
+    let report = (total > 0).then(|| {
+        let jobs = EngineConfig {
+            jobs: params.jobs.unwrap_or(0),
+            ..EngineConfig::default()
+        }
+        .effective_jobs(total);
+        eprintln!(
+            "[exec] scheduling {total} cells from {} experiment(s) across {jobs} job(s)",
+            plans.len(),
+        );
+        grid::run_grid(params, cells)
+    });
+    let outcomes = report.as_ref().map_or(&[][..], |r| &r.outcomes[..]);
     for (plan, range) in plans.into_iter().zip(ranges) {
         println!("\n########## {} ##########", plan.name);
-        for table in (plan.assemble)(&report.outcomes[range]) {
+        for table in (plan.assemble)(&outcomes[range]) {
             table.finish().expect("write results");
         }
     }
+    let Some(report) = report else {
+        return 0;
+    };
     let ok = report.outcomes.len() - report.failed;
     eprintln!(
         "[exec] grid complete: {ok}/{} ok ({} resumed, {} executed), {} failed, {:.1}s wall",
@@ -159,5 +211,55 @@ pub fn run_plans(params: &RunParams, plans: Vec<ExperimentPlan>) -> i32 {
             eprintln!("[exec]   {label}: {err}");
         }
         1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(plans: &[ExperimentPlan]) -> Vec<&'static str> {
+        plans.iter().map(|p| p.name).collect()
+    }
+
+    #[test]
+    fn each_name_selects_its_own_plan_and_the_default_is_the_replay() {
+        let params = RunParams::default();
+        let mut registered: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        for name in &registered {
+            assert_eq!(names(&plans(&params, &[name])), [*name]);
+        }
+        registered.sort_unstable();
+        registered.dedup();
+        assert_eq!(registered.len(), EXPERIMENTS.len(), "names are unique");
+        assert_eq!(
+            names(&plans(&params, &[])),
+            [
+                "tab03_overhead",
+                "tab04_overhead_cmp",
+                "fig06_4core_spec",
+                "fig02_unused_blocks",
+                "fig03_prefetcher_sensitivity",
+                "fig10_hetero_4core",
+                "fig12_nchrome",
+                "fig15_features",
+                "fig14_prefetch_schemes",
+                "tab07_fifo_size",
+                "fig16_hyperparams",
+                "fig11_scalability",
+                "fig13_gap",
+                "fig01_16core",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_selection_runs_each_plan_once_in_registry_order() {
+        let params = RunParams::default();
+        let picked = plans(
+            &params,
+            &["scaling_sweep", "fig12_nchrome", "scaling_sweep", "nope"],
+        );
+        assert_eq!(names(&picked), ["fig12_nchrome", "scaling_sweep"]);
     }
 }

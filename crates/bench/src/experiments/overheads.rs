@@ -1,20 +1,32 @@
 //! Tables III and IV: storage-overhead accounting. These are pure
-//! arithmetic over the policy configurations — no simulation cells —
-//! so they run inline rather than through the grid.
+//! arithmetic over the policy configurations, so their plans have no
+//! simulation cells: assembly computes and writes the table.
 
 use chrome_core::{Chrome, ChromeConfig};
 use chrome_sim::{LlcPolicy, SimConfig};
 
+use super::ExperimentPlan;
 use crate::registry::build_any_policy;
+use crate::runner::RunParams;
 use crate::table::TableWriter;
 
 /// Table III: CHROME storage-overhead breakdown for the 4-core, 12MB,
-/// 12-way LLC configuration.
-///
-/// # Panics
-///
-/// Panics when `results/tab03_overhead.tsv` cannot be written.
-pub fn tab03() {
+/// 12-way LLC configuration. Its assembly panics when
+/// `results/tab03_overhead.tsv` cannot be written.
+pub fn tab03(_: &RunParams) -> ExperimentPlan {
+    ExperimentPlan {
+        name: "tab03_overhead",
+        cells: Vec::new(),
+        assemble: Box::new(|_| {
+            write_tab03();
+            Vec::new()
+        }),
+    }
+}
+
+/// Print Table III and write its TSV, whose rows are `name\tKB` with a
+/// closing `TOTAL` row and no header.
+fn write_tab03() {
     let cfg = SimConfig::with_cores(4);
     let llc_blocks = cfg.llc().sets() * cfg.llc_ways;
     let chrome = Chrome::new(ChromeConfig::default());
@@ -42,11 +54,15 @@ pub fn tab03() {
 
 /// Table IV: storage overhead across schemes (4-core, 12-way, 12MB
 /// LLC), with the holistic / concurrency-aware capability matrix.
-///
-/// # Panics
-///
-/// Panics when `results/tab04_overhead_cmp.tsv` cannot be written.
-pub fn tab04() {
+pub fn tab04(_: &RunParams) -> ExperimentPlan {
+    ExperimentPlan {
+        name: "tab04_overhead_cmp",
+        cells: Vec::new(),
+        assemble: Box::new(|_| vec![tab04_table()]),
+    }
+}
+
+fn tab04_table() -> TableWriter {
     let cfg = SimConfig::with_cores(4);
     let llc_blocks = cfg.llc().sets() * cfg.llc_ways;
     let mut table = TableWriter::new(
@@ -83,5 +99,5 @@ pub fn tab04() {
             format!("{paper_kb:.1}"),
         ]);
     }
-    table.finish().expect("write results");
+    table
 }

@@ -8,15 +8,15 @@
 //! detail-reduction factor — the table the `simpoint validate` gate
 //! (±3% IPC and MPKI at ≥10x reduction) asserts over.
 //!
-//! The plan pre-sets `CellSpec::sampling` on its sampled cells, so run
-//! it WITHOUT the global `--sampling` grid axis (which would sample the
-//! full-reference cells too); the `simpoint` binary strips it.
+//! The sampled cells carry their own `CellSpec::sampling`, so the grid
+//! runs them WITHOUT the global `--sampling` axis (which would sample
+//! the full-reference cells too).
 
 use chrome_exec::CellOutcome;
 use chrome_simpoint::ErrorRow;
 use chrome_traces::all_workloads;
 
-use super::{cell, limit, ExperimentPlan};
+use super::{cell, limit};
 use crate::grid::{cell_value, CellResult};
 use crate::runner::RunParams;
 use crate::table::TableWriter;
@@ -90,31 +90,4 @@ pub fn table(rows: &[ErrorRow]) -> TableWriter {
         t.row(r.render().split('\t').map(str::to_string).collect());
     }
     t
-}
-
-/// Standalone experiment plan form, for `run_plans`. Requires
-/// `--trace-dir` (sampled cells need recorded interval stats; record
-/// with `--interval 5000` — the operating point balances per-segment
-/// warmup-handoff bias against cluster-selection variance at that
-/// granularity); the sampling spec comes from `--sampling`, defaulting
-/// to the validated `k=26,ramp=2200,reps=3` operating point.
-#[must_use]
-pub fn plan(params: &RunParams) -> ExperimentPlan {
-    let wls = workloads(params);
-    let sampling = params
-        .sampling
-        .clone()
-        .unwrap_or_else(|| "k=26,ramp=2200,reps=3".to_string());
-    // the gate runs against the static LRU policy: it validates the
-    // sampling estimator itself. Online-learning schemes (CHROME) are
-    // path-dependent — sampled replay compresses the reward timeline
-    // ~10x, the agent's learning trajectory diverges from the full
-    // run's, and the gap is policy-state error the reconstruction
-    // cannot (and should not) hide. See EXPERIMENTS.md.
-    let cells = cells(params, &wls, "LRU", &sampling);
-    ExperimentPlan {
-        name: NAME,
-        cells,
-        assemble: Box::new(move |out| vec![table(&error_rows(&wls, out))]),
-    }
 }

@@ -1,7 +1,7 @@
 //! Grid execution of simulation cells via `chrome-exec`.
 //!
-//! [`run_grid`] is the single entry point every multi-cell experiment
-//! binary (and `run_all`) funnels through: it maps each [`CellSpec`]
+//! [`run_grid`] is the single entry point `run_all` and `simpoint
+//! validate` funnel their cells through: it maps each [`CellSpec`]
 //! onto one simulator run, executes the grid across `--jobs` worker
 //! threads with fault isolation and checkpoint/resume, and returns
 //! outcomes in input order so table assembly is deterministic at any
@@ -200,10 +200,10 @@ pub fn run_cell_with_traces(
 
 /// Simulate one full (unsampled) cell and return everything the run
 /// produced. This is the one way chrome-bench simulates a full cell:
-/// [`run_cell`] distills its result, and the `profile` and `sanity`
-/// binaries read it whole, so a profiled cell replays exactly the
-/// traces of its grid cell. `profile` enables the per-request
-/// latency-attribution profiler.
+/// [`run_cell`] distills its result, and the `profile` binary reads it
+/// whole, so a profiled cell replays exactly the traces of its grid
+/// cell. `profile` enables the per-request latency-attribution
+/// profiler.
 ///
 /// # Panics
 ///
@@ -720,8 +720,8 @@ mod tests {
 
     #[test]
     fn simulate_cell_replays_the_grid_cell() {
-        // `profile` and `sanity` run cells through simulate_cell; profiled
-        // or not, it must simulate exactly what run_cell measures
+        // `profile` runs cells through simulate_cell; profiled or not,
+        // it must simulate exactly what run_cell measures
         for workload in ["libquantum", "mcf+libquantum"] {
             let spec = CellSpec {
                 workload: workload.into(),

@@ -83,25 +83,6 @@ impl Default for RunParams {
 }
 
 impl RunParams {
-    /// Parse the experiment binaries' command line, which takes the
-    /// experiment flags and nothing else (see [`RunParams::flag`]).
-    pub fn from_args() -> Self {
-        let mut args = Args::new(
-            "[--cores N] [--instructions N] [--warmup N] [--seed N]\n\
-             \x20      [--quick] [--full] [--jobs N] [--retries K] [--resume]\n\
-             \x20      [--manifest PATH] [--trace-dir DIR] [--mixes N] [--homo-workloads N]\n\
-             \x20      [--sampling k=<k>,ramp=<n>] [--noc slices=..,hop=..,..]\n\
-             \x20      [--telemetry-out DIR]",
-        );
-        let mut p = RunParams::default();
-        while let Some(flag) = args.next() {
-            if !p.flag(&flag, &mut args) {
-                args.unknown(&flag);
-            }
-        }
-        p
-    }
-
     /// Parse `flag` if it is an experiment flag, taking its value from
     /// `args`: `--cores N`, `--instructions N`, `--warmup N`, `--seed N`,
     /// `--quick` (divides the instruction budget set so far by 10),
@@ -251,10 +232,7 @@ pub(crate) fn run_traces(
         sys.enable_unused_tracking();
     }
     if telemetry_out.is_some() || spec.record_epochs || profile {
-        let cfg = TelemetryConfig {
-            profile,
-            ..TelemetryConfig::default()
-        };
+        let cfg = TelemetryConfig { profile };
         sys.set_telemetry(TelemetrySink::recording(cfg));
     }
     let results = sys.run(spec.instructions, spec.warmup);

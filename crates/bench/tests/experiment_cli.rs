@@ -1,12 +1,12 @@
 //! The chrome-bench binaries parse their flags in one pass through
 //! `chrome_exec::cli::Args`, which treats an unknown flag, a value flag
 //! with no value (at the end, or followed by another flag), a malformed
-//! numeric value, and an unknown workload, scheme or unreadable
-//! baseline file as usage errors: it prints the reason and the usage
-//! and exits 2 before any cell runs, instead of panicking (exit 101) or
-//! running with the flag misread.
+//! numeric value, and an unknown experiment, workload, scheme or
+//! unreadable baseline file as usage errors: it prints the reason and
+//! the usage and exits 2 before any cell runs, instead of panicking
+//! (exit 101) or running with the flag misread.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// A tiny budget ahead of each case, so that a regression which runs
@@ -43,8 +43,26 @@ fn temp_file(name: &str) -> PathBuf {
 
 #[test]
 fn bad_run_all_flags_are_usage_errors() {
-    let cases: [(&[&str], &str); 4] = [
+    let missing = temp_file("no_traces");
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let no_such_dir = format!("--trace-dir {missing}: no such directory");
+    let cases: [(&[&str], &str); 7] = [
         (&["--bogus"], "unknown flag --bogus"),
+        (&["nope"], "unknown experiment nope"),
+        (
+            &["--sampling", "k=2,ramp=100", "--homo-workloads", "1"],
+            "--sampling needs recorded interval stats; pass --trace-dir too",
+        ),
+        (
+            &[
+                "fig12_nchrome",
+                "--trace-dir",
+                missing,
+                "--homo-workloads",
+                "1",
+            ],
+            &no_such_dir,
+        ),
         (&["--quick", "--cores"], "--cores takes a value"),
         (&["--cores", "abc"], "--cores takes a number, got \"abc\""),
         (
@@ -64,8 +82,49 @@ fn bad_run_all_flags_are_usage_errors() {
         ),
     ];
     for (args, reason) in cases {
-        assert_usage_error(env!("CARGO_BIN_EXE_run_all"), "run_all", args, reason);
+        let mut argv = TINY.to_vec();
+        argv.extend(args);
+        assert_usage_error(env!("CARGO_BIN_EXE_run_all"), "run_all", &argv, reason);
     }
+}
+
+/// The names of the entries of `dir`, sorted.
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("readable dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_table_without_cells_runs_without_the_grid() {
+    let dir = temp_file("tab03");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir created");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .arg("tab03_overhead")
+        .current_dir(&dir)
+        .output()
+        .expect("run_all runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "run_all tab03_overhead must exit 0; stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // the table and nothing else: no grid ran, no manifest was opened
+    assert_eq!(entries(&dir), ["results"]);
+    assert_eq!(entries(&dir.join("results")), ["tab03_overhead.tsv"]);
+    let tsv = std::fs::read_to_string(dir.join("results/tab03_overhead.tsv")).expect("table");
+    assert!(tsv.lines().last().is_some_and(|l| l.starts_with("TOTAL\t")));
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! `simpoint` treats a missing or malformed numeric flag value as a
-//! usage error: it prints the usage text and exits 2, as its header
-//! promises, instead of panicking (exit 101).
+//! `simpoint` treats a missing or malformed numeric flag value, and a
+//! `validate --trace-dir` that does not exist, as usage errors: it
+//! prints the usage text and exits 2, as its header promises, instead
+//! of panicking (exit 101).
 
 use std::process::Command;
 
@@ -52,4 +53,24 @@ fn malformed_numeric_value_is_a_usage_error() {
     for flag in NUMERIC_FLAGS {
         assert_usage_error(&[flag, "abc"]);
     }
+}
+
+#[test]
+fn a_missing_trace_dir_is_a_usage_error() {
+    // without --record-missing, validate needs traces it cannot find
+    let dir = std::env::temp_dir().join(format!("simpoint_cli_{}_none", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp path");
+    let out = Command::new(env!("CARGO_BIN_EXE_simpoint"))
+        .args(["validate", "--trace-dir", dir, "--workloads", "1"])
+        .args(["--instructions", "1000", "--warmup", "100", "--no-progress"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("simpoint runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(&format!("--trace-dir {dir}: no such directory"))
+            && stderr.contains("usage: simpoint"),
+        "must print the reason and the usage; stderr:\n{stderr}"
+    );
 }

@@ -1,12 +1,11 @@
-//! The work-stealing grid engine.
+//! The grid engine.
 //!
 //! [`run_grid`] executes a declarative list of [`CellSpec`]s across
-//! `jobs` OS threads. Cells are distributed round-robin onto per-worker
-//! deques; an idle worker first drains its own queue, then steals from
-//! the back of its siblings'. Because cells are mutually independent
-//! and results are written into a slot keyed by input index, assembly
-//! order — and therefore every output table — is identical at any
-//! thread count.
+//! `jobs` OS threads. Workers claim pending cells in input order through
+//! one shared atomic cursor, so claiming a cell takes no lock. Because
+//! cells are mutually independent and results are written into a slot
+//! keyed by input index, assembly order — and therefore every output
+//! table — is identical at any thread count.
 //!
 //! Each cell attempt runs under [`std::panic::catch_unwind`]: a panic
 //! anywhere inside a cell is converted into a recorded failure, retried
@@ -17,10 +16,10 @@
 //! record, so a killed run continues where it died.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
@@ -277,14 +276,10 @@ where
     let resumed = n - pending.len();
 
     let workers = cfg.effective_jobs(pending.len());
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, &idx) in pending.iter().enumerate() {
-        queues[k % workers]
-            .lock()
-            .expect("queue lock")
-            .push_back(idx);
-    }
+    // Index into `pending` of the next unclaimed cell. Relaxed suffices:
+    // the cursor publishes no data (`pending` is shared read-only before
+    // the workers start), and `fetch_add` alone hands each index out once.
+    let cursor = AtomicUsize::new(0);
 
     let results: Mutex<Vec<Option<CellOutcome<T>>>> = Mutex::new(outcomes);
     let io_error: Mutex<Option<io::Error>> = Mutex::new(None);
@@ -297,9 +292,10 @@ where
         } else {
             drop(rx);
         }
-        for w in 0..workers {
+        for _ in 0..workers {
             let tx = tx.clone();
-            let queues = &queues;
+            let cursor = &cursor;
+            let pending = &pending;
             let specs = &specs;
             let results = &results;
             let io_error = &io_error;
@@ -309,16 +305,9 @@ where
                 if io_error.lock().expect("io error lock").is_some() {
                     break;
                 }
-                // Own queue first, in its own statement: the guard must
-                // drop before stealing, or two workers each holding their
-                // own queue while locking the other's deadlock (ABBA).
-                let own = queues[w].lock().expect("queue lock").pop_front();
-                let next = own.or_else(|| {
-                    (0..queues.len())
-                        .filter(|&o| o != w)
-                        .find_map(|o| queues[o].lock().expect("queue lock").pop_back())
-                });
-                let Some(idx) = next else { break };
+                let Some(&idx) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
                 let spec = &specs[idx];
                 let _ = tx.send(Event::Started);
                 let t0 = Instant::now();

@@ -145,8 +145,6 @@ pub struct SimConfig {
     pub prefetch_degree: usize,
     /// Length of the system-feedback epoch in cycles (100K in the paper).
     pub epoch_cycles: u64,
-    /// Number of sampled LLC sets observed by sampling-based policies.
-    pub sampled_sets: usize,
     /// Mesh NoC timing between cores and address-interleaved LLC
     /// slices. `None` (the default) keeps the classic uniform-latency
     /// LLC, byte-identical to every pre-NoC result.
@@ -181,7 +179,6 @@ impl SimConfig {
             prefetchers: PrefetcherConfig::default_paper(),
             prefetch_degree: 2,
             epoch_cycles: 100_000,
-            sampled_sets: 64,
             noc: None,
         }
     }
@@ -215,7 +212,6 @@ impl SimConfig {
         cfg.llc_per_core = 64 * 1024;
         cfg.llc_ways = 8;
         cfg.epoch_cycles = 10_000;
-        cfg.sampled_sets = 16;
         cfg
     }
 }

@@ -15,10 +15,9 @@
 //! kernel uses `std::arch::x86_64` intrinsics directly. The AVX2 check
 //! is `is_x86_feature_detected!`, which std caches in a process-global
 //! after the first cpuid — the steady-state cost is one predictable
-//! branch on an already-loaded flag. Building with the `scalar-probe`
-//! feature removes the vector path entirely (the build-time fallback
-//! switch), which is also how the property test cross-checks the two
-//! kernels against each other.
+//! branch on an already-loaded flag. The scalar kernel is the path on
+//! other architectures and the reference ([`find_key_scalar`]) the
+//! property test pins the vector kernel to.
 //!
 //! Equivalence contract: every kernel returns the index of the FIRST
 //! matching element, exactly like `slice::iter().position()`. Residency
@@ -33,14 +32,14 @@
 /// on the throughput bench, that call only pays for itself from about
 /// three vector blocks up. 8-way L1/L2 sets stay scalar-and-inlined;
 /// 12/16/20-way LLC sets and 16+-entry MSHR files go vector.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-probe")))]
+#[cfg(target_arch = "x86_64")]
 const AVX2_MIN_LEN: usize = 12;
 
 /// Find the first way whose packed key equals `key` (use `key = 0` to
 /// find the first invalid way). Returns `None` when no way matches.
 #[inline]
 pub fn find_key(keys: &[u64], key: u64) -> Option<usize> {
-    #[cfg(all(target_arch = "x86_64", not(feature = "scalar-probe")))]
+    #[cfg(target_arch = "x86_64")]
     {
         if keys.len() >= AVX2_MIN_LEN && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just verified at runtime.
@@ -62,7 +61,7 @@ pub fn find_key_scalar(keys: &[u64], key: u64) -> Option<usize> {
 /// first matching way. The `< 4` tail falls through to the scalar loop,
 /// which also preserves first-match order (vector blocks are scanned
 /// low-to-high and `trailing_zeros` picks the lowest matching lane).
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-probe")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn find_key_avx2(keys: &[u64], key: u64) -> Option<usize> {
     use std::arch::x86_64::*;
@@ -94,7 +93,7 @@ unsafe fn find_key_avx2(keys: &[u64], key: u64) -> Option<usize> {
 /// Which probe kernel this build + machine actually runs (diagnostics
 /// and bench metadata).
 pub fn kernel_name() -> &'static str {
-    #[cfg(all(target_arch = "x86_64", not(feature = "scalar-probe")))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             return "avx2";

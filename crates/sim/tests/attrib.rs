@@ -26,10 +26,7 @@ fn profiled_system(cores: usize) -> System {
         })
         .collect();
     let mut sys = System::new(SimConfig::small_test(cores), traces);
-    let cfg = TelemetryConfig {
-        profile: true,
-        ..TelemetryConfig::default()
-    };
+    let cfg = TelemetryConfig { profile: true };
     sys.set_telemetry(TelemetrySink::recording(cfg));
     sys
 }

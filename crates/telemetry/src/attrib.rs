@@ -288,7 +288,8 @@ impl StageAccum {
 }
 
 /// The latency-attribution profiler: aggregate stage tables, per-stage
-/// histograms, and a bounded sample of raw spans for trace export.
+/// histograms, and a bounded ring of the newest raw spans for trace
+/// export.
 #[derive(Debug, Clone)]
 pub struct AttribProfiler {
     demand: Vec<StageAccum>,
@@ -298,12 +299,12 @@ pub struct AttribProfiler {
     stage_hist: Vec<Histogram>,
     /// End-to-end demand latency histogram.
     latency_hist: Histogram,
-    /// Sampled raw spans (bounded; newest kept up to capacity).
+    /// Raw spans (bounded; newest kept up to capacity).
     spans: Vec<RequestSpan>,
     span_capacity: usize,
     span_next: usize,
-    sample_every: u64,
-    offered: u64,
+    /// Spans recorded (demand + prefetch).
+    requests: u64,
     /// Spans whose stage sum differed from their end-to-end latency.
     mismatches: u64,
     /// Per-core `(cycles, count)` of demand spans that reached the LLC,
@@ -314,21 +315,19 @@ pub struct AttribProfiler {
 
 impl Default for AttribProfiler {
     fn default() -> Self {
-        Self::new(65_536, 1)
+        Self::new(crate::RING_CAPACITY)
     }
 }
 
 impl AttribProfiler {
-    /// A profiler keeping at most `span_capacity` raw spans, sampling
-    /// every `sample_every`-th finished span into that buffer
-    /// (aggregates always fold in every span).
+    /// A profiler keeping the newest `span_capacity` raw spans
+    /// (aggregates fold in every span).
     ///
     /// # Panics
     ///
-    /// Panics if `span_capacity` or `sample_every` is zero.
-    pub fn new(span_capacity: usize, sample_every: u64) -> Self {
+    /// Panics if `span_capacity` is zero.
+    pub fn new(span_capacity: usize) -> Self {
         assert!(span_capacity > 0, "span capacity must be positive");
-        assert!(sample_every > 0, "sample_every must be positive");
         AttribProfiler {
             demand: Vec::new(),
             prefetch: Vec::new(),
@@ -337,8 +336,7 @@ impl AttribProfiler {
             spans: Vec::new(),
             span_capacity,
             span_next: 0,
-            sample_every,
-            offered: 0,
+            requests: 0,
             mismatches: 0,
             llc_demand: Vec::new(),
         }
@@ -352,7 +350,7 @@ impl AttribProfiler {
         }
     }
 
-    /// Fold a finished span into the tables (and maybe the sample).
+    /// Fold a finished span into the tables and the span ring.
     pub fn record(&mut self, span: RequestSpan) {
         let core = span.core as usize;
         self.ensure_core(core);
@@ -375,16 +373,13 @@ impl AttribProfiler {
                 *count += 1;
             }
         }
-        let take = self.offered.is_multiple_of(self.sample_every);
-        self.offered += 1;
-        if take {
-            if self.spans.len() < self.span_capacity {
-                self.spans.push(span);
-            } else {
-                self.spans[self.span_next] = span;
-            }
-            self.span_next = (self.span_next + 1) % self.span_capacity;
+        self.requests += 1;
+        if self.spans.len() < self.span_capacity {
+            self.spans.push(span);
+        } else {
+            self.spans[self.span_next] = span;
         }
+        self.span_next = (self.span_next + 1) % self.span_capacity;
     }
 
     /// Per-core demand accumulators.
@@ -408,7 +403,7 @@ impl AttribProfiler {
 
     /// Total spans recorded (demand + prefetch).
     pub fn total_requests(&self) -> u64 {
-        self.offered
+        self.requests
     }
 
     /// Spans whose stage sums did not telescope to their latency.
@@ -422,7 +417,7 @@ impl AttribProfiler {
         self.llc_demand.get(core).copied().unwrap_or((0, 0))
     }
 
-    /// The retained raw spans (sampled, unordered beyond ring age).
+    /// The retained raw spans (unordered beyond ring age).
     pub fn spans(&self) -> &[RequestSpan] {
         &self.spans
     }
@@ -448,7 +443,7 @@ impl AttribProfiler {
         self.latency_hist = Histogram::pow2(20);
         self.spans.clear();
         self.span_next = 0;
-        self.offered = 0;
+        self.requests = 0;
         self.mismatches = 0;
     }
 }
@@ -500,7 +495,7 @@ mod tests {
 
     #[test]
     fn profiler_accumulates_per_core_and_kind() {
-        let mut p = AttribProfiler::new(16, 1);
+        let mut p = AttribProfiler::new(16);
         p.record(build_demand(0, 0));
         p.record(build_demand(2, 50));
         let mut pf = build_demand(0, 100);
@@ -521,7 +516,7 @@ mod tests {
 
     #[test]
     fn profiler_counts_mismatched_spans() {
-        let mut p = AttribProfiler::new(16, 1);
+        let mut p = AttribProfiler::new(16);
         let mut s = build_demand(0, 0);
         s.stages[0] += 1; // corrupt the ledger
         p.record(s);
@@ -530,7 +525,7 @@ mod tests {
 
     #[test]
     fn llc_demand_mirror_tracks_reached_spans() {
-        let mut p = AttribProfiler::new(16, 1);
+        let mut p = AttribProfiler::new(16);
         p.record(build_demand(0, 0)); // llc_latency = 156
         let mut b = SpanBuilder::start(0, 0, 1, false, 0);
         b.mark(Stage::L1Lookup, 4);
@@ -542,19 +537,18 @@ mod tests {
 
     #[test]
     fn span_ring_bounds_and_samples() {
-        let mut p = AttribProfiler::new(4, 2);
+        let mut p = AttribProfiler::new(4);
         for i in 0..12 {
             p.record(build_demand(0, i * 10));
         }
         assert_eq!(p.spans().len(), 4, "ring is bounded");
         assert_eq!(p.total_requests(), 12);
-        // every 2nd span offered -> 6 stored, ring keeps the newest 4
         assert_eq!(p.demand()[0].requests, 12, "aggregates see every span");
     }
 
     #[test]
     fn clear_resets_everything() {
-        let mut p = AttribProfiler::new(8, 1);
+        let mut p = AttribProfiler::new(8);
         p.record(build_demand(0, 0));
         p.clear();
         assert_eq!(p.total_requests(), 0);

@@ -1,9 +1,8 @@
 //! Bounded ring-buffer trace of structured policy-decision events.
 //!
 //! Full runs see hundreds of millions of accesses; the ring keeps the
-//! newest `capacity` events and a sampling knob (`sample_every`) thins
-//! the stream before it is stored, so memory stays bounded no matter how
-//! long the run is.
+//! newest `capacity` events, so memory stays bounded no matter how long
+//! the run is.
 
 /// What happened, with the decision-specific payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,53 +76,40 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Bounded ring buffer with pre-storage sampling.
+/// Bounded ring buffer keeping the newest events.
 #[derive(Debug, Clone)]
 pub struct EventRing {
     buf: Vec<TraceEvent>,
     capacity: usize,
     /// Next write position.
     next: usize,
-    /// Events offered, including ones the sampler skipped (the
-    /// sampling phase).
-    offered: u64,
-    sample_every: u64,
 }
 
 impl EventRing {
-    /// A ring holding at most `capacity` events, keeping every
-    /// `sample_every`-th offered event (1 = keep all).
+    /// A ring holding at most `capacity` events (a recording sink's
+    /// holds 64K).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` or `sample_every` is zero.
-    pub fn new(capacity: usize, sample_every: u64) -> Self {
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
-        assert!(sample_every > 0, "sample_every must be positive");
         EventRing {
             buf: Vec::with_capacity(capacity.min(4096)),
             capacity,
             next: 0,
-            offered: 0,
-            sample_every,
         }
     }
 
-    /// Offer an event; returns true if it was stored.
+    /// Store an event, overwriting the oldest once the ring is full.
     #[inline]
-    pub fn offer(&mut self, ev: TraceEvent) -> bool {
-        let take = self.offered.is_multiple_of(self.sample_every);
-        self.offered += 1;
-        if !take {
-            return false;
-        }
+    pub fn offer(&mut self, ev: TraceEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
             self.buf[self.next] = ev;
         }
         self.next = (self.next + 1) % self.capacity;
-        true
     }
 
     /// Events currently retained.
@@ -147,11 +133,10 @@ impl EventRing {
         tail.iter().chain(head.iter())
     }
 
-    /// Drop all retained events and reset the sampling phase.
+    /// Drop all retained events.
     pub fn clear(&mut self) {
         self.buf.clear();
         self.next = 0;
-        self.offered = 0;
     }
 }
 
@@ -169,7 +154,7 @@ mod tests {
 
     #[test]
     fn fills_then_wraps_keeping_newest() {
-        let mut r = EventRing::new(4, 1);
+        let mut r = EventRing::new(4);
         for c in 0..10 {
             r.offer(ev(c));
         }
@@ -180,7 +165,7 @@ mod tests {
 
     #[test]
     fn partial_fill_iterates_in_order() {
-        let mut r = EventRing::new(8, 1);
+        let mut r = EventRing::new(8);
         for c in 0..3 {
             r.offer(ev(c));
         }
@@ -189,17 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_every_nth() {
-        let mut r = EventRing::new(100, 3);
-        let stored = (0..30).filter(|&c| r.offer(ev(c))).count();
-        assert_eq!(stored, 10);
-        let cycles: Vec<u64> = r.iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
-    }
-
-    #[test]
     fn wrap_exactly_at_capacity_boundary() {
-        let mut r = EventRing::new(3, 1);
+        let mut r = EventRing::new(3);
         for c in 0..6 {
             r.offer(ev(c));
         }
@@ -208,17 +184,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_sampling_phase() {
-        let mut r = EventRing::new(4, 2);
-        r.offer(ev(0)); // kept (phase 0)
-        r.clear();
-        assert!(r.offer(ev(1)), "first post-clear offer is kept again");
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = EventRing::new(0, 1);
+        let _ = EventRing::new(0);
     }
 }

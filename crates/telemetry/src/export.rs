@@ -540,7 +540,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape() {
-        let mut ring = EventRing::new(8, 1);
+        let mut ring = EventRing::new(8);
         ring.offer(TraceEvent {
             cycle: 123,
             core: 1,
@@ -565,7 +565,7 @@ mod tests {
     #[test]
     fn span_stage_slices_tile_the_request() {
         let s = sample_span();
-        let json = chrome_trace_json(&EventRing::new(8, 1), &EpochSeries::new(), &[s]);
+        let json = chrome_trace_json(&EventRing::new(8), &EpochSeries::new(), &[s]);
         // outer request event covers [1000, 1054); stage slices are
         // contiguous: 1000+4, 1004+10, 1014+40
         assert!(json.contains("\"ts\":1000,\"dur\":54"));
@@ -576,7 +576,7 @@ mod tests {
 
     #[test]
     fn attrib_csv_rows_align_with_header() {
-        let mut p = AttribProfiler::new(8, 1);
+        let mut p = AttribProfiler::new(8);
         p.record(sample_span());
         let csv = attrib_csv(&p);
         let lines: Vec<&str> = csv.lines().collect();
@@ -593,7 +593,7 @@ mod tests {
 
     #[test]
     fn attrib_text_reports_stages_and_levels() {
-        let mut p = AttribProfiler::new(8, 1);
+        let mut p = AttribProfiler::new(8);
         p.record(sample_span());
         let txt = attrib_text(&p);
         assert!(txt.contains("where cycles go"));

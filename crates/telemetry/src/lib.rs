@@ -9,7 +9,7 @@
 //!   LLC hit/miss/bypass deltas, MSHR and DRAM queue occupancy, EQ
 //!   state, ε, and mean |Q|,
 //! * [`EventRing`] — a bounded ring buffer of structured policy
-//!   decisions ([`TraceEvent`]) with a sampling knob,
+//!   decisions ([`TraceEvent`]),
 //! * [`export`] — CSV / JSON-lines / Chrome `trace_event` writers.
 //!
 //! Everything funnels through a [`TelemetrySink`]: a cheap clonable
@@ -48,28 +48,18 @@ pub use epoch::{EpochRecord, EpochSeries, PolicyEpochProbe};
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use metrics::Histogram;
 
-/// Sizing knobs for a recording sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Events a recording sink's ring retains, and raw spans its profiler
+/// keeps: 64K events ≈ 2.5 MB, generous for debugging, bounded for
+/// soaks.
+pub(crate) const RING_CAPACITY: usize = 65_536;
+
+/// What a recording sink records beyond events and epochs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Maximum events retained in the ring buffer.
-    pub event_capacity: usize,
-    /// Keep every n-th offered event (1 = keep all).
-    pub sample_every: u64,
     /// Record per-request latency-attribution spans. Off by default:
     /// span stamping touches every access, so it is opt-in even on a
     /// recording sink.
     pub profile: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        // 64K events ≈ 2.5 MB: generous for debugging, bounded for soaks.
-        TelemetryConfig {
-            event_capacity: 65_536,
-            sample_every: 1,
-            profile: false,
-        }
-    }
 }
 
 /// The recorded state behind a live sink.
@@ -90,11 +80,11 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    fn new(cfg: TelemetryConfig) -> Self {
+    fn new() -> Self {
         Telemetry {
-            events: EventRing::new(cfg.event_capacity, cfg.sample_every),
+            events: EventRing::new(RING_CAPACITY),
             epochs: EpochSeries::new(),
-            attrib: AttribProfiler::new(cfg.event_capacity, cfg.sample_every),
+            attrib: AttribProfiler::default(),
             sampling: None,
         }
     }
@@ -126,7 +116,7 @@ impl TelemetrySink {
     /// A live sink recording into fresh storage.
     pub fn recording(cfg: TelemetryConfig) -> Self {
         TelemetrySink {
-            inner: Some(Rc::new(RefCell::new(Telemetry::new(cfg)))),
+            inner: Some(Rc::new(RefCell::new(Telemetry::new()))),
             profile: cfg.profile,
         }
     }
@@ -297,10 +287,7 @@ mod tests {
     fn profiling_sink_records_spans_and_exports_attrib() {
         let dir = std::env::temp_dir().join("chrome-telemetry-test-profile");
         let _ = std::fs::remove_dir_all(&dir);
-        let s = TelemetrySink::recording(TelemetryConfig {
-            profile: true,
-            ..Default::default()
-        });
+        let s = TelemetrySink::recording(TelemetryConfig { profile: true });
         assert!(s.profiling());
         assert!(!TelemetrySink::noop().profiling());
         let b = SpanBuilder::start(0, 0x400, 7, false, 100);

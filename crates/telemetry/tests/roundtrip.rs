@@ -234,10 +234,7 @@ fn span(core: u32, start: u64) -> chrome_telemetry::RequestSpan {
 
 /// Export the full artifact set through the sink and return the files.
 fn export_all() -> (PathBuf, Vec<PathBuf>) {
-    let sink = TelemetrySink::recording(TelemetryConfig {
-        profile: true,
-        ..TelemetryConfig::default()
-    });
+    let sink = TelemetrySink::recording(TelemetryConfig { profile: true });
     for e in 0..EPOCHS as u64 {
         sink.push_epoch(record(e));
         sink.emit(e * 10_000, 0, EventKind::EpochBoundary { epoch: e });

@@ -7,7 +7,7 @@ use chrome_exec::json::{parse, JsonValue};
 use chrome_telemetry::{export, EpochSeries, EventKind, EventRing, TraceEvent};
 
 fn ring_with(kinds: Vec<EventKind>) -> EventRing {
-    let mut ring = EventRing::new(64, 1);
+    let mut ring = EventRing::new(64);
     for (i, kind) in kinds.into_iter().enumerate() {
         ring.offer(TraceEvent {
             cycle: 100 + i as u64,
