@@ -1,4 +1,4 @@
-//! The experiment driver: `run_all [NAME...] [flags]` regenerates the
+//! The experiment runner: `run_all [NAME...] [flags]` regenerates the
 //! named figures and tables, or with no name the full reproduction.
 //!
 //! Each NAME is an experiment of the registry

@@ -1,6 +1,6 @@
 //! # chrome-bench — the experiment harness
 //!
-//! One experiment driver, `run_all NAME...`, regenerates any paper
+//! One experiment runner, `run_all NAME...`, regenerates any paper
 //! figure or table from its plan in [`experiments::EXPERIMENTS`] (Figs.
 //! 7–9 come from the cells of `fig06_4core_spec`). Beside it sit the
 //! `profile`, `simpoint`, `throughput` and `tldiff` tools and this
