@@ -21,6 +21,7 @@ use chrome_sim::dram::Dram;
 use chrome_sim::llc::SharedLlc;
 use chrome_sim::policy::{AccessInfo, BuiltinLru, LlcPolicy, SystemFeedback};
 use chrome_sim::types::{mix64, LineAddr};
+use chrome_sim::SimConfig;
 
 fn bench_qtable() {
     let mut table = QTable::new(2, 4, 2048, 1.582);
@@ -92,30 +93,28 @@ fn bench_serve_decision() {
     });
 }
 
-fn bench_cache_paths() {
-    let cfg = CacheConfig {
-        capacity: 48 * 1024,
-        ways: 12,
-        latency: 5,
-        mshr_entries: 16,
-    };
-    let mut l1 = PrivateCache::new(&cfg);
+/// A demand lookup, and a fill on a miss, against one private cache;
+/// `lines`, several times the capacity, sets the hit ratio.
+fn bench_private_cache(name: &str, cfg: &CacheConfig, lines: u64) {
+    let mut cache = PrivateCache::new(cfg);
     let mut i = 0u64;
-    bench("l1_lookup_fill", || {
+    bench(name, || {
         i += 1;
-        let line = LineAddr(mix64(i) % 4096);
-        if l1.lookup(line, false, false).is_none() {
-            l1.fill(line, false, false, i);
+        let line = LineAddr(mix64(i) % lines);
+        if cache.lookup(line, false, false).is_none() {
+            cache.fill(line, false, false, i);
         }
     });
+}
 
-    let llc_cfg = CacheConfig {
-        capacity: 12 << 20,
-        ways: 12,
-        latency: 40,
-        mshr_entries: 256,
-    };
-    let mut llc = SharedLlc::new(&llc_cfg, 4, Box::new(BuiltinLru::new()));
+/// Each level at its Table V geometry (12-way 48 KiB L1D, 20-way
+/// 1.25 MiB L2, 12-way 3 MiB-per-core LLC, here for 4 cores), the LLC
+/// on the statically dispatched LRU arm the simulator runs.
+fn bench_cache_paths() {
+    let paper = SimConfig::with_cores(4);
+    bench_private_cache("l1_lookup_fill", &paper.l1d, 4096);
+    bench_private_cache("l2_lookup_fill", &paper.l2, 1 << 16);
+    let mut llc = SharedLlc::new(&paper.llc(), 4, BuiltinLru::new());
     let fb = SystemFeedback::new(4);
     let mut i = 0u64;
     bench("llc_access_lru", || {

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use chrome_exec::splitmix64;
@@ -377,9 +377,24 @@ impl Shard {
     }
 }
 
+/// One shard behind its lock, on cache lines of its own. A bare
+/// `Mutex<Shard>` is not a multiple of 64 bytes long, so in a `Vec` one
+/// shard's lock word would share a line with its neighbour's request
+/// counters, and clients serving different shards would pass that line
+/// back and forth on every request. 128 bytes also keeps the
+/// adjacent-line prefetcher from pairing two shards.
+#[repr(align(128))]
+struct ShardSlot(Mutex<Shard>);
+
+impl ShardSlot {
+    fn lock(&self) -> MutexGuard<'_, Shard> {
+        self.0.lock().expect("shard lock poisoned")
+    }
+}
+
 /// The sharded, lock-striped cache.
 pub struct ServeCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<ShardSlot>,
     mask: u64,
 }
 
@@ -400,12 +415,12 @@ impl ServeCache {
             .map(|s| {
                 let seed = splitmix64(cfg.seed ^ (s as u64));
                 let policy = cfg.policy.build(cfg.shard_slots, seed);
-                Mutex::new(Shard::new(
+                ShardSlot(Mutex::new(Shard::new(
                     cfg.shard_slots,
                     cfg.shard_bytes,
                     policy,
                     cfg.time_policy,
-                ))
+                )))
             })
             .collect();
         ServeCache {
@@ -428,8 +443,9 @@ impl ServeCache {
     /// place under the shard lock and return its result; on a miss,
     /// run the admission/eviction path and return `None`.
     pub fn get_with<R>(&self, req: &Request, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        let shard = &self.shards[self.shard_index(req.key)];
-        shard.lock().expect("shard lock poisoned").get_with(req, f)
+        self.shards[self.shard_index(req.key)]
+            .lock()
+            .get_with(req, f)
     }
 
     /// Serve one request, touching the value on a hit. Returns true on
@@ -445,7 +461,7 @@ impl ServeCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in &self.shards {
-            total.merge(&s.lock().expect("shard lock poisoned").stats);
+            total.merge(&s.lock().stats);
         }
         total
     }
@@ -454,17 +470,14 @@ impl ServeCache {
     pub fn histogram(&self) -> LatencyHist {
         let mut total = LatencyHist::default();
         for s in &self.shards {
-            total.merge(&s.lock().expect("shard lock poisoned").hist);
+            total.merge(&s.lock().hist);
         }
         total
     }
 
     /// Value bytes currently resident, across shards.
     pub fn resident_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").bytes)
-            .sum()
+        self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 
     /// Turn on per-decision audit recording in every shard, each shard
@@ -474,7 +487,7 @@ impl ServeCache {
     pub fn enable_audit(&self, cap: usize) -> usize {
         let mut enabled = 0;
         for (i, s) in self.shards.iter().enumerate() {
-            let mut shard = s.lock().expect("shard lock poisoned");
+            let mut shard = s.lock();
             if shard.policy.enable_audit(i as u32, cap) {
                 enabled += 1;
             }
@@ -489,7 +502,7 @@ impl ServeCache {
     pub fn audit_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for s in &self.shards {
-            let shard = s.lock().expect("shard lock poisoned");
+            let shard = s.lock();
             if let Some(log) = shard.policy.audit() {
                 out.extend_from_slice(&log.to_bytes());
             }
@@ -502,7 +515,7 @@ impl ServeCache {
     pub fn timing(&self) -> Option<PolicyTiming> {
         let mut total: Option<PolicyTiming> = None;
         for s in &self.shards {
-            let shard = s.lock().expect("shard lock poisoned");
+            let shard = s.lock();
             if let Some(t) = shard.timing.as_ref() {
                 total.get_or_insert_with(PolicyTiming::default).merge(t);
             }
@@ -632,7 +645,46 @@ mod tests {
         {
             cache.access(&r);
         }
-        let shard = cache.shards[0].lock().unwrap();
+        let shard = cache.shards[0].lock();
         assert!(shard.pressure.thrashing, "scan storm must flag thrashing");
+    }
+
+    /// The 64-byte lines holding a shard's lock word and the counters
+    /// every request writes.
+    fn hot_lines(slot: &ShardSlot) -> Vec<usize> {
+        fn span<T>(field: &T) -> std::ops::Range<usize> {
+            let at = field as *const T as usize;
+            at..at + std::mem::size_of::<T>()
+        }
+        let shard = slot.lock();
+        // The mutex's own state (lock word, poison flag) precedes the
+        // data it guards.
+        let lock = &slot.0 as *const Mutex<Shard> as usize..&*shard as *const Shard as usize;
+        let counters = [
+            span(&shard.stats),
+            span(&shard.window_requests),
+            span(&shard.window_evictions),
+            span(&shard.hist.count),
+        ];
+        let mut lines: Vec<usize> = std::iter::once(lock)
+            .chain(counters)
+            .flat_map(|r| r.start / 64..=(r.end - 1) / 64)
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        lines
+    }
+
+    #[test]
+    fn adjacent_shards_share_no_cache_line() {
+        let cache = ServeCache::new(&ServeConfig::default());
+        for (i, pair) in cache.shards.windows(2).enumerate() {
+            let (a, b) = (hot_lines(&pair[0]), hot_lines(&pair[1]));
+            assert!(
+                a.iter().all(|line| !b.contains(line)),
+                "shards {i} and {} share a line: {a:?} / {b:?}",
+                i + 1
+            );
+        }
     }
 }

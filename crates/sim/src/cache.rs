@@ -1,18 +1,17 @@
 //! Private set-associative caches (L1D, L2) with LRU replacement.
 
 use crate::config::CacheConfig;
+use crate::lru::{new_ranks, touch};
 use crate::mshr::MshrFile;
+use crate::probe::{find_key, key_of, line_of};
 use crate::stats::CacheStats;
 use crate::types::LineAddr;
 
-/// Packed residency key; see the `keys` field of [`PrivateCache`]. Line
-/// addresses come from byte addresses shifted down by the line-offset
-/// bits, so the shift cannot overflow.
-#[inline]
-fn key_of(line: LineAddr) -> u64 {
-    debug_assert!(line.0 < 1 << 63, "line address overflows packed key");
-    (line.0 << 1) | 1
-}
+/// `flags` bit: the block is dirty.
+const DIRTY: u8 = 1;
+/// `flags` bit: a prefetch filled the block and no demand access has
+/// hit it since.
+const PREFETCH: u8 = 2;
 
 /// A block evicted from a cache, reported to the caller so writebacks can
 /// be propagated down the hierarchy.
@@ -38,17 +37,19 @@ pub struct PrivateCache {
     ways: usize,
     /// Access latency in cycles.
     pub latency: u64,
-    /// Packed tag+valid per way: `(line << 1) | 1`, `0` = invalid way.
-    /// One array scanned per lookup instead of a tag array plus a valid
-    /// array — the L1 lookup runs once per memory access.
-    keys: Vec<u64>,
-    dirty: Vec<bool>,
-    prefetch: Vec<bool>,
+    /// Packed tag+valid per way (see [`crate::probe::key_of`]), `0` =
+    /// invalid way. One array scanned per lookup instead of a tag array
+    /// plus a valid array — the L1 lookup runs once per memory access.
+    keys: Vec<u32>,
+    /// [`DIRTY`] and [`PREFETCH`] bits per way.
+    flags: Vec<u8>,
     /// Cycle at which each block's data arrives (fills are recorded
     /// eagerly; a hit before this time waits for the in-flight data).
     ready: Vec<u64>,
-    lru: Vec<u64>,
-    tick: u64,
+    /// Recency rank per way (see [`crate::lru::new_ranks`]). The victim
+    /// is the way ranked `ways - 1`: the first invalid way while the set
+    /// has one, the least recently used way once it is full.
+    rank: Vec<u8>,
     /// Outstanding-miss tracking for this level.
     pub mshr: MshrFile,
     /// Counters for this cache.
@@ -60,8 +61,9 @@ impl PrivateCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration implies zero sets or zero ways, or if
-    /// the set count is not a power of two (bitmask indexing).
+    /// Panics if the configuration implies zero sets or zero ways, more
+    /// than 256 ways, or if the set count is not a power of two (bitmask
+    /// indexing).
     pub fn new(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets > 0 && cfg.ways > 0, "degenerate cache geometry");
@@ -76,11 +78,9 @@ impl PrivateCache {
             ways: cfg.ways,
             latency: cfg.latency,
             keys: vec![0; n],
-            dirty: vec![false; n],
-            prefetch: vec![false; n],
+            flags: vec![0; n],
             ready: vec![0; n],
-            lru: vec![0; n],
-            tick: 0,
+            rank: new_ranks(sets, cfg.ways),
             mshr: MshrFile::new(cfg.mshr_entries),
             stats: CacheStats::default(),
         }
@@ -96,20 +96,16 @@ impl PrivateCache {
         self.ways
     }
 
+    /// Index of the first way of `line`'s set.
     #[inline]
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 & self.set_mask) as usize
-    }
-
-    #[inline]
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+    fn base_of(&self, line: LineAddr) -> usize {
+        (line.0 & self.set_mask) as usize * self.ways
     }
 
     /// Look up `line` without updating replacement state.
     pub fn probe(&self, line: LineAddr) -> Option<usize> {
-        let base = self.set_of(line) * self.ways;
-        crate::probe::find_key(&self.keys[base..base + self.ways], key_of(line))
+        let base = self.base_of(line);
+        find_key(&self.keys[base..base + self.ways], key_of(line))
     }
 
     /// Look up `line`; on a hit, update LRU state and the dirty bit (for
@@ -117,16 +113,15 @@ impl PrivateCache {
     /// data arrives (in the past for settled blocks). `is_prefetch`
     /// suppresses demand accounting. The caller updates stats counters.
     pub fn lookup(&mut self, line: LineAddr, is_write: bool, is_prefetch: bool) -> Option<u64> {
-        let base = self.set_of(line) * self.ways;
-        let way = crate::probe::find_key(&self.keys[base..base + self.ways], key_of(line))?;
+        let base = self.base_of(line);
+        let way = find_key(&self.keys[base..base + self.ways], key_of(line))?;
+        touch(&mut self.rank[base..base + self.ways], way);
         let i = base + way;
-        self.tick += 1;
-        self.lru[i] = self.tick;
         if is_write {
-            self.dirty[i] = true;
+            self.flags[i] |= DIRTY;
         }
-        if !is_prefetch && self.prefetch[i] {
-            self.prefetch[i] = false;
+        if !is_prefetch && self.flags[i] & PREFETCH != 0 {
+            self.flags[i] &= !PREFETCH;
             self.stats.prefetch_useful += 1;
         }
         Some(self.ready[i])
@@ -143,43 +138,28 @@ impl PrivateCache {
         ready: u64,
     ) -> Option<Evicted> {
         debug_assert!(self.probe(line).is_none(), "double fill of resident line");
-        let base = self.set_of(line) * self.ways;
-        // One fused pass: take the first invalid way if there is one,
-        // otherwise the first LRU-minimal way. Steady-state sets are
-        // full, so a separate invalid-way probe would scan every key
-        // and fail before the LRU scan even started.
-        let mut way = 0;
-        let mut best = u64::MAX;
-        for w in 0..self.ways {
-            let i = base + w;
-            if self.keys[i] == 0 {
-                way = w;
-                break;
-            }
-            if self.lru[i] < best {
-                best = self.lru[i];
-                way = w;
-            }
-        }
+        let base = self.base_of(line);
+        let ranks = &mut self.rank[base..base + self.ways];
+        let last = (self.ways - 1) as u8;
+        let way = ranks
+            .iter()
+            .position(|&r| r == last)
+            .expect("a set's ranks are a permutation of its ways");
+        touch(ranks, way);
         let i = base + way;
-        let evicted = if self.keys[i] != 0 {
+        let evicted = (self.keys[i] != 0).then(|| Evicted {
+            line: line_of(self.keys[i]),
+            dirty: self.flags[i] & DIRTY != 0,
+        });
+        if let Some(e) = evicted {
             self.stats.evictions += 1;
-            Some(Evicted {
-                line: LineAddr(self.keys[i] >> 1),
-                dirty: self.dirty[i],
-            })
-        } else {
-            None
-        };
-        if evicted.as_ref().is_some_and(|e| e.dirty) {
-            self.stats.writebacks += 1;
+            if e.dirty {
+                self.stats.writebacks += 1;
+            }
         }
-        self.tick += 1;
         self.keys[i] = key_of(line);
-        self.dirty[i] = dirty;
-        self.prefetch[i] = is_prefetch;
+        self.flags[i] = (DIRTY * u8::from(dirty)) | (PREFETCH * u8::from(is_prefetch));
         self.ready[i] = ready;
-        self.lru[i] = self.tick;
         if is_prefetch {
             self.stats.prefetch_fills += 1;
         }
@@ -190,9 +170,8 @@ impl PrivateCache {
     /// upper level). Returns `false` if the line is not resident.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
         if let Some(way) = self.probe(line) {
-            let set = self.set_of(line);
-            let i = self.idx(set, way);
-            self.dirty[i] = true;
+            let i = self.base_of(line) + way;
+            self.flags[i] |= DIRTY;
             true
         } else {
             false

@@ -3,6 +3,7 @@
 use crate::config::CacheConfig;
 use crate::mshr::MshrFile;
 use crate::policy::{AccessInfo, CandidateLine, FillDecision, PolicySlot, SystemFeedback};
+use crate::probe::{find_key, key_of, line_of};
 use crate::stats::{CacheStats, EvictedUnusedTracker};
 use crate::types::LineAddr;
 use chrome_telemetry::{EventKind, TelemetrySink};
@@ -26,16 +27,13 @@ pub enum LlcOutcome {
     },
 }
 
-/// Packed residency key: `(line << 1) | 1`, with `0` meaning "invalid
-/// way". Folding the valid bit into the tag halves the loads per set
-/// scan (one `u64` array instead of a tag array plus a valid array).
-/// Line addresses are byte addresses shifted right by the line-offset
-/// bits, so the top bit is always clear and the shift cannot overflow.
-#[inline]
-fn key_of(line: LineAddr) -> u64 {
-    debug_assert!(line.0 < 1 << 63, "line address overflows packed key");
-    (line.0 << 1) | 1
-}
+/// `flags` bit: the block is dirty.
+const DIRTY: u8 = 1;
+/// `flags` bit: a prefetch filled the block and no demand access has
+/// hit it since.
+const PREFETCH: u8 = 2;
+/// `flags` bit: an access hit the block since it was filled.
+const HIT_SINCE_FILL: u8 = 4;
 
 /// The shared LLC: geometry, per-block state, policy, and statistics.
 pub struct SharedLlc {
@@ -46,11 +44,11 @@ pub struct SharedLlc {
     ways: usize,
     /// Access latency in cycles.
     pub latency: u64,
-    /// Packed tag+valid per way; see [`key_of`].
-    keys: Vec<u64>,
-    dirty: Vec<bool>,
-    prefetch: Vec<bool>,
-    hit_since_fill: Vec<bool>,
+    /// Packed tag+valid per way (see [`crate::probe::key_of`]), `0` =
+    /// invalid way.
+    keys: Vec<u32>,
+    /// [`DIRTY`], [`PREFETCH`] and [`HIT_SINCE_FILL`] bits per way.
+    flags: Vec<u8>,
     ready_at: Vec<u64>,
     /// Block index of the most recent fill, so the common
     /// fill-then-`set_ready` sequence skips the second set scan.
@@ -108,9 +106,7 @@ impl SharedLlc {
             ways: cfg.ways,
             latency: cfg.latency,
             keys: vec![0; n],
-            dirty: vec![false; n],
-            prefetch: vec![false; n],
-            hit_since_fill: vec![false; n],
+            flags: vec![0; n],
             ready_at: vec![0; n],
             last_fill: usize::MAX,
             victim_scratch: Vec::with_capacity(cfg.ways),
@@ -160,7 +156,7 @@ impl SharedLlc {
     /// Look up `line` without side effects.
     pub fn probe(&self, line: LineAddr) -> Option<usize> {
         let base = self.set_of(line) * self.ways;
-        crate::probe::find_key(&self.keys[base..base + self.ways], key_of(line))
+        find_key(&self.keys[base..base + self.ways], key_of(line))
     }
 
     /// Perform a full access: policy callbacks, statistics, fills and
@@ -179,12 +175,12 @@ impl SharedLlc {
         }
         if let Some(way) = self.probe(info.line) {
             let i = self.idx(set, way);
-            self.hit_since_fill[i] = true;
+            self.flags[i] |= HIT_SINCE_FILL;
             if info.is_write {
-                self.dirty[i] = true;
+                self.flags[i] |= DIRTY;
             }
-            if !info.is_prefetch && self.prefetch[i] {
-                self.prefetch[i] = false;
+            if !info.is_prefetch && self.flags[i] & PREFETCH != 0 {
+                self.flags[i] &= !PREFETCH;
                 self.stats.prefetch_useful += 1;
             }
             self.policy.on_hit(set, way, info, feedback);
@@ -234,7 +230,7 @@ impl SharedLlc {
         feedback: &SystemFeedback,
     ) -> Option<LineAddr> {
         let base = set * self.ways;
-        let way = match crate::probe::find_key(&self.keys[base..base + self.ways], 0) {
+        let way = match find_key(&self.keys[base..base + self.ways], 0) {
             Some(w) => w,
             None => {
                 let mut candidates = std::mem::take(&mut self.victim_scratch);
@@ -243,9 +239,9 @@ impl SharedLlc {
                     let i = base + w;
                     CandidateLine {
                         way: w,
-                        line: LineAddr(self.keys[i] >> 1),
-                        prefetch: self.prefetch[i],
-                        dirty: self.dirty[i],
+                        line: line_of(self.keys[i]),
+                        prefetch: self.flags[i] & PREFETCH != 0,
+                        dirty: self.flags[i] & DIRTY != 0,
                     }
                 }));
                 let w = self.policy.choose_victim(set, &candidates, info);
@@ -258,7 +254,7 @@ impl SharedLlc {
                         EventKind::VictimChosen {
                             set: set as u32,
                             way: w as u32,
-                            line: self.keys[base + w] >> 1,
+                            line: line_of(self.keys[base + w]).0,
                         },
                     );
                 }
@@ -268,28 +264,27 @@ impl SharedLlc {
         let i = base + way;
         let mut writeback = None;
         if self.keys[i] != 0 {
-            let victim = LineAddr(self.keys[i] >> 1);
+            let victim = line_of(self.keys[i]);
+            let flags = self.flags[i];
+            let prefetched = flags & PREFETCH != 0;
+            let reused = flags & HIT_SINCE_FILL != 0;
             self.stats.evictions += 1;
-            if !self.hit_since_fill[i] {
+            if !reused {
                 self.stats.evictions_unused += 1;
-                if self.prefetch[i] {
+                if prefetched {
                     self.stats.evictions_unused_prefetch += 1;
                 }
-                self.unused_tracker
-                    .on_unused_eviction(victim, self.prefetch[i]);
+                self.unused_tracker.on_unused_eviction(victim, prefetched);
             }
-            if self.dirty[i] {
+            if flags & DIRTY != 0 {
                 self.stats.writebacks += 1;
                 writeback = Some(victim);
             }
-            self.policy
-                .on_evict(set, way, victim, self.hit_since_fill[i]);
+            self.policy.on_evict(set, way, victim, reused);
         }
         self.keys[i] = key_of(info.line);
         self.last_fill = i;
-        self.dirty[i] = info.is_write;
-        self.prefetch[i] = info.is_prefetch;
-        self.hit_since_fill[i] = false;
+        self.flags[i] = (DIRTY * u8::from(info.is_write)) | (PREFETCH * u8::from(info.is_prefetch));
         if info.is_prefetch {
             self.stats.prefetch_fills += 1;
         }
@@ -314,22 +309,13 @@ impl SharedLlc {
         }
     }
 
-    /// Arrival cycle of a resident line's data (0 for long-settled
-    /// blocks), or `None` if not resident.
-    pub fn ready_of(&self, line: LineAddr) -> Option<u64> {
-        self.probe(line).map(|way| {
-            let set = self.set_of(line);
-            self.ready_at[set * self.ways + way]
-        })
-    }
-
     /// A writeback arriving from an upper level: mark dirty if resident,
     /// otherwise report `false` so the caller forwards it to DRAM.
     pub fn writeback(&mut self, line: LineAddr) -> bool {
         if let Some(way) = self.probe(line) {
             let set = self.set_of(line);
             let i = self.idx(set, way);
-            self.dirty[i] = true;
+            self.flags[i] |= DIRTY;
             true
         } else {
             false

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::types::{mix64, LineAddr, PAGE_SHIFT};
+use crate::types::{mix64, LineAddr, LINE_SHIFT, PAGE_SHIFT};
 
 /// Deterministic multiply-rotate hasher (Fx-style). The MMU probes its
 /// page map once per memory access, so the default SipHash showed up in
@@ -64,8 +64,9 @@ type PageMapHasher = BuildHasherDefault<PageHasher>;
 /// repeatedly, turning the per-access hash-map probe into one indexed
 /// load. It is a pure memo — translations are identical with it off.
 /// Sized for the multi-programmed Zipf mixes: 4 cores touching a few
-/// thousand hot pages each thrashed a 512-entry array, and at 16 bytes
-/// a slot the memo is still small enough to be cache-resident.
+/// thousand hot pages each thrashed a 512-entry array, and at 24 bytes
+/// a slot (a 16-byte padded tag plus the page) the memo is still small
+/// enough to be cache-resident.
 const TLB_ENTRIES: usize = 8192;
 
 /// Per-system page mapper.
@@ -148,6 +149,11 @@ impl Mmu {
         p
     }
 
+    /// The largest physical line address a translation can return.
+    pub(crate) fn max_line(&self) -> LineAddr {
+        LineAddr((self.phys_pages << (PAGE_SHIFT - LINE_SHIFT)) - 1)
+    }
+
     /// Number of distinct pages mapped so far.
     pub fn mapped_pages(&self) -> usize {
         self.map.len()
@@ -193,6 +199,16 @@ mod tests {
             let line = m.translate(0, v * PAGE_SIZE);
             assert!(seen.insert(line.page_number()), "collision at vpage {v}");
         }
+    }
+
+    #[test]
+    fn max_line_bounds_every_translation() {
+        let mut m = Mmu::new(1 << 20);
+        assert_eq!(m.max_line(), LineAddr((1 << 14) - 1));
+        for v in 0..256u64 {
+            assert!(m.translate(0, v * PAGE_SIZE + PAGE_SIZE - 1) <= m.max_line());
+        }
+        assert_eq!(Mmu::default_8gb().max_line(), LineAddr((1 << 27) - 1));
     }
 
     #[test]

@@ -1,16 +1,8 @@
 //! Miss-status holding registers: bound outstanding misses and merge
 //! same-line requests.
 
+use crate::probe::{find_key, key_of};
 use crate::types::LineAddr;
-
-/// Packed slot key: `(line << 1) | 1`, with `0` meaning "free slot" —
-/// the same encoding the cache set probes use, so MSHR lookups run
-/// through the same vectorized [`crate::probe::find_key`] kernel.
-#[inline]
-fn key_of(line: LineAddr) -> u64 {
-    debug_assert!(line.0 < 1 << 63, "line address overflows packed key");
-    (line.0 << 1) | 1
-}
 
 /// A small MSHR file, laid out as a fixed-capacity pool: one packed
 /// key array plus one ready-cycle array, allocated once at
@@ -35,9 +27,10 @@ fn key_of(line: LineAddr) -> u64 {
 /// defend against.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    /// Packed line key per slot; live entries occupy `[0, live)`,
+    /// Packed line key per slot (the cache sets' encoding, see
+    /// [`crate::probe::key_of`]); live entries occupy `[0, live)`,
     /// everything beyond is `0`.
-    keys: Box<[u64]>,
+    keys: Box<[u32]>,
     /// Completion cycle per slot, parallel to `keys`.
     ready: Box<[u64]>,
     /// Number of occupied slots (the packed prefix length).
@@ -103,7 +96,7 @@ impl MshrFile {
         if now >= self.min_ready {
             self.reclaim(now);
         }
-        if let Some(slot) = crate::probe::find_key(&self.keys[..self.live], key_of(line)) {
+        if let Some(slot) = find_key(&self.keys[..self.live], key_of(line)) {
             return MshrOutcome::Merged {
                 ready: self.ready[slot],
             };

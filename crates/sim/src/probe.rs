@@ -1,15 +1,17 @@
 //! Vectorized set probes over packed residency keys.
 //!
-//! Both [`crate::cache::PrivateCache`] and [`crate::llc::SharedLlc`]
-//! store one packed `u64` per way — `(line << 1) | 1`, with `0` meaning
-//! "invalid way" — laid out structure-of-arrays so one set is one
-//! contiguous `&[u64]` of length `ways`. A lookup is "find the first way
-//! whose key equals the probe key", and an invalid-way search is the
-//! same question with key `0`. That single primitive, [`find_key`],
-//! runs once or twice per L1/L2/LLC access and is the hottest loop in
-//! the simulator, so it is vectorized: four ways per compare with AVX2
-//! (`VPCMPEQQ` + sign-mask + trailing-zero count), falling back to the
-//! scalar loop for the tail and on other architectures.
+//! The L1D and L2 ([`crate::cache::PrivateCache`]), the LLC
+//! ([`crate::llc::SharedLlc`]) and every MSHR file
+//! ([`crate::mshr::MshrFile`]) store one packed `u32` per way —
+//! `key_of` gives `(line << 1) | 1`, with `0` meaning "invalid way" —
+//! laid out structure-of-arrays so one set is one contiguous `&[u32]`
+//! of length `ways`. A lookup is "find the first way whose key equals
+//! the probe key", and an invalid-way search is the same question with
+//! key `0`. That single primitive, [`find_key`], runs once or twice per
+//! L1/L2/LLC access and is the hottest loop in the simulator, so it is
+//! vectorized: eight ways per compare with AVX2 (`VPCMPEQD`, a sign
+//! mask and a trailing-zero count), and the scalar loop on other
+//! architectures and below the length gate.
 //!
 //! Dispatch strategy: `std::simd` is still nightly-only, so the vector
 //! kernel uses `std::arch::x86_64` intrinsics directly. The AVX2 check
@@ -26,23 +28,58 @@
 //! replacement decisions key off which one is chosen — first-match
 //! semantics are load-bearing for byte-identical `SimResults`.
 
+use crate::types::LineAddr;
+
+/// Largest line address a residency key can hold: the shift in
+/// [`key_of`] leaves 31 bits. The 8 GB MMU's physical lines stay below
+/// 2^27 (`MemHierarchy` asserts its largest line fits).
+pub(crate) const MAX_KEY_LINE: u64 = (1 << 31) - 1;
+
+/// Pack a line into its residency key, `(line << 1) | 1`: the tag and
+/// the valid bit in one `u32` compare.
+///
+/// # Panics
+///
+/// Panics if `line` exceeds [`MAX_KEY_LINE`]; a key never truncates.
+#[inline]
+pub(crate) fn key_of(line: LineAddr) -> u32 {
+    if line.0 > MAX_KEY_LINE {
+        key_overflow(line);
+    }
+    ((line.0 as u32) << 1) | 1
+}
+
+#[cold]
+#[inline(never)]
+fn key_overflow(line: LineAddr) -> ! {
+    panic!("{line} does not fit a 31-bit residency key")
+}
+
+/// The line a (valid) residency key packs.
+#[inline]
+pub(crate) fn line_of(key: u32) -> LineAddr {
+    LineAddr(u64::from(key >> 1))
+}
+
 /// Slices shorter than this take the inline scalar loop even when AVX2
 /// is present. `#[target_feature]` functions cannot inline into their
-/// (non-AVX2) callers, so the vector kernel costs a real call; profiled
-/// on the throughput bench, that call only pays for itself from about
-/// three vector blocks up. 8-way L1/L2 sets stay scalar-and-inlined;
-/// 12/16/20-way LLC sets and 16+-entry MSHR files go vector.
+/// (non-AVX2) callers, so the vector kernel costs a real call, and it
+/// needs one full 8-lane block: the tail is one overlapping block ending
+/// at the last way. From 8 ways up, the call plus one or two compares
+/// beats the scalar loop, so every Table V set (12-way L1D and LLC,
+/// 20-way L2) and MSHR files with 8+ live entries go vector.
 #[cfg(target_arch = "x86_64")]
-const AVX2_MIN_LEN: usize = 12;
+const AVX2_MIN_LEN: usize = 8;
 
 /// Find the first way whose packed key equals `key` (use `key = 0` to
 /// find the first invalid way). Returns `None` when no way matches.
 #[inline]
-pub fn find_key(keys: &[u64], key: u64) -> Option<usize> {
+pub fn find_key(keys: &[u32], key: u32) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     {
         if keys.len() >= AVX2_MIN_LEN && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
+            // SAFETY: AVX2 support was just verified at runtime, and the
+            // slice holds at least one full block.
             return unsafe { find_key_avx2(keys, key) };
         }
     }
@@ -52,42 +89,44 @@ pub fn find_key(keys: &[u64], key: u64) -> Option<usize> {
 /// The scalar reference kernel: exactly `keys.iter().position(|&k| k ==
 /// key)`. Public so the property test can pin the vector kernel to it.
 #[inline]
-pub fn find_key_scalar(keys: &[u64], key: u64) -> Option<usize> {
+pub fn find_key_scalar(keys: &[u32], key: u32) -> Option<usize> {
     keys.iter().position(|&k| k == key)
 }
 
-/// AVX2 kernel: compare four packed ways per iteration, extract the
+/// AVX2 kernel: compare eight packed ways per iteration, extract the
 /// per-lane equality sign bits, and count trailing zeros to recover the
-/// first matching way. The `< 4` tail falls through to the scalar loop,
-/// which also preserves first-match order (vector blocks are scanned
-/// low-to-high and `trailing_zeros` picks the lowest matching lane).
+/// first matching way. A ragged tail is one more block ending at the
+/// last way; its lanes that overlap the blocks already scanned matched
+/// nothing there, so their bits are clear and first-match order holds
+/// (blocks are scanned low-to-high and `trailing_zeros` picks the
+/// lowest matching lane).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `keys.len()` must be at least 8.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn find_key_avx2(keys: &[u64], key: u64) -> Option<usize> {
+unsafe fn find_key_avx2(keys: &[u32], key: u32) -> Option<usize> {
     use std::arch::x86_64::*;
     let n = keys.len();
-    let ptr = keys.as_ptr();
-    let needle = _mm256_set1_epi64x(key as i64);
+    debug_assert!(n >= 8, "the AVX2 probe needs one full block");
+    let needle = _mm256_set1_epi32(key as i32);
     let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: `i + 4 <= n` bounds the unaligned 32-byte load.
-        let block = _mm256_loadu_si256(ptr.add(i).cast());
-        let eq = _mm256_cmpeq_epi64(block, needle);
-        // One sign bit per 64-bit lane, lane 0 in bit 0.
-        let mask = _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32;
+    loop {
+        // SAFETY: `i + 8 <= n` (`i` is 0 or at most `n - 8`) bounds the
+        // unaligned 32-byte load.
+        let block = _mm256_loadu_si256(keys.as_ptr().add(i).cast());
+        let eq = _mm256_cmpeq_epi32(block, needle);
+        // One sign bit per 32-bit lane, lane 0 in bit 0.
+        let mask = _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32;
         if mask != 0 {
             return Some(i + mask.trailing_zeros() as usize);
         }
-        i += 4;
-    }
-    while i < n {
-        // SAFETY: `i < n` by the loop condition.
-        if *keys.get_unchecked(i) == key {
-            return Some(i);
+        if i + 8 >= n {
+            return None;
         }
-        i += 1;
+        i = (i + 8).min(n - 8);
     }
-    None
 }
 
 /// Which probe kernel this build + machine actually runs (diagnostics
@@ -117,10 +156,10 @@ mod tests {
     #[test]
     fn first_match_wins_across_block_boundaries() {
         // Duplicate zeros (the invalid-way search case) spanning the
-        // vector block and the scalar tail.
-        for ways in [4, 5, 8, 11, 12, 16, 20] {
+        // vector blocks and the overlapping tail block.
+        for ways in [4, 5, 8, 9, 11, 12, 16, 20, 23] {
             for first_zero in 0..ways {
-                let mut keys: Vec<u64> = (0..ways as u64).map(|i| (i << 1) | 1).collect();
+                let mut keys: Vec<u32> = (0..ways as u32).map(|i| (i << 1) | 1).collect();
                 for k in keys.iter_mut().skip(first_zero) {
                     *k = 0;
                 }
@@ -133,11 +172,26 @@ mod tests {
     #[test]
     fn matches_scalar_on_every_position() {
         for ways in 1..=24 {
-            let keys: Vec<u64> = (0..ways as u64).map(|i| ((i + 100) << 1) | 1).collect();
+            let keys: Vec<u32> = (0..ways as u32).map(|i| ((i + 100) << 1) | 1).collect();
             for (w, &k) in keys.iter().enumerate() {
                 assert_eq!(find_key(&keys, k), Some(w), "ways={ways} way={w}");
             }
             assert_eq!(find_key(&keys, (999 << 1) | 1), None);
         }
+    }
+
+    #[test]
+    fn keys_round_trip_up_to_the_limit() {
+        for line in [0, 1, 0x7FF_FFFF, MAX_KEY_LINE] {
+            let key = key_of(LineAddr(line));
+            assert_ne!(key, 0, "a valid key is never the invalid-way key");
+            assert_eq!(line_of(key), LineAddr(line));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 31-bit residency key")]
+    fn oversized_line_panics_instead_of_truncating() {
+        key_of(LineAddr(MAX_KEY_LINE + 1));
     }
 }

@@ -181,6 +181,12 @@ impl MemHierarchy {
         let cores = cfg.cores;
         let mut camat = CamatTracker::new(cores);
         camat.set_epoch_boundary(cfg.epoch_cycles);
+        let mmu = Mmu::default_8gb();
+        assert!(
+            mmu.max_line().0 <= crate::probe::MAX_KEY_LINE,
+            "physical memory ends at {}, past the 31-bit residency-key range",
+            mmu.max_line()
+        );
         MemHierarchy {
             l1d: (0..cores).map(|_| PrivateCache::new(&cfg.l1d)).collect(),
             l2: (0..cores).map(|_| PrivateCache::new(&cfg.l2)).collect(),
@@ -193,7 +199,7 @@ impl MemHierarchy {
             l2_pref: (0..cores)
                 .map(|_| AnyPrefetcher::build(cfg.prefetchers.l2, cfg.prefetch_degree))
                 .collect(),
-            mmu: Mmu::default_8gb(),
+            mmu,
             camat,
             feedback: SystemFeedback::new(cores),
             l1_latency: cfg.l1d.latency,

@@ -3,11 +3,13 @@
 //! naive models. Driven by the seeded in-repo RNG, so every run is
 //! deterministic and reproducible from the printed case index.
 //!
-//! These are the safety net under the `probe::find_key` dispatch: the
-//! AVX2 kernel, the scalar kernel and the fused fill scan must agree on
-//! *first-match* semantics for every layout — including layouts with
+//! These are the safety net under the `probe::find_key` dispatch and
+//! the recency ranks: the AVX2 kernel and the scalar kernel must agree
+//! on *first-match* semantics for every layout — including layouts with
 //! several invalid (zero) ways, where which zero wins decides the
-//! replacement victim and therefore the entire downstream simulation.
+//! replacement victim and therefore the entire downstream simulation —
+//! and the rank-based caches must pick the victims stamp-based LRU
+//! picks.
 
 use chrome_sim::cache::PrivateCache;
 use chrome_sim::config::CacheConfig;
@@ -19,7 +21,7 @@ use chrome_sim::types::LineAddr;
 
 const CASES: usize = 256;
 
-fn packed(line: u64) -> u64 {
+fn packed(line: u32) -> u32 {
     (line << 1) | 1
 }
 
@@ -35,14 +37,16 @@ fn dispatched_kernel_matches_scalar_on_random_layouts() {
         let len = rng.gen_range(0..33usize);
         // A small line universe forces duplicates; zeroing ~1/3 of the
         // ways exercises the invalid-way search with multiple zeros.
-        let mut keys: Vec<u64> = (0..len).map(|_| packed(rng.gen_range(0u64..12))).collect();
+        let mut keys: Vec<u32> = (0..len)
+            .map(|_| packed(rng.gen_range(0u64..12) as u32))
+            .collect();
         for k in keys.iter_mut() {
             if rng.gen_range(0..3u32) == 0 {
                 *k = 0;
             }
         }
         // Probe for every present key, an absent key, and zero.
-        let mut probes: Vec<u64> = keys.clone();
+        let mut probes: Vec<u32> = keys.clone();
         probes.push(packed(999));
         probes.push(0);
         for key in probes {
@@ -56,7 +60,7 @@ fn dispatched_kernel_matches_scalar_on_random_layouts() {
 }
 
 /// A naive always-scalar model of a set-associative LRU cache: lines
-/// with a timestamp, searched front to back.
+/// with a 64-bit timestamp, searched front to back.
 struct NaiveCache {
     sets: usize,
     ways: usize,
@@ -93,9 +97,9 @@ impl NaiveCache {
         false
     }
 
-    /// First invalid way, else first LRU-minimal way; returns the
-    /// evicted line if a valid block was replaced.
-    fn fill(&mut self, line: u64) -> Option<u64> {
+    /// First invalid way, else first LRU-minimal way; returns the way
+    /// and the evicted line if a valid block was replaced.
+    fn fill(&mut self, line: u64) -> (usize, Option<u64>) {
         let base = self.set_of(line) * self.ways;
         let mut way = 0;
         let mut best = u64::MAX;
@@ -119,22 +123,26 @@ impl NaiveCache {
         }
         self.tick += 1;
         self.blocks[base + way] = Some((line, self.tick));
-        evicted
+        (way, evicted)
     }
 }
 
-/// The SoA cache (SIMD probes, fused invalid/LRU fill scan) is
-/// trace-equivalent to the naive model: identical hit/miss outcomes and
-/// identical victims, access for access, across random geometries.
+/// The SoA cache (SIMD probes, recency-rank victims) is
+/// trace-equivalent to the naive model: identical hit/miss outcomes,
+/// identical victims and the same way filled, access for access, across
+/// random geometries — among them Table V's 12-way L1D and 20-way L2
+/// sets.
 #[test]
 fn private_cache_matches_naive_model() {
     let mut rng = SmallRng::seed_from_u64(0x5EED_0002);
     for case in 0..CASES {
-        let (sets, ways) = match rng.gen_range(0..4u32) {
+        let (sets, ways) = match rng.gen_range(0..6u32) {
             0 => (2, 4),
             1 => (4, 8),
             2 => (8, 2),
-            _ => (2, 16),
+            3 => (2, 16),
+            4 => (4, 12),
+            _ => (2, 20),
         };
         let cfg = CacheConfig {
             capacity: sets * ways * 64,
@@ -152,14 +160,84 @@ fn private_cache_matches_naive_model() {
             assert_eq!(hit, model_hit, "case {case}: access {a} line {line}");
             if !hit {
                 let ev = cache.fill(LineAddr(line), false, false, a as u64);
-                let model_ev = model.fill(line);
+                let (way, model_ev) = model.fill(line);
                 assert_eq!(
                     ev.map(|e| e.line.0),
                     model_ev,
                     "case {case}: access {a} victim diverged"
                 );
+                assert_eq!(
+                    cache.probe(LineAddr(line)),
+                    Some(way),
+                    "case {case}: access {a} fill way diverged"
+                );
             }
         }
+    }
+}
+
+/// The LLC under the built-in LRU (recency ranks in the policy, the
+/// LLC's own first-invalid-way fill) is trace-equivalent to the naive
+/// stamp-LRU model on 12- and 16-way sets: the same hit or miss, the
+/// same way filled and the same victim on every access. Random stores
+/// make some victims dirty; a dirty victim must come back as the
+/// writeback, and every victim must be gone from the LLC.
+#[test]
+fn llc_builtin_lru_matches_naive_model() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0004);
+    let feedback = SystemFeedback::new(1);
+    for case in 0..CASES {
+        let (sets, ways) = match rng.gen_range(0..3u32) {
+            0 => (4, 12),
+            1 => (2, 16),
+            _ => (1, 12),
+        };
+        let cfg = CacheConfig {
+            capacity: sets * ways * 64,
+            ways,
+            latency: 1,
+            mshr_entries: 4,
+        };
+        let mut llc = SharedLlc::new(&cfg, 1, BuiltinLru::new());
+        let mut model = NaiveCache::new(sets, ways);
+        let mut dirty = std::collections::HashSet::new();
+        let accesses = rng.gen_range(16..600usize);
+        for a in 0..accesses {
+            let line = rng.gen_range(0u64..(sets as u64 * ways as u64 * 3));
+            let is_write = rng.gen_range(0..4u32) == 0;
+            let info = AccessInfo {
+                core: 0,
+                pc: 0x400,
+                line: LineAddr(line),
+                is_prefetch: false,
+                is_write,
+                cycle: a as u64,
+            };
+            let outcome = llc.access(&info, &feedback);
+            let model_hit = model.lookup(line);
+            let what = format!("case {case}: {sets}x{ways} access {a} line {line}");
+            match outcome {
+                LlcOutcome::Hit { .. } => assert!(model_hit, "{what}: LLC hit, model missed"),
+                LlcOutcome::Miss {
+                    bypassed,
+                    writeback,
+                } => {
+                    assert!(!model_hit, "{what}: LLC missed, model hit");
+                    assert!(!bypassed, "{what}: LRU never bypasses");
+                    let (way, victim) = model.fill(line);
+                    assert_eq!(llc.probe(LineAddr(line)), Some(way), "{what}: fill way");
+                    if let Some(v) = victim {
+                        assert!(llc.probe(LineAddr(v)).is_none(), "{what}: victim {v}");
+                    }
+                    let dirty_victim = victim.filter(|v| dirty.remove(v));
+                    assert_eq!(writeback.map(|l| l.0), dirty_victim, "{what}: writeback");
+                }
+            }
+            if is_write {
+                dirty.insert(line);
+            }
+        }
+        assert_eq!(llc.occupancy(), model.blocks.iter().flatten().count());
     }
 }
 
