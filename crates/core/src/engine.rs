@@ -218,16 +218,18 @@ impl RlEngine {
             self.stats.explorations += 1;
             return legal[self.rng.gen_range(0..legal.len())];
         }
+        // Q is the fixed-point sum divided by 64 exactly, so comparing
+        // the sums orders and ties actions as comparing Q does
         let mut best = [0usize; 8];
         let mut n = 0;
-        let mut best_q = f64::NEG_INFINITY;
+        let mut best_q = i32::MIN;
         for &a in legal {
-            let q = self.qtable.q(rows, a);
-            if q > best_q + 1e-9 {
+            let q = self.qtable.q_fixed(rows, a);
+            if q > best_q {
                 best_q = q;
                 best[0] = a;
                 n = 1;
-            } else if (q - best_q).abs() <= 1e-9 {
+            } else if q == best_q {
                 best[n] = a;
                 n += 1;
             }
@@ -247,7 +249,7 @@ impl RlEngine {
     /// decision id when a reward was assigned.
     pub fn try_match(&mut self, si: usize, key: u64, reward: f64) -> Option<u64> {
         let entry = self.eq.fifo(si).find_unrewarded(key)?;
-        entry.reward = Some(reward);
+        entry.assign(reward);
         let id = entry.id;
         self.stats.matched_rewards += 1;
         Some(id)
@@ -277,22 +279,23 @@ impl RlEngine {
             id,
             rows,
             key,
-            reward: None,
+            reward: 0.0,
             lane: u32::try_from(lane).expect("lane index fits u32"),
             action: action as u8,
             trigger_hit,
+            rewarded: false,
         };
-        let capacity = self.eq.capacity();
-        let (mut evicted, next) = self.eq.fifo(si).push(entry, capacity)?;
+        let (evicted, next) = self.eq.fifo(si).push(entry)?;
         self.stats.eq_overflows += 1;
         let mut unmatched = None;
-        if evicted.reward.is_none() {
+        let reward = if evicted.rewarded {
+            evicted.reward
+        } else {
             let reward = unmatched_reward(evicted.lane as usize, predicted_dead(&evicted));
-            evicted.reward = Some(reward);
             self.stats.unmatched_rewards += 1;
             unmatched = Some(reward);
-        }
-        let reward = evicted.reward.expect("assigned above");
+            reward
+        };
         let target = match next {
             Some((next_rows, next_action)) => {
                 reward + self.cfg.gamma * self.qtable.q(&next_rows, next_action)
@@ -445,6 +448,86 @@ mod tests {
         let expected = 12.0 + e.config().gamma * q_before - q_before;
         assert_eq!(out.delta.to_bits(), expected.to_bits());
         assert_ne!(e.qtable().q(&rows, 3), q_before, "the update landed");
+    }
+
+    /// The selection `select` replaced: Q compared as `f64` with a 1e-9
+    /// tolerance. Returns the action, whether it explored and whether it
+    /// broke a tie.
+    fn select_f64(
+        rng: &mut SmallRng,
+        epsilon: f64,
+        table: &QTable,
+        rows: &Rows,
+        legal: &[usize],
+    ) -> (usize, bool, bool) {
+        if rng.gen_f64() < epsilon {
+            return (legal[rng.gen_range(0..legal.len())], true, false);
+        }
+        let mut best = [0usize; 8];
+        let mut n = 0;
+        let mut best_q = f64::NEG_INFINITY;
+        for &a in legal {
+            let q = table.q(rows, a);
+            if q > best_q + 1e-9 {
+                best_q = q;
+                best[0] = a;
+                n = 1;
+            } else if (q - best_q).abs() <= 1e-9 {
+                best[n] = a;
+                n += 1;
+            }
+        }
+        let chosen = *best[..n]
+            .iter()
+            .min_by_key(|&&a| TIE_RANK[a])
+            .expect("nonempty tie set");
+        (chosen, false, n > 1)
+    }
+
+    #[test]
+    fn integer_select_matches_the_f64_select() {
+        // Actions train in twin groups {1, 2} and {4, 5}: every update
+        // lands on both twins, so their Q stay equal in every state and
+        // trained ties are forced on both legal sets.
+        const GROUPS: [&[usize]; 5] = [&[0], &[1, 2], &[3], &[4, 5], &[6]];
+        let mut rng = SmallRng::seed_from_u64(0x5E1E_C700);
+        let mut trained_ties = 0;
+        for case in 0..48u64 {
+            let cfg = EngineConfig {
+                epsilon: 0.1,
+                seed: case,
+                sub_table_entries: [2048, 5 * NUM_ACTIONS][case as usize % 2],
+                ..EngineConfig::from(&ChromeConfig::default())
+            };
+            let mut e = RlEngine::new(cfg);
+            let mut reference = SmallRng::seed_from_u64(cfg.seed);
+            let states: Vec<Rows> = (0..12)
+                .map(|_| e.qtable.rows(&[rng.next_u64(), rng.next_u64()]))
+                .collect();
+            for step in 0..1_500 {
+                let rows = &states[rng.gen_range(0..states.len())];
+                let legal = legal_actions(rng.gen_range(0..2u32) == 0);
+                let before = e.stats.explorations;
+                let got = e.select(rows, legal);
+                let (want, explored, tie) =
+                    select_f64(&mut reference, cfg.epsilon, &e.qtable, rows, legal);
+                assert_eq!(got, want, "case {case} step {step}");
+                assert_eq!(e.stats.explorations - before, u64::from(explored));
+                if tie && (e.qtable.q(rows, want) - cfg.q_init).abs() > 0.1 {
+                    trained_ties += 1;
+                }
+                let target = [-22.0, -7.5, 0.0, 5.0, 20.0, 28.0][rng.gen_range(0..6usize)];
+                for &a in GROUPS[rng.gen_range(0..GROUPS.len())] {
+                    e.qtable.update(rows, a, target, 0.2);
+                }
+            }
+            assert_eq!(
+                e.rng.next_u64(),
+                reference.next_u64(),
+                "case {case}: RNG draws"
+            );
+        }
+        assert!(trained_ties > 1_000, "{trained_ties} ties among trained Q");
     }
 
     #[test]

@@ -40,6 +40,24 @@ pub struct Rows {
     base: [u32; MAX_ROWS],
 }
 
+/// `x.round() as i32` for every `f64`, inline: round half away from
+/// zero, saturating at the `i32` bounds, NaN to 0. Without SSE4.1,
+/// `f64::round` is a call into the compiler's software `round`.
+///
+/// `x as i32` truncates toward zero and saturates. Below 2^31 in
+/// magnitude the truncation `t` is exact, so `x - t` is the exact
+/// fractional part and decides the half-way step; beyond it `t` is
+/// already the saturated bound, which the step cannot leave. The step
+/// is added as 0 or 1, not branched on: its sign is the TD error's,
+/// which no branch predictor can guess.
+#[inline]
+fn round_half_away(x: f64) -> i32 {
+    let t = x as i32;
+    let frac = x - f64::from(t);
+    t.saturating_add(i32::from(frac >= 0.5))
+        .saturating_sub(i32::from(frac <= -0.5))
+}
+
 /// The Q-table.
 #[derive(Debug, Clone)]
 pub struct QTable {
@@ -115,23 +133,40 @@ impl QTable {
         &rows.base[f * self.sub_tables..(f + 1) * self.sub_tables]
     }
 
-    /// Q-value of one feature-action pair: the sum of its partials.
-    pub(crate) fn feature_q(&self, rows: &Rows, f: usize, action: usize) -> f64 {
+    /// One feature-action pair's partials summed, in fixed point.
+    #[inline(always)]
+    fn feature_sum(&self, rows: &Rows, f: usize, action: usize) -> i32 {
         debug_assert!(f < self.features && action < NUM_ACTIONS);
-        let sum: i32 = self
-            .feature_rows(rows, f)
+        self.feature_rows(rows, f)
             .iter()
             .map(|&base| i32::from(self.partials[base as usize + action]))
-            .sum();
-        sum as f64 / SCALE
+            .sum()
+    }
+
+    /// Q-value of one feature-action pair: the sum of its partials.
+    pub(crate) fn feature_q(&self, rows: &Rows, f: usize, action: usize) -> f64 {
+        self.feature_sum(rows, f, action) as f64 / SCALE
+    }
+
+    /// [`QTable::q`] in fixed point: Q(s,a) is exactly this over 64.
+    /// The sums stay far inside `i32` and dividing by a power of two is
+    /// exact, so `>` and `==` on them order and tie actions exactly as
+    /// the same compares on Q do. Always inlined: selection calls it
+    /// once per legal action, and a call per action costs more than the
+    /// few loads it makes.
+    #[inline(always)]
+    pub(crate) fn q_fixed(&self, rows: &Rows, action: usize) -> i32 {
+        let mut q = self.feature_sum(rows, 0, action);
+        for f in 1..self.features {
+            q = q.max(self.feature_sum(rows, f, action));
+        }
+        q
     }
 
     /// Q-value of a state-action pair: max over the state's features
     /// (paper: `Q(S,A) = max(Q(f1,A), Q(f2,A))`).
     pub fn q(&self, rows: &Rows, action: usize) -> f64 {
-        (0..self.features)
-            .map(|f| self.feature_q(rows, f, action))
-            .fold(f64::NEG_INFINITY, f64::max)
+        self.q_fixed(rows, action) as f64 / SCALE
     }
 
     /// SARSA update: move every feature's Q toward
@@ -147,7 +182,7 @@ impl QTable {
             let subs = self.feature_rows(rows, f);
             // distribute the TD step across the sub-tables so the sum
             // moves by `td`
-            let step = (td * SCALE / self.sub_tables as f64).round() as i32;
+            let step = round_half_away(td * SCALE / self.sub_tables as f64);
             if step == 0 {
                 // preserve learning for tiny updates: nudge one table
                 let nudge = if td > 0.0 {
@@ -275,6 +310,55 @@ mod tests {
         let bits = t.storage_bits();
         let kb = bits as f64 / 8.0 / 1024.0;
         assert!((kb - 32.0).abs() < 0.5, "Q-table = {kb} KB");
+    }
+
+    #[test]
+    fn round_half_away_matches_std_round() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            4_503_599_627_370_496.0, // 2^52
+            -4_503_599_627_370_496.0,
+            4_503_599_627_370_495.5, // 2^52 - 0.5
+            2_147_483_647.5,
+            2_147_483_646.5,
+            -2_147_483_648.5,
+            -2_147_483_647.5,
+            2_147_483_648.0,
+            -2_147_483_649.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ];
+        let mut rng = chrome_sim::rng::SmallRng::seed_from_u64(0x2A0D);
+        for _ in 0..100_000 {
+            let scale = [1.0, 64.0, 1e4, 3e9, 1e19][rng.gen_range(0..5usize)];
+            cases.push((rng.gen_f64() * 2.0 - 1.0) * scale);
+            // exact halves and their neighbours
+            let half = rng.gen_range(0..1u64 << 20) as f64 + 0.5;
+            cases.extend([half, -half, half.next_up(), half.next_down()]);
+            cases.push(f64::from_bits(rng.next_u64()));
+        }
+        for x in cases {
+            assert_eq!(
+                round_half_away(x),
+                x.round() as i32,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@ use chrome_core::config::ChromeConfig;
 use chrome_core::engine::{EngineConfig, RlEngine};
 use chrome_core::eq::{EqEntry, EqFifo};
 use chrome_core::qtable::{QTable, NUM_ACTIONS};
+use std::collections::VecDeque;
+
 use chrome_sim::rng::SmallRng;
 use chrome_sim::types::mix64;
 
@@ -15,10 +17,11 @@ fn entry(line: u64, action: usize) -> EqEntry {
         id: line,
         rows: QTable::new(2, 4, 2048, 1.0).rows(&[line, line >> 8]),
         key: line,
-        reward: None,
+        reward: 0.0,
         lane: 0,
         action: action as u8,
         trigger_hit: action >= 4,
+        rewarded: false,
     }
 }
 
@@ -263,10 +266,10 @@ fn eq_fifo_is_fifo() {
         let cap = rng.gen_range(1..16usize);
         let count = rng.gen_range(1..120usize);
         let lines: Vec<u64> = (0..count).map(|_| rng.gen_range(0u64..64)).collect();
-        let mut fifo = EqFifo::default();
+        let mut fifo = EqFifo::new(cap);
         let mut evictions = Vec::new();
         for (i, &l) in lines.iter().enumerate() {
-            if let Some((evicted, next)) = fifo.push(entry(l, i % NUM_ACTIONS), cap) {
+            if let Some((evicted, next)) = fifo.push(entry(l, i % NUM_ACTIONS)) {
                 evictions.push(evicted.key);
                 assert!(next.is_some(), "case {case}: FIFO nonempty after eviction");
             }
@@ -290,14 +293,118 @@ fn eq_find_respects_filters() {
     for case in 0..CASES {
         let count = rng.gen_range(1..60usize);
         let probe = rng.gen_range(0u64..8);
-        let mut fifo = EqFifo::default();
+        let mut fifo = EqFifo::new(64);
         for i in 0..count {
-            fifo.push(entry(rng.gen_range(0u64..8), i % NUM_ACTIONS), 64);
+            fifo.push(entry(rng.gen_range(0u64..8), i % NUM_ACTIONS));
         }
         if let Some(e) = fifo.find_unrewarded(probe) {
             assert_eq!(e.key, probe, "case {case}: wrong line");
-            assert!(e.reward.is_none(), "case {case}: rewarded entry returned");
-            e.reward = Some(1.0);
+            assert!(!e.rewarded, "case {case}: rewarded entry returned");
+            e.assign(1.0);
         }
+    }
+}
+
+/// The reference EQ FIFO: a `VecDeque` searched newest to oldest, with
+/// each entry's reward an `Option` — the layout the ring replaced.
+struct DequeFifo {
+    entries: VecDeque<(EqEntry, Option<f64>)>,
+    capacity: usize,
+}
+
+impl DequeFifo {
+    fn push(&mut self, entry: EqEntry) -> Option<(EqEntry, Option<f64>, (u64, usize))> {
+        self.entries.push_back((entry, None));
+        if self.entries.len() <= self.capacity {
+            return None;
+        }
+        let (evicted, reward) = self.entries.pop_front().expect("nonempty");
+        let (next, _) = self.entries.front().expect("capacity is nonzero");
+        Some((evicted, reward, (next.id, usize::from(next.action))))
+    }
+
+    fn find_unrewarded(&mut self, key: u64) -> Option<&mut (EqEntry, Option<f64>)> {
+        self.entries
+            .iter_mut()
+            .rev()
+            .find(|(e, reward)| e.key == key && reward.is_none())
+    }
+}
+
+/// The ring FIFO behaves exactly like the `VecDeque` reference under
+/// random pushes and reward matches: the same matched entry, the same
+/// evicted entry with the same reward, the same "next" peek and the
+/// same length, at every capacity from 1 to 130 (one, two and three
+/// mask words, with wrapped heads in each). A five-key alphabet makes
+/// duplicate and already-rewarded keys common.
+#[test]
+fn eq_ring_matches_the_deque_reference() {
+    let mut rng = SmallRng::seed_from_u64(0xC02E_0007);
+    let rows = |id: u64| QTable::new(1, 1, 64 * 7, 0.0).rows(&[id]);
+    for cap in 1..=130usize {
+        let mut ring = EqFifo::new(cap);
+        let mut reference = DequeFifo {
+            entries: VecDeque::new(),
+            capacity: cap,
+        };
+        let mut matched = 0;
+        let ops = 3 * cap + 60;
+        for id in 0..ops as u64 {
+            if rng.gen_range(0..3u32) == 0 {
+                let key = rng.gen_range(0u64..5);
+                let reward = id as f64 - 0.5;
+                let got = ring.find_unrewarded(key).map(|e| {
+                    e.assign(reward);
+                    e.id
+                });
+                let want = reference.find_unrewarded(key).map(|(e, r)| {
+                    *r = Some(reward);
+                    e.id
+                });
+                assert_eq!(got, want, "cap {cap} op {id}: matched id for key {key}");
+                matched += usize::from(got.is_some());
+            } else {
+                let e = EqEntry {
+                    id,
+                    rows: rows(id),
+                    key: rng.gen_range(0u64..5),
+                    action: rng.gen_range(0..NUM_ACTIONS) as u8,
+                    ..EqEntry::default()
+                };
+                let got = ring.push(e);
+                let want = reference.push(e);
+                match (got, want) {
+                    (None, None) => {}
+                    (
+                        Some((evicted, next)),
+                        Some((want_evicted, want_reward, (next_id, next_a))),
+                    ) => {
+                        assert_eq!(evicted.id, want_evicted.id, "cap {cap} op {id}: evicted");
+                        assert_eq!(evicted.key, want_evicted.key);
+                        assert_eq!(
+                            evicted.rewarded.then_some(evicted.reward),
+                            want_reward,
+                            "cap {cap} op {id}: evicted reward"
+                        );
+                        assert_eq!(
+                            next,
+                            Some((rows(next_id), next_a)),
+                            "cap {cap} op {id}: next"
+                        );
+                    }
+                    (got, want) => panic!(
+                        "cap {cap} op {id}: ring evicted {:?}, reference {:?}",
+                        got.map(|(e, _)| e.id),
+                        want.map(|(e, _, _)| e.id)
+                    ),
+                }
+            }
+            assert_eq!(
+                ring.len(),
+                reference.entries.len(),
+                "cap {cap} op {id}: len"
+            );
+        }
+        assert!(matched > 0, "cap {cap}: no match exercised");
     }
 }

@@ -231,6 +231,15 @@ impl ChromeServePolicy {
 
     /// Every-request EQ bucketing: the FIFO a key's decisions record
     /// into (and are matched from).
+    ///
+    /// This is coupled to shard routing. `ServeCache` sends a key to
+    /// shard `mix64(key) & (shards - 1)`, and the bucket is `mix64(key)
+    /// % 32`: the same low bits. So a shard's agent only ever fills
+    /// `32 / shards` of its FIFOs — 2 at the default 16 shards, 4 at
+    /// the 8-shard `--quick` geometry — and each used FIFO covers
+    /// `shards` times the keys an even spread would give it. Taking
+    /// the bucket from the high bits instead lowered CHROME's hit ratio
+    /// on every stream (ROADMAP item 5), so the coupling stays.
     fn bucket(&self, key: u64) -> usize {
         (mix64(key) % self.agent.engine.config().sampled_sets as u64) as usize
     }
@@ -313,6 +322,9 @@ impl ShardPolicy for ChromeServePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{ServeCache, ServeConfig};
+    use crate::policy::PolicyKind;
+    use crate::stream::{RequestStream, StreamKind};
     use chrome_telemetry::AuditRecord;
 
     const CALM: ShardPressure = ShardPressure { thrashing: false };
@@ -425,6 +437,56 @@ mod tests {
         p.pending_epv = 0;
         p.on_insert(2, &req(2, 0), &CALM);
         assert_eq!(p.choose_victim(), 2);
+    }
+
+    /// Serve `reqs` through `p` as a shard would: `on_hit` for a
+    /// resident key, else `admit`, evicting on a full shard.
+    fn drive(p: &mut ChromeServePolicy, slots: u32, reqs: &[Request]) {
+        let mut resident = std::collections::HashMap::new();
+        let mut slot_key = vec![0u64; slots as usize];
+        let mut free: Vec<u32> = (0..slots).collect();
+        for r in reqs {
+            if let Some(&slot) = resident.get(&r.key) {
+                p.on_hit(slot, r, &CALM);
+            } else if p.admit(r, &CALM) {
+                let slot = free.pop().unwrap_or_else(|| {
+                    let victim = p.choose_victim();
+                    p.on_remove(victim);
+                    resident.remove(&slot_key[victim as usize]);
+                    victim
+                });
+                resident.insert(r.key, slot);
+                slot_key[slot as usize] = r.key;
+                p.on_insert(slot, r, &CALM);
+            }
+        }
+    }
+
+    #[test]
+    fn a_shards_agent_fills_only_the_fifos_its_keys_reach() {
+        // shard routing and `bucket` read the same low hash bits, so a
+        // shard's 32 FIFOs of 64 fill only 32 / shards of the way
+        let stream = RequestStream::generate(StreamKind::MixedTenant, 200_000, 20_000, 1);
+        for (shards, entries) in [(16, 128), (8, 256)] {
+            let cache = ServeCache::new(&ServeConfig {
+                policy: PolicyKind::Chrome,
+                shards,
+                shard_slots: 512,
+                shard_bytes: 256 * 1024,
+                seed: 1,
+                time_policy: false,
+            });
+            let mine: Vec<Request> = stream
+                .iter()
+                .filter(|r| cache.shard_index(r.key) == 0)
+                .copied()
+                .collect();
+            let mut p = ChromeServePolicy::new(512, 1);
+            drive(&mut p, 512, &mine);
+            let eq = p.engine().eq();
+            assert_eq!(eq.num_queues() * eq.capacity(), 2048);
+            assert_eq!(eq.total_entries(), entries, "{shards} shards");
+        }
     }
 
     #[test]

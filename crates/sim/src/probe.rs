@@ -1,4 +1,5 @@
-//! Vectorized set probes over packed residency keys.
+//! Vectorized set probes over packed residency keys, and the match
+//! bitmask kernel the agent's evaluation queue scans its key lane with.
 //!
 //! The L1D and L2 ([`crate::cache::PrivateCache`]), the LLC
 //! ([`crate::llc::SharedLlc`]) and every MSHR file
@@ -21,7 +22,13 @@
 //! other architectures and the reference ([`find_key_scalar`]) the
 //! property test pins the vector kernel to.
 //!
-//! Equivalence contract: every kernel returns the index of the FIRST
+//! The second kernel, [`key_masks`], answers "which of these `u64` keys
+//! equal the probe key" for a whole lane at once: one bit per key, 64
+//! keys per mask word, four keys per AVX2 compare (`VPCMPEQQ` and a
+//! `movemask_pd`). It takes the same runtime gate and length gate as
+//! [`find_key`], and [`key_masks_scalar`] is its reference.
+//!
+//! Equivalence contract: every `find_key` kernel returns the index of the FIRST
 //! matching element, exactly like `slice::iter().position()`. Residency
 //! keys are unique within a set (a line lives in at most one way), but
 //! invalid-way searches routinely see several zero keys, and
@@ -129,6 +136,99 @@ unsafe fn find_key_avx2(keys: &[u32], key: u32) -> Option<usize> {
     }
 }
 
+/// The match bitmask of a `u64` key lane: bit `i % 64` of
+/// `masks[i / 64]` is set iff `keys[i] == key`, and every other bit of
+/// `masks` is clear. Order-free, so callers walk the set bits in
+/// whatever order their lane means (the evaluation queue walks its ring
+/// from newest to oldest).
+///
+/// # Panics
+///
+/// Panics unless `masks` holds exactly `keys.len().div_ceil(64)` words.
+#[inline]
+pub fn key_masks(keys: &[u64], key: u64, masks: &mut [u64]) {
+    assert_eq!(
+        masks.len(),
+        keys.len().div_ceil(64),
+        "one mask word per 64 keys"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if keys.len() >= AVX2_MIN_LEN && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            unsafe { key_masks_avx2(keys, key, masks) };
+            return;
+        }
+    }
+    key_masks_scalar(keys, key, masks);
+}
+
+/// The scalar reference for [`key_masks`], one compare per key. Public
+/// so the property test can pin the vector kernel to it.
+///
+/// # Panics
+///
+/// Panics unless `masks` holds exactly `keys.len().div_ceil(64)` words.
+pub fn key_masks_scalar(keys: &[u64], key: u64, masks: &mut [u64]) {
+    assert_eq!(
+        masks.len(),
+        keys.len().div_ceil(64),
+        "one mask word per 64 keys"
+    );
+    for (word, chunk) in masks.iter_mut().zip(keys.chunks(64)) {
+        *word = key_masks_scalar_word(chunk, key);
+    }
+}
+
+/// AVX2 kernel: compare four keys per `VPCMPEQQ`, take one sign bit per
+/// 64-bit lane, and shift each 4-bit group into place in its 64-key
+/// word (a full word is 16 compares with fixed shifts). A word of four
+/// or more keys that is not a multiple of four adds one block ending at
+/// its last key; the lanes it shares with the block before set the same
+/// bits again. Only a final word of one to three keys compares scalar.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn key_masks_avx2(keys: &[u64], key: u64, masks: &mut [u64]) {
+    use std::arch::x86_64::*;
+    let needle = _mm256_set1_epi64x(key as i64);
+    // The 4 match bits of the block starting at `chunk[at]`.
+    let block_bits = |chunk: &[u64], at: usize| {
+        // SAFETY: callers pass `at + 4 <= chunk.len()`, which bounds
+        // the unaligned 32-byte load.
+        let block = _mm256_loadu_si256(chunk.as_ptr().add(at).cast());
+        let eq = _mm256_cmpeq_epi64(block, needle);
+        // One sign bit per 64-bit lane, lane 0 in bit 0.
+        _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u64
+    };
+    for (word, chunk) in masks.iter_mut().zip(keys.chunks(64)) {
+        let n = chunk.len();
+        *word = if n == 64 {
+            (0..16).fold(0, |m, b| m | (block_bits(chunk, 4 * b) << (4 * b)))
+        } else if n >= 4 {
+            let tail = if n % 4 == 0 {
+                0
+            } else {
+                block_bits(chunk, n - 4) << (n - 4)
+            };
+            (0..n / 4).fold(tail, |m, b| m | (block_bits(chunk, 4 * b) << (4 * b)))
+        } else {
+            key_masks_scalar_word(chunk, key)
+        };
+    }
+}
+
+/// One mask word from at most 64 keys, one compare per key.
+fn key_masks_scalar_word(chunk: &[u64], key: u64) -> u64 {
+    chunk
+        .iter()
+        .enumerate()
+        .fold(0, |m, (i, &k)| m | (u64::from(k == key) << i))
+}
+
 /// Which probe kernel this build + machine actually runs (diagnostics
 /// and bench metadata).
 pub fn kernel_name() -> &'static str {
@@ -178,6 +278,28 @@ mod tests {
             }
             assert_eq!(find_key(&keys, (999 << 1) | 1), None);
         }
+    }
+
+    #[test]
+    fn key_masks_mark_every_match_per_word() {
+        // 130 keys: two full words and a ragged two-key third word
+        let keys: Vec<u64> = (0..130u64).map(|i| i % 3).collect();
+        let mut masks = [0u64; 3];
+        key_masks(&keys, 0, &mut masks);
+        let every_third = (0..64).step_by(3).fold(0u64, |m, i| m | 1 << i);
+        assert_eq!(masks[0], every_third);
+        assert_eq!(masks[1], every_third << 2, "keys 66, 69, .. are 0");
+        assert_eq!(masks[2], 0b10, "key 129 is 0");
+        let mut none = [u64::MAX; 3];
+        key_masks(&keys, 7, &mut none);
+        assert_eq!(none, [0; 3], "stale bits are cleared");
+        key_masks(&[], 7, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "one mask word per 64 keys")]
+    fn key_masks_rejects_a_short_mask_buffer() {
+        key_masks(&[0; 65], 0, &mut [0]);
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! several invalid (zero) ways, where which zero wins decides the
 //! replacement victim and therefore the entire downstream simulation —
 //! and the rank-based caches must pick the victims stamp-based LRU
-//! picks.
+//! picks. The evaluation queue's `probe::key_masks` kernel must set
+//! exactly its scalar reference's bits at every lane length.
 
 use chrome_sim::cache::PrivateCache;
 use chrome_sim::config::CacheConfig;
 use chrome_sim::llc::{LlcOutcome, SharedLlc};
 use chrome_sim::policy::{AccessInfo, BuiltinLru, SystemFeedback};
-use chrome_sim::probe::{find_key, find_key_scalar, kernel_name};
+use chrome_sim::probe::{find_key, find_key_scalar, kernel_name, key_masks, key_masks_scalar};
 use chrome_sim::rng::SmallRng;
 use chrome_sim::types::LineAddr;
 
@@ -55,6 +56,37 @@ fn dispatched_kernel_matches_scalar_on_random_layouts() {
                 find_key_scalar(&keys, key),
                 "case {case}: len {len} key {key:#x} layout {keys:?}"
             );
+        }
+    }
+}
+
+/// The dispatched `u64` mask kernel agrees with its scalar reference on
+/// every lane length from 0 to 130 (empty, below the length gate, one
+/// full mask word, and ragged second and third words), with duplicate
+/// keys from a small alphabet and stale bits in the mask buffer.
+#[test]
+fn key_mask_kernel_matches_scalar_on_every_length() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0005);
+    for len in 0..=130usize {
+        for case in 0..8 {
+            let alphabet: u64 = [1, 3, 16][case % 3];
+            let keys: Vec<u64> = (0..len)
+                .map(|_| {
+                    rng.gen_range(0..alphabet)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                })
+                .collect();
+            let words = len.div_ceil(64);
+            for key in (0..alphabet + 1).map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+                let mut got = vec![rng.next_u64(); words];
+                let mut want = vec![rng.next_u64(); words];
+                key_masks(&keys, key, &mut got);
+                key_masks_scalar(&keys, key, &mut want);
+                assert_eq!(got, want, "len {len} key {key:#x} layout {keys:x?}");
+                let expected = keys.iter().filter(|&&k| k == key).count();
+                let set: u32 = got.iter().map(|m| m.count_ones()).sum();
+                assert_eq!(set as usize, expected, "len {len}: one bit per match");
+            }
         }
     }
 }
