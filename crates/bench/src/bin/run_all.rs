@@ -5,15 +5,16 @@
 //! (`chrome_bench::experiments::EXPERIMENTS`), named after its primary
 //! TSV; the usage line lists them all. The selected plans run as one
 //! grid, each once, in registry order (`--jobs N`, default: available
-//! parallelism) with per-cell fault isolation, retries, and a
-//! checkpoint manifest (`results/manifest.jsonl`; rerun with
-//! `--resume` to skip completed cells). Tables are assembled
+//! parallelism) with per-cell fault isolation and a checkpoint manifest
+//! (`results/manifest.jsonl`; rerun with `--resume` to skip completed
+//! cells). Tables are assembled
 //! per-experiment from the grid outcomes once it drains. Tables III and
 //! IV have no cells: naming only them never opens the manifest.
 //!
 //! A failed cell does not abort the run: remaining cells still run,
 //! its table entries surface as NaN, the failure summary lists it, and
-//! the exit status is non-zero only when permanent failures remain.
+//! the exit status is non-zero only when a cell failed. `--resume`
+//! runs the failed cells again.
 //!
 //! Pass `--quick` for a reduced instruction budget, and
 //! `--homo-workloads N` / `--mixes N` to cap the grid for smoke runs.
@@ -29,7 +30,7 @@ fn main() {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     let mut args = Args::new(&format!(
         "[NAME...] [--cores N] [--instructions N] [--warmup N] [--seed N]\n\
-         \x20      [--quick] [--full] [--jobs N] [--retries K] [--resume]\n\
+         \x20      [--quick] [--full] [--jobs N] [--resume]\n\
          \x20      [--manifest PATH] [--trace-dir DIR] [--mixes N] [--homo-workloads N]\n\
          \x20      [--sampling k=<k>,ramp=<n>] [--noc slices=..,hop=..,..]\n\
          \x20      [--telemetry-out DIR]\n\
@@ -60,7 +61,7 @@ fn main() {
     if code == 0 {
         println!("\nAll experiments complete; tables in results/*.tsv");
     } else {
-        eprintln!("\nSome cells failed permanently; see summary above.");
+        eprintln!("\nSome cells failed; see summary above. --resume runs them again.");
     }
     std::process::exit(code);
 }

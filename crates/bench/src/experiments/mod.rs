@@ -154,8 +154,8 @@ pub fn plans(params: &RunParams, names: &[&str]) -> Vec<ExperimentPlan> {
 /// opens the manifest.
 ///
 /// A failed cell does not abort the run: remaining cells still
-/// execute, the failure summary lists every permanently failed cell,
-/// and only the final exit code (the returned value) reflects them.
+/// execute, the failure summary lists every failed cell, and only the
+/// final exit code (the returned value) reflects them.
 ///
 /// # Panics
 ///
@@ -206,7 +206,7 @@ pub fn run_plans(params: &RunParams, plans: Vec<ExperimentPlan>) -> i32 {
     if failures.is_empty() {
         0
     } else {
-        eprintln!("[exec] permanently failed cells:");
+        eprintln!("[exec] failed cells:");
         for (label, err) in &failures {
             eprintln!("[exec]   {label}: {err}");
         }

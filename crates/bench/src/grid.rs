@@ -576,9 +576,9 @@ pub fn resolve_traces(cells: &mut [CellSpec], dir: &Path) -> TraceMap {
 }
 
 /// Run a grid of simulation cells under the engine configured from
-/// `params` (`--jobs`, `--retries`, `--resume`, `--manifest`,
-/// `--trace-dir`). Outcomes come back in input order; failed cells
-/// carry their panic payloads instead of aborting the run.
+/// `params` (`--jobs`, `--resume`, `--manifest`, `--trace-dir`).
+/// Outcomes come back in input order; failed cells carry their panic
+/// payloads instead of aborting the run.
 ///
 /// # Panics
 ///
@@ -616,9 +616,6 @@ pub fn run_grid(params: &RunParams, mut cells: Vec<CellSpec>) -> GridReport<Cell
         .unwrap_or_else(|| PathBuf::from(DEFAULT_MANIFEST));
     let cfg = EngineConfig {
         jobs: params.jobs.unwrap_or(0),
-        retries: params.retries,
-        backoff_ms: 100,
-        backoff_cap_ms: 5_000,
         manifest_path: Some(manifest),
         resume: params.resume,
         progress: params.progress,

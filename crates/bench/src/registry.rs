@@ -31,73 +31,27 @@ pub fn build_any_policy(name: &str) -> Option<Box<dyn LlcPolicy>> {
     if let Some(p) = chrome_policies::build_policy(name) {
         return Some(p);
     }
-    // Scale note: experiments sample 512 sets (vs the paper's 64) to
-    // compensate for runs ~20x shorter than 200M instructions; hardware
-    // budget tables (Table III/IV) still use `ChromeConfig::default()`.
-    let experiment_cfg = || ChromeConfig {
-        sampled_sets: 512,
-        // the reward window must fit our shorter runs: at 200M
-        // instructions a 28-deep FIFO is ~2% of a sampled set's traffic,
-        // at single-digit-million scale it would swallow all of it
-        eq_fifo_len: 8,
-        ..Default::default()
-    };
+    let mut cfg = ChromeConfig::experiment();
     match name {
-        "CHROME" => return Some(Box::new(Chrome::new(experiment_cfg()))),
-        "N-CHROME" => {
-            let cfg = ChromeConfig {
-                concurrency_aware: false,
-                ..experiment_cfg()
-            };
-            return Some(Box::new(Chrome::new(cfg)));
-        }
-        "CHROME-pc" => {
-            let cfg = ChromeConfig {
-                features: FeatureSelection::PcOnly,
-                ..experiment_cfg()
-            };
-            return Some(Box::new(Chrome::new(cfg)));
-        }
-        "CHROME-pn" => {
-            let cfg = ChromeConfig {
-                features: FeatureSelection::PnOnly,
-                ..experiment_cfg()
-            };
-            return Some(Box::new(Chrome::new(cfg)));
-        }
+        "CHROME" => {}
+        "N-CHROME" => cfg.concurrency_aware = false,
+        "CHROME-pc" => cfg.features = FeatureSelection::PcOnly,
+        "CHROME-pn" => cfg.features = FeatureSelection::PnOnly,
         // the other Table I feature candidates, for experimentation
-        "CHROME-pcdelta" => {
-            let cfg = ChromeConfig {
-                features: FeatureSelection::PcAndDelta,
-                ..experiment_cfg()
-            };
-            return Some(Box::new(Chrome::new(cfg)));
+        "CHROME-pcdelta" => cfg.features = FeatureSelection::PcAndDelta,
+        "CHROME-pcseq" => cfg.features = FeatureSelection::PcSeqAndPn,
+        "CHROME-pcoffset" => cfg.features = FeatureSelection::PcOffsetAndPn,
+        _ => {
+            let (key, value) = name.strip_prefix("CHROME-")?.split_once('=')?;
+            match key {
+                "fifo" => cfg.eq_fifo_len = value.parse().ok()?,
+                "sets" => cfg.sampled_sets = value.parse().ok()?,
+                "alpha" => cfg.alpha = value.parse().ok()?,
+                "gamma" => cfg.gamma = value.parse().ok()?,
+                "eps" => cfg.epsilon = value.parse().ok()?,
+                _ => return None,
+            }
         }
-        "CHROME-pcseq" => {
-            let cfg = ChromeConfig {
-                features: FeatureSelection::PcSeqAndPn,
-                ..experiment_cfg()
-            };
-            return Some(Box::new(Chrome::new(cfg)));
-        }
-        "CHROME-pcoffset" => {
-            let cfg = ChromeConfig {
-                features: FeatureSelection::PcOffsetAndPn,
-                ..experiment_cfg()
-            };
-            return Some(Box::new(Chrome::new(cfg)));
-        }
-        _ => {}
-    }
-    let (key, value) = name.strip_prefix("CHROME-")?.split_once('=')?;
-    let mut cfg = experiment_cfg();
-    match key {
-        "fifo" => cfg.eq_fifo_len = value.parse().ok()?,
-        "sets" => cfg.sampled_sets = value.parse().ok()?,
-        "alpha" => cfg.alpha = value.parse().ok()?,
-        "gamma" => cfg.gamma = value.parse().ok()?,
-        "eps" => cfg.epsilon = value.parse().ok()?,
-        _ => return None,
     }
     Some(Box::new(Chrome::new(cfg)))
 }

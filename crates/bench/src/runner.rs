@@ -29,8 +29,6 @@ pub struct RunParams {
     /// Grid-engine worker threads (`--jobs N`); `None` means available
     /// parallelism.
     pub jobs: Option<usize>,
-    /// Extra attempts for a panicking cell (`--retries K`).
-    pub retries: u32,
     /// Skip cells already recorded `ok` in the manifest (`--resume`).
     pub resume: bool,
     /// Checkpoint manifest path (`--manifest PATH`); defaults to
@@ -69,7 +67,6 @@ impl Default for RunParams {
             seed: 0x5EED,
             telemetry_out: None,
             jobs: None,
-            retries: 2,
             resume: false,
             manifest: None,
             trace_dir: None,
@@ -97,7 +94,6 @@ impl RunParams {
             "--seed" => self.seed = args.number(flag),
             "--telemetry-out" => self.telemetry_out = Some(args.value(flag).into()),
             "--jobs" => self.jobs = Some(args.number(flag)),
-            "--retries" => self.retries = args.number(flag),
             "--resume" => self.resume = true,
             "--manifest" => self.manifest = Some(args.value(flag).into()),
             "--trace-dir" => self.trace_dir = Some(args.value(flag).into()),

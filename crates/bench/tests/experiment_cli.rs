@@ -46,8 +46,10 @@ fn bad_run_all_flags_are_usage_errors() {
     let missing = temp_file("no_traces");
     let missing = missing.to_str().expect("utf-8 temp path");
     let no_such_dir = format!("--trace-dir {missing}: no such directory");
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--bogus"], "unknown flag --bogus"),
+        // cells run once; there is no retry count to set
+        (&["--retries", "2"], "unknown flag --retries"),
         (&["nope"], "unknown experiment nope"),
         (
             &["--sampling", "k=2,ramp=100", "--homo-workloads", "1"],

@@ -33,7 +33,6 @@ fn small_plan() -> ExperimentPlan {
 fn exec_params(jobs: usize, manifest: &Path, resume: bool) -> RunParams {
     RunParams {
         jobs: Some(jobs),
-        retries: 0,
         resume,
         manifest: Some(manifest.to_path_buf()),
         progress: false,

@@ -97,6 +97,22 @@ impl ChromeConfig {
         }
     }
 
+    /// The configuration the experiment grid runs: the paper's Tables
+    /// II and III, rescaled for runs of a few million instructions.
+    /// Experiments sample 512 sets (vs the paper's 64) to compensate for
+    /// runs ~20x shorter than 200M instructions, and the reward window
+    /// must fit those runs too: at 200M instructions a 28-deep FIFO is
+    /// ~2% of a sampled set's traffic, at single-digit-million scale it
+    /// would swallow all of it, so it holds 8. Hardware budget tables
+    /// (Table III/IV) still use [`ChromeConfig::default`].
+    pub fn experiment() -> Self {
+        ChromeConfig {
+            sampled_sets: 512,
+            eq_fifo_len: 8,
+            ..Self::default()
+        }
+    }
+
     /// Optimistic initial Q-value, `1 / (1 − γ)` (paper §V-B).
     pub fn q_init(&self) -> f64 {
         1.0 / (1.0 - self.gamma)
@@ -131,6 +147,15 @@ mod tests {
         let c = ChromeConfig::n_chrome();
         assert!(!c.concurrency_aware);
         assert!((c.alpha - ChromeConfig::default().alpha).abs() < 1e-12);
+    }
+
+    #[test]
+    fn experiment_rescales_sampling_and_window_only() {
+        let (e, d) = (ChromeConfig::experiment(), ChromeConfig::default());
+        assert_eq!((e.sampled_sets, e.eq_fifo_len), (512, 8));
+        assert!((e.alpha - d.alpha).abs() < 1e-12 && (e.gamma - d.gamma).abs() < 1e-12);
+        assert_eq!(e.sub_table_entries, d.sub_table_entries);
+        assert!(e.concurrency_aware);
     }
 
     #[test]

@@ -245,14 +245,21 @@ impl RlEngine {
 
     /// Reward-match step (Algorithm 1, lines 3–8): if `key` sits
     /// unrewarded in FIFO `si`, the earlier action is now evaluated by
-    /// the current request's outcome. Returns the matched entry's
-    /// decision id when a reward was assigned.
-    pub fn try_match(&mut self, si: usize, key: u64, reward: f64) -> Option<u64> {
+    /// the current request's outcome. `reward` supplies that reward and
+    /// is called only on a match. Returns the matched entry's decision
+    /// id and the reward it was assigned.
+    pub fn try_match(
+        &mut self,
+        si: usize,
+        key: u64,
+        reward: impl FnOnce() -> f64,
+    ) -> Option<(u64, f64)> {
         let entry = self.eq.fifo(si).find_unrewarded(key)?;
+        let reward = reward();
         entry.assign(reward);
         let id = entry.id;
         self.stats.matched_rewards += 1;
-        Some(id)
+        Some((id, reward))
     }
 
     /// Record the executed action, taken in the state whose Q-table
@@ -422,8 +429,9 @@ mod tests {
         let mut e = engine();
         let rows = e.qtable().rows(&[5, 6]);
         e.record(0, 7, rows, 1, false, 42, 0, |_, _| 0.0);
-        assert_eq!(e.try_match(0, 42, 20.0), Some(7));
-        assert!(e.try_match(0, 42, 20.0).is_none(), "already rewarded");
+        assert_eq!(e.try_match(0, 42, || 20.0), Some((7, 20.0)));
+        let rematch = e.try_match(0, 42, || panic!("no entry left to reward"));
+        assert!(rematch.is_none(), "already rewarded");
         for i in 0..e.config().eq_fifo_len as u64 {
             e.record(0, 100 + i, rows, 1, false, 1000 + i, 0, |_, _| -7.0);
         }

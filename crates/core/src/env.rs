@@ -130,12 +130,15 @@ impl<E: Environment> Agent<E> {
         let mut matched = None;
         if let Some(si) = si {
             self.engine.stats.sampled_accesses += 1;
-            let reward = self.env.matched_reward(access, hit);
-            if let Some(settled) = self.engine.try_match(si, self.env.key(access), reward) {
+            let env = &self.env;
+            let settled = self
+                .engine
+                .try_match(si, env.key(access), || env.matched_reward(access, hit));
+            if let Some((settled_id, reward)) = settled {
                 matched = Some(reward);
                 if let Some(audit) = self.audit.as_mut() {
                     audit.push_reward(RewardRecord {
-                        id: settled,
+                        id: settled_id,
                         matched: true,
                         reward,
                     });

@@ -7,13 +7,15 @@
 //! keyed by input index, assembly order — and therefore every output
 //! table — is identical at any thread count.
 //!
-//! Each cell attempt runs under [`std::panic::catch_unwind`]: a panic
-//! anywhere inside a cell is converted into a recorded failure, retried
-//! up to `retries` more times with capped exponential backoff, and
-//! never takes down the run. With a manifest configured, every terminal
-//! cell state is durably appended (fsync per record); `resume: true`
+//! Each cell runs once, as one call on one worker thread, under
+//! [`std::panic::catch_unwind`]: a panic anywhere inside a cell is
+//! converted into a recorded failure and never takes down the run. A
+//! cell is a pure function of its spec, so running it again would only
+//! repeat the panic. With a manifest configured, every terminal cell
+//! state is durably appended (fsync per record); `resume: true`
 //! pre-fills outcomes for cells whose spec hash already has an `ok`
-//! record, so a killed run continues where it died.
+//! record, so a killed run continues where it died and a failed cell
+//! runs again.
 
 use std::collections::HashMap;
 use std::io;
@@ -22,7 +24,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Mutex, Once};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::json::{self, JsonValue};
 use crate::manifest::{self, payload_digest, ManifestRecord, ManifestWriter};
@@ -61,37 +63,17 @@ impl Codec<String> for StringCodec {
     }
 }
 
-/// Engine configuration (CLI: `--jobs N --retries K --resume`).
-#[derive(Debug, Clone)]
+/// Engine configuration (CLI: `--jobs N --resume`).
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Worker threads; `0` means available parallelism.
     pub jobs: usize,
-    /// Extra attempts after a first panicking one (0 = fail fast).
-    pub retries: u32,
-    /// Base backoff before a retry; doubles per attempt.
-    pub backoff_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ms: u64,
     /// Checkpoint manifest path; `None` disables checkpointing.
     pub manifest_path: Option<PathBuf>,
     /// Skip cells with an `ok` manifest record instead of re-running.
     pub resume: bool,
     /// Paint live progress/ETA to stderr.
     pub progress: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            jobs: 0,
-            retries: 2,
-            backoff_ms: 50,
-            backoff_cap_ms: 2_000,
-            manifest_path: None,
-            resume: false,
-            progress: false,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -111,11 +93,9 @@ pub struct CellOutcome<T> {
     pub spec: CellSpec,
     /// The result, when the cell succeeded (freshly or via resume).
     pub result: Option<T>,
-    /// Panic payload of the final failed attempt.
+    /// Panic payload, when the cell failed.
     pub error: Option<String>,
-    /// Attempts spent (resumed cells report the manifest's count).
-    pub attempts: u32,
-    /// Wall milliseconds across attempts (manifest value when resumed).
+    /// Wall milliseconds the cell ran (manifest value when resumed).
     pub duration_ms: u64,
     /// Whether the result was restored from the manifest, not executed.
     pub resumed: bool,
@@ -144,14 +124,14 @@ pub struct GridReport<T> {
     pub executed: usize,
     /// Cells restored from the manifest.
     pub resumed: usize,
-    /// Cells that failed permanently (all attempts panicked).
+    /// Cells that failed (panicked).
     pub failed: usize,
     /// Wall milliseconds for the whole grid.
     pub wall_ms: u64,
 }
 
 impl<T> GridReport<T> {
-    /// Labels + errors of permanently failed cells, for summaries.
+    /// Labels + errors of failed cells, for summaries.
     #[must_use]
     pub fn failures(&self) -> Vec<(String, String)> {
         self.outcomes
@@ -175,8 +155,8 @@ static PANIC_FILTER: Once = Once::new();
 
 /// Install (once, process-wide) a panic hook that suppresses the
 /// default backtrace spew for panics happening inside a cell — those
-/// are caught, recorded and retried; the payload ends up in the
-/// manifest and the failure summary instead. Panics outside cells keep
+/// are caught and recorded; the payload ends up in the manifest and the
+/// failure summary instead. Panics outside cells keep
 /// the previous hook's behavior.
 fn install_panic_filter() {
     PANIC_FILTER.call_once(|| {
@@ -197,14 +177,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-fn backoff(cfg: &EngineConfig, attempt: u32) -> Duration {
-    let ms = cfg
-        .backoff_ms
-        .saturating_mul(1u64 << (attempt - 1).min(16))
-        .min(cfg.backoff_cap_ms);
-    Duration::from_millis(ms)
 }
 
 /// Execute a grid of cells and return one outcome per spec, in spec
@@ -260,7 +232,6 @@ where
                 spec: spec.clone(),
                 result: Some(value),
                 error: None,
-                attempts: rec.attempts,
                 duration_ms: rec.duration_ms,
                 resumed: true,
             })
@@ -311,30 +282,14 @@ where
                 let spec = &specs[idx];
                 let _ = tx.send(Event::Started);
                 let t0 = Instant::now();
-                let max_attempts = cfg.retries.saturating_add(1);
-                let mut attempts = 0u32;
-                let mut error = String::new();
-                let mut value: Option<T> = None;
-                while attempts < max_attempts {
-                    attempts += 1;
-                    IN_CELL.with(|c| c.set(true));
-                    let caught = panic::catch_unwind(AssertUnwindSafe(|| run(spec)));
-                    IN_CELL.with(|c| c.set(false));
-                    match caught {
-                        Ok(v) => {
-                            value = Some(v);
-                            break;
-                        }
-                        Err(payload) => {
-                            error = panic_message(payload.as_ref());
-                            if attempts < max_attempts {
-                                let _ = tx.send(Event::Retried(spec.label(), attempts + 1));
-                                std::thread::sleep(backoff(cfg, attempts));
-                            }
-                        }
-                    }
-                }
+                IN_CELL.with(|c| c.set(true));
+                let caught = panic::catch_unwind(AssertUnwindSafe(|| run(spec)));
+                IN_CELL.with(|c| c.set(false));
                 let duration_ms = t0.elapsed().as_millis() as u64;
+                let (value, error) = match caught {
+                    Ok(v) => (Some(v), None),
+                    Err(payload) => (None, Some(panic_message(payload.as_ref()))),
+                };
                 if let Some(writer) = writer {
                     let (status, digest, payload, artifacts) = match &value {
                         Some(v) => {
@@ -354,10 +309,9 @@ where
                         workload: spec.workload.clone(),
                         scheme: spec.scheme.clone(),
                         status: status.to_string(),
-                        attempts,
                         duration_ms,
                         digest,
-                        error: error.clone(),
+                        error: error.clone().unwrap_or_default(),
                         artifacts,
                         payload,
                     };
@@ -370,8 +324,7 @@ where
                 results.lock().expect("results lock")[idx] = Some(CellOutcome {
                     spec: spec.clone(),
                     result: value,
-                    error: if ok { None } else { Some(error) },
-                    attempts,
+                    error,
                     duration_ms,
                     resumed: false,
                 });

@@ -10,10 +10,10 @@
 //!   stable content hash of its spec ([`CellSpec::workload_seed`]), and
 //!   outcomes are returned in input order, so assembled tables are
 //!   bit-identical at any `--jobs` count;
-//! * **fault isolation + retry** — every attempt runs under
-//!   `catch_unwind`; panics become recorded failures, retried with
-//!   capped backoff, and a permanently failed cell never aborts the
-//!   remaining grid;
+//! * **fault isolation** — each cell runs once, as one call on one
+//!   worker thread, under `catch_unwind`; a panic becomes a recorded
+//!   failure that never aborts the remaining grid, and `--resume` runs
+//!   it again;
 //! * **checkpoint/resume** — one fsynced JSONL [`manifest`] record per
 //!   completed cell; `resume` skips cells whose spec hash already has
 //!   an `ok` record and feeds the stored payload back into assembly;

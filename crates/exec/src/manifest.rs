@@ -7,17 +7,19 @@
 //!
 //! ```json
 //! {"spec_hash":"<hex16>","experiment":"...","workload":"...",
-//!  "scheme":"...","status":"ok|failed","attempts":1,"duration_ms":123,
+//!  "scheme":"...","status":"ok|failed","duration_ms":123,
 //!  "digest":"<hex16>","error":"","artifacts":["..."],"payload":{...}}
 //! ```
 //!
 //! `payload` is the codec-encoded cell result (only for `status:"ok"`);
 //! `digest` is FNV-1a 64 of the encoded payload text, the quantity the
-//! determinism tests compare across thread counts.
+//! determinism tests compare across thread counts. The loader ignores
+//! fields it does not know, so a manifest carrying a field this build no
+//! longer writes still resumes.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead as _, BufReader, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 use crate::json::{self, JsonValue};
@@ -36,13 +38,11 @@ pub struct ManifestRecord {
     pub scheme: String,
     /// `"ok"` or `"failed"`.
     pub status: String,
-    /// Attempts spent (1 = first try succeeded; >1 records retries).
-    pub attempts: u32,
-    /// Wall-clock milliseconds spent executing (across attempts).
+    /// Wall-clock milliseconds the cell ran.
     pub duration_ms: u64,
     /// FNV-1a 64 hex of the encoded payload (empty when failed).
     pub digest: String,
-    /// Panic payload of the last attempt (empty when ok).
+    /// Panic payload (empty when ok).
     pub error: String,
     /// Artifact files the cell exported (telemetry, traces, ...).
     pub artifacts: Vec<String>,
@@ -65,7 +65,6 @@ impl ManifestRecord {
             workload: s("workload")?,
             scheme: s("scheme")?,
             status: s("status")?,
-            attempts: v.get("attempts")?.as_u64()? as u32,
             duration_ms: v.get("duration_ms")?.as_u64()?,
             digest: s("digest")?,
             error: s("error")?,
@@ -91,15 +90,14 @@ impl ManifestRecord {
             .map_or_else(|| "null".to_string(), JsonValue::render);
         format!(
             "{{\"spec_hash\":\"{}\",\"experiment\":\"{}\",\"workload\":\"{}\",\
-             \"scheme\":\"{}\",\"status\":\"{}\",\"attempts\":{},\
-             \"duration_ms\":{},\"digest\":\"{}\",\"error\":\"{}\",\
+             \"scheme\":\"{}\",\"status\":\"{}\",\"duration_ms\":{},\
+             \"digest\":\"{}\",\"error\":\"{}\",\
              \"artifacts\":[{}],\"payload\":{}}}",
             json::escape(&self.spec_hash),
             json::escape(&self.experiment),
             json::escape(&self.workload),
             json::escape(&self.scheme),
             json::escape(&self.status),
-            self.attempts,
             self.duration_ms,
             json::escape(&self.digest),
             json::escape(&self.error),
@@ -121,7 +119,6 @@ pub fn payload_digest(encoded: &str) -> String {
 #[derive(Debug)]
 pub struct ManifestWriter {
     file: Mutex<File>,
-    path: PathBuf,
 }
 
 impl ManifestWriter {
@@ -145,14 +142,7 @@ impl ManifestWriter {
             .open(path)?;
         Ok(ManifestWriter {
             file: Mutex::new(file),
-            path: path.to_path_buf(),
         })
-    }
-
-    /// The manifest's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Durably append one record (write + fsync under the lock).
@@ -205,6 +195,7 @@ pub fn load(path: &Path) -> io::Result<Vec<ManifestRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn rec(hash: &str, status: &str) -> ManifestRecord {
         ManifestRecord {
@@ -213,7 +204,6 @@ mod tests {
             workload: "mcf".into(),
             scheme: "LRU".into(),
             status: status.into(),
-            attempts: 1,
             duration_ms: 42,
             digest: "00ff".into(),
             error: if status == "ok" {

@@ -11,15 +11,13 @@ use std::time::{Duration, Instant};
 pub(crate) enum Event {
     /// A cell started executing.
     Started,
-    /// A cell attempt panicked and will be retried (`label`, attempt).
-    Retried(String, u32),
     /// A cell finished (label reported on failure only).
     Finished {
         /// Cell label, for the failure line.
         label: String,
-        /// Whether the cell ultimately succeeded.
+        /// Whether the cell succeeded.
         ok: bool,
-        /// Wall milliseconds the cell took (all attempts).
+        /// Wall milliseconds the cell took.
         duration_ms: u64,
     },
 }
@@ -79,12 +77,6 @@ pub(crate) fn run_reporter(total: usize, resumed: usize, rx: &Receiver<Event>) {
     while let Ok(ev) = rx.recv() {
         match ev {
             Event::Started => running += 1,
-            Event::Retried(label, attempt) => {
-                if tty {
-                    eprintln!();
-                }
-                eprintln!("[exec] retrying {label} (attempt {attempt})");
-            }
             Event::Finished {
                 label,
                 ok,

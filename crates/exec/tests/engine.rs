@@ -1,14 +1,13 @@
-//! Engine-level tests with synthetic cells: fault isolation, retry
-//! accounting, checkpoint/resume, and thread-count independence. Every
-//! test that runs more than one worker does so under a watchdog.
+//! Engine-level tests with synthetic cells: fault isolation,
+//! checkpoint/resume, and thread-count independence. Every test that
+//! runs more than one worker does so under a watchdog.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Mutex;
 use std::time::Duration;
 
+use chrome_exec::manifest::payload_digest;
 use chrome_exec::{load_manifest, run_grid, CellSpec, EngineConfig, StringCodec};
 
 fn spec(workload: &str, scheme: &str) -> CellSpec {
@@ -43,9 +42,6 @@ fn tmp_manifest(name: &str) -> PathBuf {
 fn cfg(jobs: usize, manifest: Option<PathBuf>) -> EngineConfig {
     EngineConfig {
         jobs,
-        retries: 2,
-        backoff_ms: 1,
-        backoff_cap_ms: 2,
         manifest_path: manifest,
         resume: false,
         progress: false,
@@ -155,60 +151,73 @@ fn panicking_cell_is_isolated_and_recorded() {
         assert_eq!(report.outcomes.iter().filter(|o| o.ok()).count(), 4);
         let bad = &report.outcomes[2];
         assert!(!bad.ok());
-        assert_eq!(bad.attempts, 3, "retries exhausted");
         assert!(bad.error.as_deref().unwrap().contains("wl2 exploded"));
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
         assert!(failures[0].0.contains("wl2"));
-        // and the manifest recorded the permanent failure
+        // and the manifest recorded the failure
         let recs = load_manifest(&path).unwrap();
         let failed: Vec<_> = recs.iter().filter(|r| !r.is_ok()).collect();
         assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].attempts, 3);
         assert!(failed[0].error.contains("wl2 exploded"));
         std::fs::remove_file(&path).ok();
     });
 }
 
 #[test]
-fn flaky_cell_succeeds_on_retry_and_manifest_records_attempts() {
-    watchdog(|| {
-        let specs = grid(4);
-        let path = tmp_manifest("flaky");
-        let tries: Mutex<HashMap<String, u32>> = Mutex::new(HashMap::new());
-        let report = run_grid(
-            specs.clone(),
-            &cfg(2, Some(path.clone())),
-            &StringCodec,
-            |s: &CellSpec| {
-                let attempt = {
-                    let mut m = tries.lock().unwrap();
-                    let e = m.entry(s.workload.clone()).or_insert(0);
-                    *e += 1;
-                    *e
-                };
-                assert!(
-                    s.workload != "wl1" || attempt > 1,
-                    "transient failure on first attempt"
-                );
-                eval(s)
-            },
-        )
-        .unwrap();
-        assert_eq!(report.failed, 0, "flaky cell must recover");
-        let flaky = &report.outcomes[1];
-        assert!(flaky.ok());
-        assert_eq!(flaky.attempts, 2);
-        assert!(report.outcomes.iter().filter(|o| o.attempts == 1).count() >= 3);
-        let recs = load_manifest(&path).unwrap();
-        let rec = recs
-            .iter()
-            .find(|r| r.spec_hash == specs[1].hash_hex())
-            .expect("flaky cell in manifest");
-        assert!(rec.is_ok());
-        assert_eq!(rec.attempts, 2, "manifest records the retry");
-        std::fs::remove_file(&path).ok();
-    });
+fn panicking_cell_runs_exactly_once() {
+    let calls = AtomicU32::new(0);
+    let path = tmp_manifest("once");
+    let report = run_grid(
+        grid(1),
+        &cfg(1, Some(path.clone())),
+        &StringCodec,
+        |_: &CellSpec| -> String {
+            calls.fetch_add(1, Ordering::SeqCst);
+            panic!("deterministic failure")
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        1,
+        "a failed cell is not re-run"
+    );
+    assert_eq!(report.failed, 1);
+    let recs = load_manifest(&path).unwrap();
+    assert_eq!(recs.len(), 1);
+    assert!(!recs[0].is_ok());
+    assert!(recs[0].error.contains("deterministic failure"));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn manifest_records_with_an_attempts_field_still_resume() {
+    let specs = grid(2);
+    let path = tmp_manifest("attempts");
+    // an `ok` record in the older format, which carried an attempt count
+    let payload = format!("\"{}\"", eval(&specs[0]));
+    let line = format!(
+        "{{\"spec_hash\":\"{}\",\"experiment\":\"test\",\"workload\":\"wl0\",\
+         \"scheme\":\"LRU\",\"status\":\"ok\",\"attempts\":3,\"duration_ms\":5,\
+         \"digest\":\"{}\",\"error\":\"\",\"artifacts\":[],\"payload\":{payload}}}\n",
+        specs[0].hash_hex(),
+        payload_digest(&payload),
+    );
+    std::fs::write(&path, line).unwrap();
+    let executions = AtomicU32::new(0);
+    let mut resume_cfg = cfg(1, Some(path.clone()));
+    resume_cfg.resume = true;
+    let report = run_grid(specs.clone(), &resume_cfg, &StringCodec, |s: &CellSpec| {
+        executions.fetch_add(1, Ordering::SeqCst);
+        eval(s)
+    })
+    .unwrap();
+    assert_eq!(report.resumed, 1);
+    assert_eq!(executions.load(Ordering::SeqCst), 1, "only wl1 runs");
+    assert!(report.outcomes[0].resumed);
+    assert_eq!(report.outcomes[0].value().unwrap(), &eval(&specs[0]));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -258,7 +267,7 @@ fn resume_reruns_failed_and_stale_cells() {
     watchdog(|| {
         let specs = grid(3);
         let path = tmp_manifest("rerun");
-        // first run: wl1 fails permanently
+        // first run: wl1 fails
         let r1 = run_grid(
             specs.clone(),
             &cfg(2, Some(path.clone())),

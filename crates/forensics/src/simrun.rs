@@ -81,15 +81,13 @@ pub fn decision_keys(seg: &AuditSegment) -> Vec<u64> {
         .collect()
 }
 
-/// CHROME configured like the experiment registry: more sampled sets
-/// and a shorter EQ window than the paper's 200M-instruction runs,
-/// scaled for the shorter audited runs.
+/// CHROME configured as the experiment grid runs it
+/// ([`ChromeConfig::experiment`]), so the report grades the agent the
+/// grid measures.
 fn chrome_cfg(concurrency_aware: bool) -> ChromeConfig {
     ChromeConfig {
-        sampled_sets: 512,
-        eq_fifo_len: 8,
         concurrency_aware,
-        ..ChromeConfig::default()
+        ..ChromeConfig::experiment()
     }
 }
 

@@ -253,16 +253,6 @@ impl Dram {
             self.latency_sum as f64 / self.latency_count as f64
         }
     }
-
-    /// Row-buffer hit rate among all accesses.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.reads + self.writes;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -287,16 +287,13 @@ impl StageAccum {
     }
 }
 
-/// The latency-attribution profiler: aggregate stage tables, per-stage
-/// histograms, and a bounded ring of the newest raw spans for trace
-/// export.
+/// The latency-attribution profiler: aggregate stage tables, the
+/// end-to-end demand latency histogram, and a bounded ring of the
+/// newest raw spans for trace export.
 #[derive(Debug, Clone)]
 pub struct AttribProfiler {
     demand: Vec<StageAccum>,
     prefetch: Vec<StageAccum>,
-    /// Per-stage histograms of nonzero per-request stage cycles
-    /// (demand requests only).
-    stage_hist: Vec<Histogram>,
     /// End-to-end demand latency histogram.
     latency_hist: Histogram,
     /// Raw spans (bounded; newest kept up to capacity).
@@ -331,7 +328,6 @@ impl AttribProfiler {
         AttribProfiler {
             demand: Vec::new(),
             prefetch: Vec::new(),
-            stage_hist: (0..STAGE_COUNT).map(|_| Histogram::pow2(20)).collect(),
             latency_hist: Histogram::pow2(20),
             spans: Vec::new(),
             span_capacity,
@@ -362,11 +358,6 @@ impl AttribProfiler {
         } else {
             self.demand[core].add(&span);
             self.latency_hist.observe(span.latency());
-            for (h, &cycles) in self.stage_hist.iter_mut().zip(&span.stages) {
-                if cycles > 0 {
-                    h.observe(cycles);
-                }
-            }
             if let Some(l) = span.llc_latency() {
                 let (cycles, count) = &mut self.llc_demand[core];
                 *cycles += l;
@@ -422,11 +413,6 @@ impl AttribProfiler {
         &self.spans
     }
 
-    /// Histogram of nonzero per-request cycles for `stage` (demand).
-    pub fn stage_histogram(&self, stage: Stage) -> &Histogram {
-        &self.stage_hist[stage as usize]
-    }
-
     /// Histogram of end-to-end demand latencies.
     pub fn latency_histogram(&self) -> &Histogram {
         &self.latency_hist
@@ -437,9 +423,6 @@ impl AttribProfiler {
         self.demand.clear();
         self.prefetch.clear();
         self.llc_demand.clear();
-        for h in &mut self.stage_hist {
-            *h = Histogram::pow2(20);
-        }
         self.latency_hist = Histogram::pow2(20);
         self.spans.clear();
         self.span_next = 0;

@@ -32,8 +32,8 @@
 //! A zero memory operand means "no operand" in this layout, so address 0
 //! is unrepresentable; the encoder reports it as an error rather than
 //! silently dropping the access. Decoding never fails on record content —
-//! any 64 bytes is a valid instruction — only on a stream length that is
-//! not a multiple of 64.
+//! any 64 bytes is a valid instruction; a stream length that is not a
+//! multiple of 64 is rejected when the file opens.
 
 use chrome_sim::types::{AccessKind, TraceRecord};
 
@@ -192,24 +192,21 @@ pub fn encode_stream(records: &[TraceRecord]) -> Result<Vec<u8>, TraceFileError>
     Ok(out)
 }
 
-/// Decode a whole stream (validation path; the streaming reader feeds
-/// chunks through a [`Decoder`] instead). Fails only on a length that is
-/// not a multiple of [`INSTR_LEN`].
-pub fn decode_stream(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceFileError> {
-    if !bytes.len().is_multiple_of(INSTR_LEN) {
-        return Err(TraceFileError::Truncated("partial input_instr record"));
-    }
-    let mut dec = Decoder::new();
-    let mut out = Vec::with_capacity(bytes.len() / INSTR_LEN / 4);
-    for instr in bytes.chunks_exact(INSTR_LEN) {
-        dec.push_instr(instr, &mut out);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{write_one_core, Codec};
+    use crate::TraceFile;
+
+    /// Decode a whole stream, instruction by instruction.
+    fn decode(bytes: &[u8]) -> Vec<TraceRecord> {
+        let mut dec = Decoder::new();
+        let mut out = Vec::new();
+        for instr in bytes.chunks_exact(INSTR_LEN) {
+            dec.push_instr(instr, &mut out);
+        }
+        out
+    }
 
     fn canon_first_dep(mut recs: Vec<TraceRecord>) -> Vec<TraceRecord> {
         if let Some(first) = recs.first_mut() {
@@ -230,7 +227,7 @@ mod tests {
         let bytes = encode_stream(&recs).unwrap();
         // 5 memory instructions + 3+5+2 non-memory = 15 instructions
         assert_eq!(bytes.len(), 15 * INSTR_LEN);
-        assert_eq!(decode_stream(&bytes).unwrap(), recs);
+        assert_eq!(decode(&bytes), recs);
     }
 
     #[test]
@@ -240,7 +237,7 @@ mod tests {
             TraceRecord::load(0x404, 0x2000, 1),
         ];
         let bytes = encode_stream(&recs).unwrap();
-        assert_eq!(decode_stream(&bytes).unwrap(), canon_first_dep(recs));
+        assert_eq!(decode(&bytes), canon_first_dep(recs));
     }
 
     #[test]
@@ -254,8 +251,15 @@ mod tests {
 
     #[test]
     fn partial_record_is_truncation() {
-        let bytes = encode_stream(&[TraceRecord::load(0x400, 0x1000, 0)]).unwrap();
-        assert!(decode_stream(&bytes[..INSTR_LEN - 1]).is_err());
+        // a stream that ends mid-instruction cannot open
+        let mut bytes = encode_stream(&[TraceRecord::load(0x400, 0x1000, 0)]).unwrap();
+        bytes.pop();
+        let path = std::env::temp_dir().join("chrome-tracefile-champsim-partial.ctf");
+        write_one_core(&path, Codec::ChampSim, &bytes, 1, 1);
+        assert!(matches!(
+            TraceFile::open(&path),
+            Err(TraceFileError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Records are grouped into frames (a few thousand records each). Every
 //! frame is independently decodable — the delta state resets at each
 //! frame start — which is what lets the streaming reader decode frame by
-//! frame on a background thread and wrap around at end of stream without
-//! carrying state.
+//! frame and wrap around at end of stream without carrying state.
 //!
 //! Frame layout:
 //!
@@ -28,8 +27,8 @@ use chrome_sim::types::{AccessKind, TraceRecord};
 
 use crate::format::TraceFileError;
 
-/// Records per frame the recorder targets. Small enough that two
-/// decoded frames (the reader's double buffer) stay well under a
+/// Records per frame the recorder targets. Small enough that a decoded
+/// frame (the reader buffers one per core) stays well under a
 /// megabyte; large enough that frame headers are noise.
 pub const FRAME_RECORDS: usize = 4096;
 
@@ -168,24 +167,6 @@ pub fn decode_frame_payload(
     Ok(())
 }
 
-/// Decode a whole stream of back-to-back frames (validation path; the
-/// streaming reader decodes frame by frame instead).
-pub fn decode_stream(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceFileError> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let (payload_len, nrec) = decode_frame_header(&bytes[pos..])?;
-        pos += FRAME_HEADER_LEN;
-        let end = pos
-            .checked_add(payload_len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or(TraceFileError::Truncated("frame payload"))?;
-        decode_frame_payload(&bytes[pos..end], nrec, &mut out)?;
-        pos = end;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,10 +199,20 @@ mod tests {
 
     #[test]
     fn stream_of_frames_roundtrips() {
+        // the delta state resets per frame, so back-to-back frames
+        // decode one at a time into one record stream
         let recs = sample_records();
         let mut stream = encode_frame(&recs[..2]);
         stream.extend_from_slice(&encode_frame(&recs[2..]));
-        assert_eq!(decode_stream(&stream).unwrap(), recs);
+        let mut out = Vec::new();
+        let mut rest = &stream[..];
+        while !rest.is_empty() {
+            let (plen, nrec) = decode_frame_header(rest).unwrap();
+            let end = FRAME_HEADER_LEN + plen;
+            decode_frame_payload(&rest[FRAME_HEADER_LEN..end], nrec, &mut out).unwrap();
+            rest = &rest[end..];
+        }
+        assert_eq!(out, recs);
     }
 
     #[test]
@@ -261,14 +252,20 @@ mod tests {
     #[test]
     fn truncated_and_corrupt_frames_error_not_panic() {
         let frame = encode_frame(&sample_records());
-        // every possible truncation of the stream fails cleanly
-        for cut in 0..frame.len() {
-            assert!(decode_stream(&frame[..cut]).is_err() || cut == 0);
+        let (plen, nrec) = decode_frame_header(&frame).unwrap();
+        let payload = &frame[FRAME_HEADER_LEN..];
+        assert_eq!(payload.len(), plen);
+        // every truncation of the header, and of the payload, fails cleanly
+        for cut in 0..FRAME_HEADER_LEN {
+            assert!(decode_frame_header(&frame[..cut]).is_err());
+        }
+        for cut in 0..plen {
+            assert!(decode_frame_payload(&payload[..cut], nrec, &mut Vec::new()).is_err());
         }
         // trailing garbage after the declared payload
-        let mut padded = frame.clone();
+        let mut padded = payload.to_vec();
         padded.extend_from_slice(&[0xff; 3]);
-        assert!(decode_stream(&padded).is_err());
+        assert!(decode_frame_payload(&padded, nrec, &mut Vec::new()).is_err());
         // overlong varint
         let overlong = [0xffu8; 11];
         let mut pos = 0;

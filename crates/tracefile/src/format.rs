@@ -469,6 +469,41 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Write a one-core container around raw stream bytes, for tests that
+/// need streams the recorder never writes. The manifest carries no
+/// interval stats and a zero content hash.
+#[cfg(test)]
+pub(crate) fn write_one_core(
+    path: &std::path::Path,
+    codec: Codec,
+    stream: &[u8],
+    records: u64,
+    instructions: u64,
+) {
+    let manifest = Manifest {
+        codec,
+        quota: instructions,
+        content_hash: 0,
+        spec: String::new(),
+        interval_instr: 100_000,
+        cores: vec![CoreManifest {
+            name: "raw".into(),
+            stream_off: HEADER_LEN,
+            stream_len: stream.len() as u64,
+            records,
+            instructions,
+            intervals: Vec::new(),
+        }],
+    };
+    let mut bytes = encode_header(codec, 1).to_vec();
+    bytes.extend_from_slice(stream);
+    let manifest_off = bytes.len() as u64;
+    let encoded = manifest.encode();
+    bytes.extend_from_slice(&encoded);
+    bytes.extend_from_slice(&encode_tail(manifest_off, encoded.len() as u32));
+    std::fs::write(path, bytes).unwrap();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,10 +16,12 @@
 //!   generators, heterogeneous mixes) to a `.ctf` container with a
 //!   footer manifest: record counts, per-core instruction quota, content
 //!   hash, generator spec and per-interval summary stats.
-//! * [`reader`] — a streaming reader with bounded memory: frames are
-//!   decoded on a background thread into a double-buffered channel, and
-//!   [`reader::FileSource`] implements `chrome_sim::trace::TraceSource`,
-//!   so file-backed cores drop into `System` unchanged.
+//! * [`reader`] — a streaming reader with bounded memory: one
+//!   synchronous cursor per core decodes a frame (or ChampSim chunk) at
+//!   a time on the caller's thread, [`TraceFile::decode_core`] drains it
+//!   once, and [`reader::FileSource`] replays it with wrap-around as a
+//!   `chrome_sim::trace::TraceSource`, so file-backed cores drop into
+//!   `System` unchanged.
 //! * [`index`] — scans a `--trace-dir` and resolves `(workload, cores,
 //!   seed)` identities to trace files by content hash, which is what
 //!   lets grid cells keep checkpoint identity across trace revisions.

@@ -1,11 +1,11 @@
 //! Reading `.ctf` files: validation, full decode, and the streaming
-//! [`FileSource`] that drops into `System` as a `TraceSource`.
+//! [`FileSource`] that drops into `System` as a `TraceSource`. Both
+//! walk a stream through one synchronous cursor, a frame or chunk at a
+//! time, on the caller's thread.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::thread;
 
 use chrome_sim::trace::TraceSource;
 use chrome_sim::types::TraceRecord;
@@ -13,7 +13,7 @@ use chrome_sim::types::TraceRecord;
 use crate::champsim;
 use crate::codec::{decode_frame_header, decode_frame_payload, FRAME_HEADER_LEN};
 use crate::format::{
-    decode_header, decode_tail, Codec, Manifest, TraceFileError, HEADER_LEN, TAIL_LEN,
+    decode_header, decode_tail, Codec, CoreManifest, Manifest, TraceFileError, HEADER_LEN, TAIL_LEN,
 };
 use crate::{hash_record, HASH_BASIS};
 
@@ -132,29 +132,39 @@ impl TraceFile {
         &self.path
     }
 
-    /// Fully decode one core's stream (validation path; bounded-memory
-    /// replay goes through [`TraceFile::source`] instead).
-    pub fn decode_core(&self, core: usize) -> Result<Vec<TraceRecord>, TraceFileError> {
-        let cm = self
-            .manifest
+    fn core(&self, core: usize) -> Result<&CoreManifest, TraceFileError> {
+        self.manifest
             .cores
             .get(core)
-            .ok_or_else(|| TraceFileError::Corrupt(format!("no core {core} in this file")))?;
-        let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(cm.stream_off))?;
-        let mut bytes = vec![0u8; cm.stream_len as usize];
-        f.read_exact(&mut bytes)?;
-        let records = match self.manifest.codec {
-            Codec::Compact => crate::codec::decode_stream(&bytes)?,
-            Codec::ChampSim => champsim::decode_stream(&bytes)?,
+            .ok_or_else(|| TraceFileError::Corrupt(format!("no core {core} in this file")))
+    }
+
+    /// A cursor at the start of one core's stream, on its own file
+    /// handle.
+    fn cursor(&self, core: usize) -> Result<StreamCursor, TraceFileError> {
+        let cm = self.core(core)?;
+        let mut cursor = StreamCursor {
+            file: File::open(&self.path)?,
+            codec: self.manifest.codec,
+            core,
+            off: cm.stream_off,
+            len: cm.stream_len,
+            records: cm.records,
+            remaining: 0,
+            decoded: 0,
+            dec: champsim::Decoder::new(),
+            bytes: Vec::new(),
         };
-        if records.len() as u64 != cm.records {
-            return Err(TraceFileError::Corrupt(format!(
-                "core {core} decodes to {} records, manifest says {}",
-                records.len(),
-                cm.records
-            )));
-        }
+        cursor.rewind()?;
+        Ok(cursor)
+    }
+
+    /// Fully decode one core's stream: one pass of the cursor
+    /// [`TraceFile::source`] replays, collected.
+    pub fn decode_core(&self, core: usize) -> Result<Vec<TraceRecord>, TraceFileError> {
+        let mut cursor = self.cursor(core)?;
+        let mut records = Vec::new();
+        while cursor.next_batch(&mut records)? {}
         Ok(records)
     }
 
@@ -192,11 +202,7 @@ impl TraceFile {
         &self,
         core: usize,
     ) -> Result<Vec<crate::format::IntervalStats>, TraceFileError> {
-        let cm = self
-            .manifest
-            .cores
-            .get(core)
-            .ok_or_else(|| TraceFileError::Corrupt(format!("no core {core} in this file")))?;
+        let cm = self.core(core)?;
         if !cm.intervals.is_empty() {
             return Ok(cm.intervals.clone());
         }
@@ -207,53 +213,21 @@ impl TraceFile {
         ))
     }
 
-    /// A streaming, infinite [`TraceSource`] over one core's stream.
-    /// Frames are decoded on a background thread into a bounded channel
-    /// (double-buffered: one batch in flight, one being consumed), so
-    /// memory stays constant regardless of trace length; at end of
-    /// stream the reader wraps to the start, matching the
+    /// A streaming, infinite [`TraceSource`] over one core's stream. It
+    /// decodes one frame (or ChampSim chunk) at a time on the caller's
+    /// thread, so memory stays constant regardless of trace length; at
+    /// end of stream it wraps to the start, matching the
     /// championship-simulator practice of replaying traces until every
     /// core meets its quota.
     pub fn source(&self, core: usize) -> Result<FileSource, TraceFileError> {
-        let cm = self
-            .manifest
-            .cores
-            .get(core)
-            .ok_or_else(|| TraceFileError::Corrupt(format!("no core {core} in this file")))?;
+        let cm = self.core(core)?;
         if cm.records == 0 {
             return Err(TraceFileError::Corrupt(format!(
                 "core {core} stream holds no records"
             )));
         }
-        // the thread gets its own handle so concurrent per-core sources
-        // never contend on a shared seek position
-        let file = File::open(&self.path)?;
-        let codec = self.manifest.codec;
-        let (off, len) = (cm.stream_off, cm.stream_len);
-        let (tx, rx) = sync_channel::<Result<Vec<TraceRecord>, TraceFileError>>(1);
-        let path = self.path.clone();
-        thread::Builder::new()
-            .name(format!("ctf-read-{core}"))
-            .spawn(move || {
-                let mut f = file;
-                loop {
-                    match stream_pass(&mut f, codec, off, len, &tx) {
-                        Ok(true) => continue, // wrapped; start the next pass
-                        Ok(false) => return,  // receiver dropped
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            })
-            .map_err(|e| {
-                TraceFileError::Io(std::io::Error::other(format!(
-                    "spawning reader thread for {path:?}: {e}"
-                )))
-            })?;
         Ok(FileSource {
-            rx,
+            cursor: self.cursor(core)?,
             buf: Vec::new(),
             idx: 0,
             name: cm.name.clone(),
@@ -268,59 +242,88 @@ impl TraceFile {
     }
 }
 
-/// One full pass over a core's stream, sending decoded batches. Returns
-/// `Ok(true)` to wrap around, `Ok(false)` when the receiver hung up.
-fn stream_pass(
-    f: &mut File,
+/// Instructions per ChampSim read: 256 KiB of `input_instr` records.
+const CHUNK_INSTRS: usize = 4096;
+
+/// A synchronous reader over one core's stream. Each
+/// [`StreamCursor::next_batch`] reads and decodes the next compact frame,
+/// or the next [`CHUNK_INSTRS`]-instruction ChampSim chunk, so one frame
+/// or chunk of bytes is buffered at a time. The pass's record count is
+/// checked against the manifest when the stream ends.
+#[derive(Debug)]
+struct StreamCursor {
+    file: File,
     codec: Codec,
+    core: usize,
     off: u64,
     len: u64,
-    tx: &std::sync::mpsc::SyncSender<Result<Vec<TraceRecord>, TraceFileError>>,
-) -> Result<bool, TraceFileError> {
-    f.seek(SeekFrom::Start(off))?;
-    let mut remaining = len;
-    match codec {
-        Codec::Compact => {
-            while remaining > 0 {
-                if remaining < FRAME_HEADER_LEN as u64 {
+    /// The manifest's record count for the stream.
+    records: u64,
+    /// Stream bytes not yet read in this pass.
+    remaining: u64,
+    /// Records decoded in this pass.
+    decoded: u64,
+    /// ChampSim decoder state, carried across chunks within a pass.
+    dec: champsim::Decoder,
+    bytes: Vec<u8>,
+}
+
+impl StreamCursor {
+    /// Seek back to the stream's start with a fresh ChampSim decoder.
+    fn rewind(&mut self) -> Result<(), TraceFileError> {
+        self.file.seek(SeekFrom::Start(self.off))?;
+        self.remaining = self.len;
+        self.decoded = 0;
+        self.dec = champsim::Decoder::new();
+        Ok(())
+    }
+
+    /// Append the next frame's or chunk's records to `out`. Returns
+    /// `Ok(false)`, appending nothing, once the pass is complete.
+    fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> Result<bool, TraceFileError> {
+        if self.remaining == 0 {
+            if self.decoded != self.records {
+                return Err(TraceFileError::Corrupt(format!(
+                    "core {} decodes to {} records, manifest says {}",
+                    self.core, self.decoded, self.records
+                )));
+            }
+            return Ok(false);
+        }
+        let before = out.len();
+        match self.codec {
+            Codec::Compact => {
+                if self.remaining < FRAME_HEADER_LEN as u64 {
                     return Err(TraceFileError::Truncated("frame header"));
                 }
                 let mut header = [0u8; FRAME_HEADER_LEN];
-                f.read_exact(&mut header)?;
+                self.file.read_exact(&mut header)?;
                 let (payload_len, nrec) = decode_frame_header(&header)?;
-                remaining -= FRAME_HEADER_LEN as u64;
-                if (payload_len as u64) > remaining {
+                self.remaining -= FRAME_HEADER_LEN as u64;
+                if payload_len as u64 > self.remaining {
                     return Err(TraceFileError::Truncated("frame payload"));
                 }
-                let mut payload = vec![0u8; payload_len];
-                f.read_exact(&mut payload)?;
-                remaining -= payload_len as u64;
-                let mut batch = Vec::new();
-                decode_frame_payload(&payload, nrec, &mut batch)?;
-                if !batch.is_empty() && tx.send(Ok(batch)).is_err() {
-                    return Ok(false);
+                self.bytes.resize(payload_len, 0);
+                self.file.read_exact(&mut self.bytes)?;
+                self.remaining -= payload_len as u64;
+                decode_frame_payload(&self.bytes, nrec, out)?;
+            }
+            Codec::ChampSim => {
+                // `TraceFile::open` checked the stream is whole records
+                let take = self
+                    .remaining
+                    .min((CHUNK_INSTRS * champsim::INSTR_LEN) as u64);
+                self.bytes.resize(take as usize, 0);
+                self.file.read_exact(&mut self.bytes)?;
+                self.remaining -= take;
+                for instr in self.bytes.chunks_exact(champsim::INSTR_LEN) {
+                    self.dec.push_instr(instr, out);
                 }
             }
         }
-        Codec::ChampSim => {
-            const CHUNK_INSTRS: u64 = 4096;
-            let mut dec = champsim::Decoder::new();
-            let mut chunk = vec![0u8; (CHUNK_INSTRS * champsim::INSTR_LEN as u64) as usize];
-            while remaining > 0 {
-                let take = remaining.min(chunk.len() as u64) as usize;
-                f.read_exact(&mut chunk[..take])?;
-                remaining -= take as u64;
-                let mut batch = Vec::new();
-                for instr in chunk[..take].chunks_exact(champsim::INSTR_LEN) {
-                    dec.push_instr(instr, &mut batch);
-                }
-                if !batch.is_empty() && tx.send(Ok(batch)).is_err() {
-                    return Ok(false);
-                }
-            }
-        }
+        self.decoded += (out.len() - before) as u64;
+        Ok(true)
     }
-    Ok(true)
 }
 
 /// A file-backed, infinite trace source for one core. Implements
@@ -330,13 +333,13 @@ fn stream_pass(
 ///
 /// [`FileSource::next_record`] panics (with the underlying
 /// [`TraceFileError`] message) if the stream turns out to be corrupt
-/// mid-replay or the reader thread dies — `TraceSource` has no error
-/// channel. Structural corruption is caught earlier, at
-/// [`TraceFile::open`]; payload corruption is caught by
-/// [`TraceFile::verify`], which `traceinfo` runs.
+/// mid-replay — `TraceSource` has no error channel. Structural
+/// corruption is caught earlier, at [`TraceFile::open`]; payload
+/// corruption is caught by [`TraceFile::verify`], which `traceinfo`
+/// runs.
 #[derive(Debug)]
 pub struct FileSource {
-    rx: Receiver<Result<Vec<TraceRecord>, TraceFileError>>,
+    cursor: StreamCursor,
     buf: Vec<TraceRecord>,
     idx: usize,
     name: String,
@@ -345,13 +348,17 @@ pub struct FileSource {
 impl TraceSource for FileSource {
     fn next_record(&mut self) -> TraceRecord {
         while self.idx >= self.buf.len() {
-            match self.rx.recv() {
-                Ok(Ok(batch)) => {
-                    self.buf = batch;
-                    self.idx = 0;
+            self.buf.clear();
+            self.idx = 0;
+            let step = self.cursor.next_batch(&mut self.buf).and_then(|more| {
+                if more {
+                    Ok(())
+                } else {
+                    self.cursor.rewind()
                 }
-                Ok(Err(e)) => panic!("trace replay failed: {e}"),
-                Err(_) => panic!("trace reader thread for {:?} terminated", self.name),
+            });
+            if let Err(e) = step {
+                panic!("trace replay failed: {e}");
             }
         }
         let rec = self.buf[self.idx];
@@ -367,6 +374,7 @@ impl TraceSource for FileSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::write_one_core;
     use crate::recorder::record_sources;
     use chrome_sim::trace::{StridedSource, TraceSource};
 
@@ -446,12 +454,68 @@ mod tests {
         assert!(tf.decode_core(9).is_err());
     }
 
-    #[test]
-    fn dropping_the_source_stops_the_reader_thread() {
-        let path = record_strided("drop.ctf", Codec::Compact);
-        let tf = TraceFile::open(&path).unwrap();
+    /// Replays several passes of `path`'s core 0 and checks each one
+    /// against [`TraceFile::decode_core`].
+    fn assert_wraps(path: &Path) {
+        let tf = TraceFile::open(path).unwrap();
+        let pass = tf.decode_core(0).unwrap();
         let mut src = tf.source(0).unwrap();
-        let _ = src.next_record();
-        drop(src); // must not hang or leak a blocked thread forever
+        for (i, want) in pass.iter().cycle().take(pass.len() * 5 / 2).enumerate() {
+            assert_eq!(src.next_record(), *want, "{path:?} record {i}");
+        }
+    }
+
+    #[test]
+    fn wraparound_repeats_decode_core_across_batches() {
+        // every address distinct, so a batch served twice or skipped
+        // cannot hide behind a repeating pattern
+        let unique = || StridedSource::new(0x4000, 64, 1 << 30, 2);
+        for codec in [Codec::Compact, Codec::ChampSim] {
+            let path = tmp(&format!("wrap-{}.ctf", codec.name()));
+            let sources: Vec<Box<dyn TraceSource>> = vec![Box::new(unique())];
+            let m = record_sources(&path, sources, "test", 30_000, codec, 10_000).unwrap();
+            // three compact frames; more than two ChampSim chunks
+            assert!(m.cores[0].records > 2 * crate::codec::FRAME_RECORDS as u64);
+            assert!(m.cores[0].instructions > 2 * CHUNK_INSTRS as u64);
+            assert_wraps(&path);
+        }
+        // A foreign ChampSim stream may end in non-memory instructions.
+        // A decoder carried across the wrap would fold them into the
+        // next pass's first record; each pass starts a fresh one.
+        let mut live = unique();
+        let records: Vec<TraceRecord> = (0..10_000).map(|_| live.next_record()).collect();
+        let mut stream = champsim::encode_stream(&records).unwrap();
+        let instructions = 5 + stream.len() / champsim::INSTR_LEN;
+        stream.resize(instructions * champsim::INSTR_LEN, 0);
+        let path = tmp("wrap-foreign.ctf");
+        write_one_core(&path, Codec::ChampSim, &stream, 10_000, instructions as u64);
+        assert_wraps(&path);
+    }
+
+    #[test]
+    fn corrupt_frame_panics_when_replay_reaches_it() {
+        let path = record_strided("flip-replay.ctf", Codec::Compact);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first = HEADER_LEN as usize;
+        let (plen, nrec) = decode_frame_header(&bytes[first..]).unwrap();
+        // bit 7 is a varint's continuation flag: flipping it changes
+        // how many varints the second frame's payload holds, so that
+        // frame cannot decode
+        bytes[first + 2 * FRAME_HEADER_LEN + plen + 10] ^= 0x80;
+        let p = tmp("flip-replay-bad.ctf");
+        std::fs::write(&p, &bytes).unwrap();
+        let tf = TraceFile::open(&p).expect("the flip leaves the container intact");
+        let mut src = tf.source(0).unwrap();
+        let mut served = 0;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for _ in 0..3 * nrec {
+                src.next_record();
+                served += 1;
+            }
+        }));
+        let payload = caught.expect_err("replay must stop at the corrupt frame");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.starts_with("trace replay failed"), "{msg}");
+        assert_eq!(served, nrec, "the first frame replays intact");
     }
 }

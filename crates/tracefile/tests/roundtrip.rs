@@ -75,17 +75,21 @@ fn random_streams_roundtrip_through_both_codecs() {
         let stream = random_stream(&mut rng, len);
         // compact: frame-based
         let frame = codec::encode_frame(&stream);
-        let decoded = codec::decode_stream(&frame).unwrap();
+        let (plen, nrec) = codec::decode_frame_header(&frame).unwrap();
+        assert_eq!(frame.len(), codec::FRAME_HEADER_LEN + plen);
+        let mut decoded = Vec::new();
+        codec::decode_frame_payload(&frame[codec::FRAME_HEADER_LEN..], nrec, &mut decoded).unwrap();
         assert_eq!(decoded, stream, "compact codec, case {case}");
         // champsim: 64-byte instruction records; dep_prev immediately
         // after another memory record survives (the spacing of these
         // streams guarantees a previous instruction to patch)
         let bytes = champsim::encode_stream(&stream).unwrap();
-        assert_eq!(
-            champsim::decode_stream(&bytes).unwrap(),
-            stream,
-            "champsim codec, case {case}"
-        );
+        let mut dec = champsim::Decoder::new();
+        let mut decoded = Vec::new();
+        for instr in bytes.chunks_exact(champsim::INSTR_LEN) {
+            dec.push_instr(instr, &mut decoded);
+        }
+        assert_eq!(decoded, stream, "champsim codec, case {case}");
     }
 }
 
