@@ -21,8 +21,10 @@
 //!   table (`results/sampling_validation.tsv` and `--out-table`), and
 //!   gate: IPC and MPKI within the tolerances on EVERY workload while
 //!   simulating at least `--min-reduction` times fewer detailed
-//!   instructions. `--check-kernels` additionally reruns each sampled
-//!   replay on the reference kernel and requires identical results.
+//!   instructions. `--check-kernels` additionally runs each sampled
+//!   cell through the grid's own sampled-cell function
+//!   (`chrome_bench::sampled_cell`: plan, replay, functional profile,
+//!   reconstruction) once per kernel and requires identical results.
 //!
 //! Exit codes: 0 pass, 1 gate/validation failure, 2 usage error.
 
@@ -30,7 +32,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use chrome_bench::experiments::sampling;
-use chrome_bench::grid::{resolve_traces, run_grid, sampled_cell_result};
+use chrome_bench::grid::{resolve_traces, run_grid, sampled_cell};
 use chrome_bench::RunParams;
 use chrome_exec::cli::Args;
 use chrome_exec::workload_seed;
@@ -304,7 +306,8 @@ fn record_missing(opts: &Options, dir: &std::path::Path, workloads: &[String]) {
 /// Rerun every sampled cell of the validation grid on both kernels and
 /// demand identical results. The cells are the grid's own
 /// (`sampling::cells`), resolved against the trace directory as the
-/// grid resolves them.
+/// grid resolves them, and each kernel's run is the grid's sampled-cell
+/// function, plan and all.
 fn check_kernels(params: &RunParams, opts: &Options, workloads: &[String]) -> usize {
     let dir = params
         .trace_dir
@@ -312,33 +315,17 @@ fn check_kernels(params: &RunParams, opts: &Options, workloads: &[String]) -> us
         .expect("validate sets --trace-dir");
     let mut cells = sampling::cells(params, workloads, &opts.scheme, &opts.sampling);
     let traces = resolve_traces(&mut cells, dir);
-    let spec = spec_of(opts);
     let mut mismatches = 0;
     // each workload's pair of cells is [full, sampled]
     for cell in cells.iter().skip(1).step_by(2) {
         let wl = &cell.workload;
-        let Some(path) = traces.get(&cell.trace) else {
+        if cell.trace.is_empty() {
             eprintln!("kernel check: no trace for {wl}, skipping");
             mismatches += 1;
             continue;
-        };
-        let tf = TraceFile::open(path).unwrap_or_else(|e| {
-            eprintln!("opening {}: {e}", path.display());
-            exit(1);
-        });
-        let plan = chrome_simpoint::build_plan_windowed(
-            &tf,
-            spec,
-            cell.workload_seed(),
-            cell.warmup,
-            cell.instructions,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("plan for {wl}: {e}");
-            exit(1);
-        });
-        let event = sampled_cell_result(cell, None, &tf, &plan, Kernel::EventDriven);
-        let reference = sampled_cell_result(cell, None, &tf, &plan, Kernel::Reference);
+        }
+        let event = sampled_cell(cell, None, Some(&traces), Kernel::EventDriven);
+        let reference = sampled_cell(cell, None, Some(&traces), Kernel::Reference);
         if event == reference {
             eprintln!("kernel check: {wl} identical");
         } else {

@@ -10,7 +10,10 @@
 //! ramp-up. One reference-kernel run per cell provides the
 //! event-vs-reference speedup; the differential tests guarantee both
 //! kernels produce identical results, so the ratio is a pure
-//! scheduling-overhead measurement.
+//! scheduling-overhead measurement. Every cell is a grid `CellSpec`
+//! built by `chrome_bench::cell_system`, so it times the machine and
+//! the trace instances a grid cell of that workload, core count and
+//! `--seed` simulates; NoC rows run the `scaling_sweep` mesh.
 //!
 //! ```text
 //! throughput [--workloads A,B,...] [--core-counts 1,4,16]
@@ -35,12 +38,11 @@
 
 use std::time::Instant;
 
-use chrome_bench::registry::build_any_slot;
-use chrome_bench::runner::RunParams;
+use chrome_bench::experiments::{cell, scaling::noc_spec};
+use chrome_bench::{build_any_slot, cell_system, RunParams};
 use chrome_exec::cli::Args;
-use chrome_exec::json;
-use chrome_sim::{Kernel, System};
-use chrome_traces::mix;
+use chrome_exec::{json, CellSpec};
+use chrome_sim::Kernel;
 
 /// Per-cell and aggregate MIPS floor vs the checked-in baseline: fail
 /// on a >10% drop (CI gate). Best-of-N timing keeps the noise inside
@@ -172,64 +174,45 @@ impl CellTiming {
     }
 }
 
-/// Run one (workload, cores, scheme, kernel) configuration once:
-/// untimed warmup, then a timed measured region. Returns (elapsed
-/// seconds, measured simulated cycles).
-fn run_once(
-    params: &RunParams,
-    workload: &str,
-    cores: usize,
-    scheme: &str,
-    noc: &str,
-    kernel: Kernel,
-) -> (f64, u64) {
-    let traces = mix::homogeneous(workload, cores, params.seed)
-        .unwrap_or_else(|| panic!("unknown workload {workload}"));
-    let policy = build_any_slot(scheme).unwrap_or_else(|| panic!("unknown scheme {scheme}"));
-    let mut p = params.clone();
-    p.cores = cores;
-    p.noc = noc.to_string();
-    let mut sys = System::with_policy(p.sim_config(), traces, policy);
+/// Run one matrix cell once on `kernel`: untimed warmup, then a timed
+/// measured region. Returns (elapsed seconds, measured simulated
+/// cycles).
+fn run_once(spec: &CellSpec, kernel: Kernel) -> (f64, u64) {
+    let mut sys = cell_system(spec, None);
     // Warm caches, TLBs, DRAM rows and policy state outside the timed
     // region (the warmup quota is measured-but-discarded).
-    if params.warmup > 0 {
-        sys.run_with_kernel(params.warmup, 0, kernel);
+    if spec.warmup > 0 {
+        sys.run_with_kernel(spec.warmup, 0, kernel);
     }
     let t0 = Instant::now();
-    let results = sys.run_with_kernel(params.instructions, 0, kernel);
+    let results = sys.run_with_kernel(spec.instructions, 0, kernel);
     (t0.elapsed().as_secs_f64().max(1e-9), results.total_cycles)
 }
 
 /// Time one matrix cell: best-of-`reps` under the event kernel plus one
 /// reference-kernel run, with the cycle-count cross-check.
-fn time_cell(
-    params: &RunParams,
-    workload: &str,
-    cores: usize,
-    scheme: &str,
-    noc: &str,
-    reps: usize,
-) -> CellTiming {
+fn time_cell(spec: &CellSpec, reps: usize) -> CellTiming {
     let mut event_elapsed = f64::INFINITY;
     let mut sim_cycles = 0;
     for _ in 0..reps.max(1) {
-        let (elapsed, cycles) = run_once(params, workload, cores, scheme, noc, Kernel::EventDriven);
+        let (elapsed, cycles) = run_once(spec, Kernel::EventDriven);
         event_elapsed = event_elapsed.min(elapsed);
         sim_cycles = cycles;
     }
-    let (reference_elapsed, ref_cycles) =
-        run_once(params, workload, cores, scheme, noc, Kernel::Reference);
+    let (reference_elapsed, ref_cycles) = run_once(spec, Kernel::Reference);
     assert_eq!(
-        sim_cycles, ref_cycles,
-        "kernels must simulate identical cycle counts ({workload}/{cores}c/{scheme})"
+        sim_cycles,
+        ref_cycles,
+        "kernels must simulate identical cycle counts ({})",
+        spec.label()
     );
     CellTiming {
-        workload: workload.to_string(),
-        cores,
-        scheme: scheme.to_string(),
-        noc: noc.to_string(),
+        workload: spec.workload.clone(),
+        cores: spec.cores as usize,
+        scheme: spec.scheme.clone(),
+        noc: spec.noc.clone(),
         sim_cycles,
-        instructions: params.instructions * cores as u64,
+        instructions: spec.instructions * u64::from(spec.cores),
         event_elapsed,
         reference_elapsed,
     }
@@ -252,8 +235,12 @@ fn main() {
     );
 
     let mut cells = Vec::new();
-    let mut run = |workload: &str, cores: usize, scheme: &str, noc: &str| {
-        let cell = time_cell(params, workload, cores, scheme, noc, reps);
+    let mut run = |workload: &str, cores: usize, scheme: &str, noc: String| {
+        // a grid cell of this machine, so it replays the grid's traces
+        let mut spec = cell(params, "throughput", workload, scheme);
+        spec.cores = cores as u32;
+        spec.noc = noc;
+        let cell = time_cell(&spec, reps);
         println!(
             "{:<24} {:>12.2} {:>12.2} {:>10.3} {:>8.2}x",
             cell.key(),
@@ -267,22 +254,17 @@ fn main() {
     for workload in &cli.workloads {
         for &cores in &cli.core_counts {
             for scheme in &cli.schemes {
-                run(workload, cores, scheme, "");
+                run(workload, cores, scheme, String::new());
             }
         }
     }
     // Mesh-NoC cells: the sliced-LLC hot path (routing, link queues,
     // per-slice accounting) has its own cost profile, so it gets its own
-    // gated rows at the scaling sweep's machine sizes. One slice per
-    // four cores, matching the scaling_sweep experiment.
+    // gated rows at the scaling sweep's machine sizes, on the sweep's
+    // mesh.
     for &cores in &cli.noc_core_counts {
-        let noc = chrome_noc::NocConfig {
-            slices: (cores / 4).max(1),
-            ..chrome_noc::NocConfig::default()
-        }
-        .canonical();
         for scheme in &cli.schemes {
-            run(&cli.workloads[0], cores, scheme, &noc);
+            run(&cli.workloads[0], cores, scheme, noc_spec(cores));
         }
     }
 

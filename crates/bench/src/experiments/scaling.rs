@@ -19,8 +19,9 @@ const CORE_COUNTS: [usize; 2] = [16, 64];
 const SCHEMES: [&str; 2] = ["LRU", "CHROME"];
 
 /// Canonical NoC spec for a machine of `cores` cores: one LLC slice
-/// per four cores, default hop/serialization/queue parameters.
-fn noc_spec(cores: usize) -> String {
+/// per four cores, default hop/serialization/queue parameters. The
+/// `throughput` matrix times its NoC rows on this mesh too.
+pub fn noc_spec(cores: usize) -> String {
     NocConfig {
         slices: (cores / 4).max(1),
         ..NocConfig::default()

@@ -1,4 +1,13 @@
-//! Grid execution of simulation cells via `chrome-exec`.
+//! The one machine builder, and grid execution of simulation cells
+//! via `chrome-exec`.
+//!
+//! [`cell_system`] builds the [`System`] a [`CellSpec`] describes.
+//! Every hardware simulation a tool runs is a spec built there: full
+//! and sampled grid cells, `profile`, `throughput`, `forensics sim` and
+//! `simpoint validate --check-kernels`, so each replays exactly the
+//! traces of the grid cell its spec names. [`simulate_cell`] runs a
+//! full cell and [`sampled_cell`] a sampled one, through one
+//! telemetry/report/export tail.
 //!
 //! [`run_grid`] is the single entry point `run_all` and `simpoint
 //! validate` funnel their cells through: it maps each [`CellSpec`]
@@ -8,24 +17,22 @@
 //! thread count.
 //!
 //! [`CellResult`] is the compact, manifest-serializable slice of a
-//! [`SchemeResult`](crate::runner::SchemeResult) that table assembly
-//! consumes. Its codec round-trips floats exactly (shortest-form
-//! `f64` printing), which is what lets a resumed run reproduce
-//! byte-identical tables from manifest payloads alone.
+//! [`SchemeResult`] that table assembly consumes. Its codec round-trips
+//! floats exactly (shortest-form `f64` printing), which is what lets a
+//! resumed run reproduce byte-identical tables from manifest payloads
+//! alone.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use chrome_exec::{CellOutcome, CellSpec, Codec, EngineConfig, GridReport, JsonValue};
-use chrome_sim::PrefetcherConfig;
-use chrome_tracefile::{TraceFile, TraceIndex};
-use chrome_traces::mix;
-
+use chrome_sim::{Kernel, PrefetcherConfig, SimConfig, SimResults, System};
 use chrome_simpoint::{build_plan_windowed, reconstruct, SamplingSpec, WorkloadPlan};
+use chrome_telemetry::{AttribProfiler, EpochSeries, TelemetryConfig, TelemetrySink};
+use chrome_tracefile::{TraceFile, TraceIndex};
 
-use crate::runner::{
-    run_functional_profile, run_traces, run_traces_sampled, RunParams, SchemeResult,
-};
+use crate::registry::build_any_slot;
+use crate::runner::RunParams;
 
 /// Resolution table for file-backed cells: trace content hash (the
 /// [`CellSpec::trace`] value, fixed-width hex) to `.ctf` path. The hash
@@ -132,8 +139,233 @@ pub fn speedup(out: &[CellOutcome<CellResult>], i: usize, b: usize) -> f64 {
     }
 }
 
-/// Execute one cell: build its traces from the spec-derived seed, run
-/// the simulator, and distill the result. This is the function the
+/// Everything one simulation of a cell produced. `R` is its raw
+/// results: one [`SimResults`] for a full run, one per representative
+/// interval, in plan order, for a sampled replay.
+#[derive(Debug, Clone)]
+pub struct SchemeResult<R = SimResults> {
+    /// Raw simulation results.
+    pub results: R,
+    /// Scheme-specific report metrics (e.g. CHROME's UPKSA) from the
+    /// end-of-run policy state.
+    pub report: Vec<(String, f64)>,
+    /// Epoch-resolved telemetry series (empty unless the cell recorded
+    /// telemetry: `--telemetry-out`, [`CellSpec::record_epochs`] or a
+    /// profiling run).
+    pub epochs: EpochSeries,
+    /// Latency-attribution profiler state (populated only for profiling
+    /// runs).
+    pub attrib: Option<AttribProfiler>,
+    /// Telemetry artifact files this run exported (empty without
+    /// `--telemetry-out`; a sampled replay's include `*_sampling.json`).
+    pub artifacts: Vec<PathBuf>,
+}
+
+/// Build the system a cell describes — the one way any tool builds a
+/// simulated machine, so a spec always means the same machine and the
+/// same traces:
+///
+/// * the machine: `cores` cores of the Table V configuration, the
+///   [`CellSpec::prefetch`] prefetchers and, when set, the
+///   [`CellSpec::noc`] mesh;
+/// * the scheme, built by the policy registry;
+/// * evicted-unused tracking when [`CellSpec::track_unused`] is set;
+/// * the traces: a file-backed spec's recorded `.ctf` file, resolved
+///   through `trace_files` (streaming, bounded memory), else the live
+///   generators seeded by [`CellSpec::workload_seed`] through
+///   [`chrome_traces::mix::sources`] — so every scheme of a workload
+///   replays the same traces.
+///
+/// # Panics
+///
+/// Panics on an unknown workload, scheme or prefetch tag or an
+/// unparsable NoC spec (plan bugs: the command lines check names and
+/// canonicalize `--noc` before they reach a spec), and on a file-backed
+/// spec whose trace hash cannot be resolved, whose file fails
+/// validation, or whose content hash or core count disagrees with the
+/// spec — the hash is re-checked at open time, so a stale resolution
+/// table can never silently swap trace contents.
+#[must_use]
+pub fn cell_system(spec: &CellSpec, trace_files: Option<&TraceMap>) -> System {
+    let cores = spec.cores as usize;
+    let traces = if spec.trace.is_empty() {
+        chrome_traces::mix::sources(&spec.workload, cores, spec.workload_seed())
+            .unwrap_or_else(|| panic!("unknown workload {} on {cores} cores", spec.workload))
+    } else {
+        open_spec_trace(spec, trace_files)
+            .sources()
+            .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label()))
+    };
+    let mut cfg = SimConfig::with_cores(cores);
+    cfg.prefetchers = prefetch_config(&spec.prefetch);
+    if !spec.noc.is_empty() {
+        cfg.noc = Some(
+            chrome_noc::NocConfig::parse(&spec.noc)
+                .unwrap_or_else(|e| panic!("bad noc spec {:?}: {e}", spec.noc)),
+        );
+    }
+    let policy =
+        build_any_slot(&spec.scheme).unwrap_or_else(|| panic!("unknown scheme {}", spec.scheme));
+    let mut sys = System::with_policy(cfg, traces, policy);
+    if spec.track_unused {
+        sys.enable_unused_tracking();
+    }
+    sys
+}
+
+/// Resolve and open a file-backed cell's trace, cross-checking content
+/// hash and core count against the spec.
+fn open_spec_trace(spec: &CellSpec, trace_files: Option<&TraceMap>) -> TraceFile {
+    let path = trace_files
+        .and_then(|m| m.get(&spec.trace))
+        .unwrap_or_else(|| {
+            panic!(
+                "cell {} is file-backed (trace={}) but no trace map entry resolves it",
+                spec.label(),
+                spec.trace
+            )
+        });
+    let tf =
+        TraceFile::open(path).unwrap_or_else(|e| panic!("opening trace {}: {e}", path.display()));
+    let m = tf.manifest();
+    assert_eq!(
+        m.hash_hex(),
+        spec.trace,
+        "trace file {} content hash diverged from the spec's",
+        path.display()
+    );
+    assert_eq!(
+        m.cores.len() as u32,
+        spec.cores,
+        "trace file {} holds the wrong number of core streams",
+        path.display()
+    );
+    tf
+}
+
+/// Build `spec`'s system, record telemetry when anything reads it
+/// (`telemetry_out`, [`CellSpec::record_epochs`], or `profile`, which
+/// also turns on the per-request latency-attribution profiler), drive
+/// it with `run`, then collect the policy report, epoch series,
+/// attribution state and exported artifacts: the one tail full runs
+/// and sampled replays share.
+fn run_system<R>(
+    spec: &CellSpec,
+    telemetry_out: Option<&Path>,
+    trace_files: Option<&TraceMap>,
+    profile: bool,
+    run: impl FnOnce(&mut System) -> R,
+) -> SchemeResult<R> {
+    let mut sys = cell_system(spec, trace_files);
+    if telemetry_out.is_some() || spec.record_epochs || profile {
+        sys.set_telemetry(TelemetrySink::recording(TelemetryConfig { profile }));
+    }
+    let results = run(&mut sys);
+    let telemetry = sys.telemetry();
+    SchemeResult {
+        results,
+        report: sys.hierarchy().llc.policy.report(),
+        epochs: telemetry.with(|t| t.epochs.clone()).unwrap_or_default(),
+        attrib: if profile {
+            telemetry.with(|t| t.attrib.clone())
+        } else {
+            None
+        },
+        artifacts: export(&sys, spec, telemetry_out),
+    }
+}
+
+/// The safe artifact-file prefix of a cell: workload and scheme, plus
+/// the spec hash, which keeps artifact names collision-free when
+/// concurrent cells from different experiments share one
+/// `--telemetry-out` directory.
+fn artifact_prefix(spec: &CellSpec) -> String {
+    format!("{}_{}_{}", spec.workload, spec.scheme, spec.hash_hex())
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
+                c
+            } else {
+                '-'
+            }
+        })
+        .collect()
+}
+
+/// Export a finished system's telemetry into `dir` (no-op without one).
+fn export(sys: &System, spec: &CellSpec, dir: Option<&Path>) -> Vec<PathBuf> {
+    let Some(dir) = dir else {
+        return Vec::new();
+    };
+    sys.telemetry()
+        .export(dir, &artifact_prefix(spec))
+        .unwrap_or_else(|e| panic!("telemetry export to {dir:?} failed: {e}"))
+}
+
+/// Simulate one full (unsampled) cell and return everything the run
+/// produced. [`run_cell`] distills its result, and the `profile` binary
+/// reads it whole, so a profiled cell replays exactly the traces of its
+/// grid cell. `profile` enables the per-request latency-attribution
+/// profiler.
+///
+/// # Panics
+///
+/// Panics as [`cell_system`] does, or when telemetry export fails.
+#[must_use]
+pub fn simulate_cell(
+    spec: &CellSpec,
+    telemetry_out: Option<&Path>,
+    trace_files: Option<&TraceMap>,
+    profile: bool,
+) -> SchemeResult {
+    run_system(spec, telemetry_out, trace_files, profile, |sys| {
+        sys.run(spec.instructions, spec.warmup)
+    })
+}
+
+/// Replay `spec` over a sampled-replay plan on `kernel`: functionally
+/// warm to each representative interval, run a detailed-but-unmeasured
+/// ramp, then measure. The sampling manifest is attached to the
+/// telemetry sink so exported artifact sets are self-describing.
+pub(crate) fn replay_plan(
+    spec: &CellSpec,
+    telemetry_out: Option<&Path>,
+    trace_files: Option<&TraceMap>,
+    plan: &WorkloadPlan,
+    kernel: Kernel,
+) -> SchemeResult<Vec<SimResults>> {
+    run_system(spec, telemetry_out, trace_files, false, |sys| {
+        sys.telemetry().set_sampling(sampling_manifest(plan));
+        sys.run_sampled(&plan.to_sim_plan(), kernel)
+    })
+}
+
+/// JSON manifest describing a sampled run's shape — the contract
+/// `tldiff` uses to refuse silently diffing sampled against full runs.
+fn sampling_manifest(plan: &WorkloadPlan) -> String {
+    let segments: Vec<String> = plan
+        .segments
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"interval\":{},\"weight\":{},\"detail\":{}}}",
+                s.interval,
+                chrome_exec::json::num(s.weight),
+                s.detail
+            )
+        })
+        .collect();
+    format!(
+        "{{\"spec\":\"{}\",\"segments\":[{}],\"total_instructions\":{},\
+         \"detailed_instructions\":{}}}",
+        plan.spec.render(),
+        segments.join(","),
+        plan.total_instructions,
+        plan.detailed_instructions,
+    )
+}
+
+/// Execute one cell and distill its result. This is the function the
 /// engine schedules; a panic anywhere inside is the engine's to catch.
 ///
 /// # Panics
@@ -144,17 +376,14 @@ pub fn run_cell(spec: &CellSpec, telemetry_out: Option<&Path>) -> CellResult {
     run_cell_with_traces(spec, telemetry_out, None)
 }
 
-/// [`run_cell`] with an optional trace-resolution table. A cell whose
-/// [`CellSpec::trace`] is set replays from the resolved `.ctf` file
-/// (streaming, bounded memory) instead of the live generator; the file's
-/// content hash is re-checked against the spec at open time, so a stale
-/// resolution table can never silently swap trace contents.
+/// [`run_cell`] with an optional trace-resolution table for
+/// file-backed cells (see [`cell_system`]). A cell with a
+/// [`CellSpec::sampling`] spec runs as a [`sampled_cell`] on the
+/// default kernel.
 ///
 /// # Panics
 ///
-/// Additionally panics when a file-backed cell's trace hash cannot be
-/// resolved, the file fails validation, or its shape (core count, hash)
-/// disagrees with the spec.
+/// Panics as [`cell_system`] and [`sampled_cell`] do.
 #[must_use]
 pub fn run_cell_with_traces(
     spec: &CellSpec,
@@ -162,7 +391,7 @@ pub fn run_cell_with_traces(
     trace_files: Option<&TraceMap>,
 ) -> CellResult {
     if !spec.sampling.is_empty() {
-        return run_sampled_cell(spec, telemetry_out, trace_files);
+        return sampled_cell(spec, telemetry_out, trace_files, Kernel::default());
     }
     let r = simulate_cell(spec, telemetry_out, trace_files, false);
     let (eq_occupancy, eq_overflows) = r.epochs.records().last().map_or((0.0, 0), |last| {
@@ -198,89 +427,15 @@ pub fn run_cell_with_traces(
     }
 }
 
-/// Simulate one full (unsampled) cell and return everything the run
-/// produced. This is the one way chrome-bench simulates a full cell:
-/// [`run_cell`] distills its result, and the `profile` binary reads it
-/// whole, so a profiled cell replays exactly the traces of its grid
-/// cell. `profile` enables the per-request latency-attribution
-/// profiler.
-///
-/// # Panics
-///
-/// Panics as [`run_cell_with_traces`] does.
-#[must_use]
-pub fn simulate_cell(
-    spec: &CellSpec,
-    telemetry_out: Option<&Path>,
-    trace_files: Option<&TraceMap>,
-    profile: bool,
-) -> SchemeResult {
-    run_traces(spec, cell_traces(spec, trace_files), telemetry_out, profile)
-}
-
-/// The traces a full cell replays: its recorded `.ctf` file when the
-/// spec is file-backed, else the live generators — `cores` copies of
-/// one workload, or one core per member of a `+`-joined mix — seeded by
-/// [`CellSpec::workload_seed`], so every scheme of a workload replays
-/// the same traces.
-fn cell_traces(
-    spec: &CellSpec,
-    trace_files: Option<&TraceMap>,
-) -> Vec<Box<dyn chrome_sim::trace::TraceSource>> {
-    if !spec.trace.is_empty() {
-        return open_spec_trace(spec, trace_files)
-            .sources()
-            .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label()));
-    }
-    let seed = spec.workload_seed();
-    if spec.workload.contains('+') {
-        let names: Vec<&str> = spec.workload.split('+').collect();
-        mix::build_mix(&names, seed).unwrap_or_else(|| panic!("unknown mix {}", spec.workload))
-    } else {
-        mix::homogeneous(&spec.workload, spec.cores as usize, seed)
-            .unwrap_or_else(|| panic!("unknown workload {}", spec.workload))
-    }
-}
-
-/// Resolve and open a file-backed cell's trace, cross-checking content
-/// hash and core count against the spec.
-fn open_spec_trace(spec: &CellSpec, trace_files: Option<&TraceMap>) -> TraceFile {
-    let path = trace_files
-        .and_then(|m| m.get(&spec.trace))
-        .unwrap_or_else(|| {
-            panic!(
-                "cell {} is file-backed (trace={}) but no trace map entry resolves it",
-                spec.label(),
-                spec.trace
-            )
-        });
-    let tf =
-        TraceFile::open(path).unwrap_or_else(|e| panic!("opening trace {}: {e}", path.display()));
-    let m = tf.manifest();
-    assert_eq!(
-        m.hash_hex(),
-        spec.trace,
-        "trace file {} content hash diverged from the spec's",
-        path.display()
-    );
-    assert_eq!(
-        m.cores.len() as u32,
-        spec.cores,
-        "trace file {} holds the wrong number of core streams",
-        path.display()
-    );
-    tf
-}
-
 /// Scale a per-interval counter rate up to the cell's full instruction
 /// budget: `Σ wⱼ · (counterⱼ / instrⱼ) · budget`, rounded. Keeps
 /// counter-valued [`CellResult`] fields comparable in magnitude to a
 /// full run's.
 fn weighted_scaled(
     weights: &[f64],
-    results: &[chrome_sim::SimResults],
+    results: &[SimResults],
     budget: u64,
-    counter: impl Fn(&chrome_sim::SimResults) -> u64,
+    counter: impl Fn(&SimResults) -> u64,
 ) -> u64 {
     let wsum: f64 = weights.iter().sum();
     let mut rate = 0.0;
@@ -297,9 +452,9 @@ fn weighted_scaled(
 /// per-instruction rate and instruction-weighted across intervals.
 fn weighted_ratio(
     weights: &[f64],
-    results: &[chrome_sim::SimResults],
-    num: impl Fn(&chrome_sim::SimResults) -> u64,
-    den: impl Fn(&chrome_sim::SimResults) -> u64,
+    results: &[SimResults],
+    num: impl Fn(&SimResults) -> u64,
+    den: impl Fn(&SimResults) -> u64,
 ) -> f64 {
     let n = weighted_scaled(weights, results, 1_000_000, num) as f64;
     let d = weighted_scaled(weights, results, 1_000_000, den) as f64;
@@ -310,14 +465,27 @@ fn weighted_ratio(
     }
 }
 
-/// Execute a sampled cell: build the deterministic sampling plan from
-/// the trace's interval stats, replay only the representative intervals
-/// (functional warmup + detailed ramp + measurement), and reconstruct
-/// full-run metrics from the weighted per-interval results.
-fn run_sampled_cell(
+/// Execute a sampled cell on `kernel`: build the deterministic sampling
+/// plan from the trace's interval stats, windowed to exactly what a
+/// full run of the cell measures; replay only its representative
+/// intervals (functional warmup + detailed ramp + measurement); walk
+/// the whole trace once more with the functional model for the
+/// per-interval control variates; and reconstruct full-run metrics
+/// from the weighted per-interval results. The grid runs sampled cells
+/// on the default kernel; `simpoint validate --check-kernels` runs each
+/// on both kernels and compares.
+///
+/// # Panics
+///
+/// Panics when the cell is not file-backed, tracks evicted-unused
+/// blocks (whole-run state no sample reconstructs), or its sampling
+/// spec or plan is unusable; otherwise as [`cell_system`] does.
+#[must_use]
+pub fn sampled_cell(
     spec: &CellSpec,
     telemetry_out: Option<&Path>,
     trace_files: Option<&TraceMap>,
+    kernel: Kernel,
 ) -> CellResult {
     assert!(
         !spec.trace.is_empty(),
@@ -334,47 +502,22 @@ fn run_sampled_cell(
     );
     let sampling = SamplingSpec::parse(&spec.sampling)
         .unwrap_or_else(|e| panic!("cell {}: {e}", spec.label()));
-    let tf = open_spec_trace(spec, trace_files);
-    // window the plan to exactly what a full run of this cell measures
     let plan = build_plan_windowed(
-        &tf,
+        &open_spec_trace(spec, trace_files),
         sampling,
         spec.workload_seed(),
         spec.warmup,
         spec.instructions,
     )
     .unwrap_or_else(|e| panic!("cell {}: building sampling plan: {e}", spec.label()));
-    sampled_cell_result(
-        spec,
-        telemetry_out,
-        &tf,
-        &plan,
-        chrome_sim::Kernel::default(),
-    )
-}
-
-/// [`run_sampled_cell`] with a pre-built plan and explicit kernel — the
-/// `simpoint` binary's validation path reuses this to check kernel
-/// identity on the same plan.
-pub fn sampled_cell_result(
-    spec: &CellSpec,
-    telemetry_out: Option<&Path>,
-    tf: &TraceFile,
-    plan: &WorkloadPlan,
-    kernel: chrome_sim::Kernel,
-) -> CellResult {
-    let traces = || {
-        tf.sources()
-            .unwrap_or_else(|e| panic!("streaming trace for {}: {e}", spec.label()))
-    };
-    let run = run_traces_sampled(spec, traces(), telemetry_out, plan, kernel);
+    let run = replay_plan(spec, telemetry_out, trace_files, &plan, kernel);
     // functional control-variate pass: full interval coverage at zero
     // detailed cost, pairing with the measured segments above
-    let profile = run_functional_profile(spec, traces(), plan);
+    let profile = cell_system(spec, trace_files).run_functional_profile(&plan.boundaries);
     let weights: Vec<f64> = plan.segments.iter().map(|s| s.weight).collect();
-    let rec = reconstruct::reconstruct_with_profile(plan, &run.results, &profile);
+    let rec = reconstruct::reconstruct_with_profile(&plan, &run.results, &profile);
     let budget = spec.instructions * u64::from(spec.cores);
-    let llc = |f: fn(&chrome_sim::CacheStats) -> u64| move |r: &chrome_sim::SimResults| f(&r.llc);
+    let llc = |f: fn(&chrome_sim::CacheStats) -> u64| move |r: &SimResults| f(&r.llc);
     let (eq_occupancy, eq_overflows) = run.epochs.records().last().map_or((0.0, 0), |last| {
         (last.policy.eq_occupancy, last.policy.eq_overflows)
     });

@@ -1,14 +1,9 @@
-//! Simulation runners shared by all experiment binaries.
+//! The experiment flags every binary shares ([`RunParams`]) and the
+//! geomean that aggregates speedups.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use chrome_exec::cli::Args;
-use chrome_exec::CellSpec;
-use chrome_sim::{SimConfig, SimResults, System};
-use chrome_telemetry::{AttribProfiler, EpochSeries, TelemetryConfig, TelemetrySink};
-
-use crate::grid::prefetch_config;
-use crate::registry::build_any_slot;
 
 /// Parameters for one experiment run, parsed from the experiment flags
 /// by [`RunParams::flag`].
@@ -125,213 +120,6 @@ impl RunParams {
         }
         true
     }
-
-    /// The [`SimConfig`] this run implies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`RunParams::noc`] is non-empty but unparsable.
-    pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::with_cores(self.cores);
-        if !self.noc.is_empty() {
-            cfg.noc = Some(
-                chrome_noc::NocConfig::parse(&self.noc)
-                    .unwrap_or_else(|e| panic!("bad noc spec {:?}: {e}", self.noc)),
-            );
-        }
-        cfg
-    }
-}
-
-/// Everything one full simulation of a cell produced.
-#[derive(Debug, Clone)]
-pub struct SchemeResult {
-    /// Raw simulation results.
-    pub results: SimResults,
-    /// Scheme-specific report metrics (e.g. CHROME's UPKSA).
-    pub report: Vec<(String, f64)>,
-    /// Epoch-resolved telemetry series (empty unless the cell recorded
-    /// telemetry: `--telemetry-out`, [`CellSpec::record_epochs`] or a
-    /// profiling run).
-    pub epochs: EpochSeries,
-    /// Latency-attribution profiler state (populated only for profiling
-    /// runs).
-    pub attrib: Option<AttribProfiler>,
-    /// Telemetry artifact files this run exported (empty without
-    /// `--telemetry-out`).
-    pub artifacts: Vec<PathBuf>,
-}
-
-/// The simulated machine a cell describes: its core count, prefetcher
-/// configuration and, when set, its mesh NoC.
-///
-/// # Panics
-///
-/// Panics on an unknown prefetch tag or an unparsable NoC spec (plan
-/// bugs: the CLI canonicalizes `--noc` before it reaches a spec).
-fn cell_config(spec: &CellSpec) -> SimConfig {
-    let mut cfg = SimConfig::with_cores(spec.cores as usize);
-    cfg.prefetchers = prefetch_config(&spec.prefetch);
-    if !spec.noc.is_empty() {
-        cfg.noc = Some(
-            chrome_noc::NocConfig::parse(&spec.noc)
-                .unwrap_or_else(|e| panic!("bad noc spec {:?}: {e}", spec.noc)),
-        );
-    }
-    cfg
-}
-
-/// A cell's system: its machine and traces under its scheme.
-fn cell_system(spec: &CellSpec, traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>) -> System {
-    let policy =
-        build_any_slot(&spec.scheme).unwrap_or_else(|| panic!("unknown scheme {}", spec.scheme));
-    System::with_policy(cell_config(spec), traces, policy)
-}
-
-/// The safe artifact-file prefix of a cell: workload and scheme, plus
-/// the spec hash, which keeps artifact names collision-free when
-/// concurrent cells from different experiments share one
-/// `--telemetry-out` directory.
-fn artifact_prefix(spec: &CellSpec) -> String {
-    format!("{}_{}_{}", spec.workload, spec.scheme, spec.hash_hex())
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
-/// Export a finished system's telemetry into `dir` (no-op without one).
-fn export(sys: &System, spec: &CellSpec, dir: Option<&Path>) -> Vec<PathBuf> {
-    let Some(dir) = dir else {
-        return Vec::new();
-    };
-    sys.telemetry()
-        .export(dir, &artifact_prefix(spec))
-        .unwrap_or_else(|e| panic!("telemetry export to {dir:?} failed: {e}"))
-}
-
-/// Run a full (unsampled) simulation of `spec` over `traces`; `profile`
-/// enables the per-request latency-attribution profiler.
-pub(crate) fn run_traces(
-    spec: &CellSpec,
-    traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>,
-    telemetry_out: Option<&Path>,
-    profile: bool,
-) -> SchemeResult {
-    let mut sys = cell_system(spec, traces);
-    if spec.track_unused {
-        sys.enable_unused_tracking();
-    }
-    if telemetry_out.is_some() || spec.record_epochs || profile {
-        let cfg = TelemetryConfig { profile };
-        sys.set_telemetry(TelemetrySink::recording(cfg));
-    }
-    let results = sys.run(spec.instructions, spec.warmup);
-    let report = sys.hierarchy().llc.policy.report();
-    let epochs = sys
-        .telemetry()
-        .with(|t| t.epochs.clone())
-        .unwrap_or_default();
-    let attrib = if profile {
-        sys.telemetry().with(|t| t.attrib.clone())
-    } else {
-        None
-    };
-    SchemeResult {
-        results,
-        report,
-        epochs,
-        attrib,
-        artifacts: export(&sys, spec, telemetry_out),
-    }
-}
-
-/// The raw outputs of a sampled replay: one [`SimResults`] per
-/// representative interval, in plan order, plus the shared policy
-/// report and exported artifacts.
-pub(crate) struct SampledRun {
-    /// Per-interval measured results, plan order.
-    pub results: Vec<SimResults>,
-    /// Scheme-specific report metrics from the end-of-run policy state.
-    pub report: Vec<(String, f64)>,
-    /// Epoch-resolved telemetry (sequential across intervals).
-    pub epochs: EpochSeries,
-    /// Telemetry artifact files (includes `*_sampling.json`).
-    pub artifacts: Vec<PathBuf>,
-}
-
-/// Run `spec` over a sampled-replay plan: functionally warm to each
-/// representative interval, run a detailed-but-unmeasured ramp, then
-/// measure. The sampling manifest is attached to the telemetry sink so
-/// exported artifact sets are self-describing.
-pub(crate) fn run_traces_sampled(
-    spec: &CellSpec,
-    traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>,
-    telemetry_out: Option<&Path>,
-    plan: &chrome_simpoint::WorkloadPlan,
-    kernel: chrome_sim::Kernel,
-) -> SampledRun {
-    let mut sys = cell_system(spec, traces);
-    if telemetry_out.is_some() || spec.record_epochs {
-        sys.set_telemetry(TelemetrySink::recording(TelemetryConfig::default()));
-    }
-    sys.telemetry().set_sampling(sampling_manifest(plan));
-    let results = sys.run_sampled(&plan.to_sim_plan(), kernel);
-    let report = sys.hierarchy().llc.policy.report();
-    let epochs = sys
-        .telemetry()
-        .with(|t| t.epochs.clone())
-        .unwrap_or_default();
-    SampledRun {
-        results,
-        report,
-        epochs,
-        artifacts: export(&sys, spec, telemetry_out),
-    }
-}
-
-/// Functional-only profiling pass over a plan's aligned interval grid:
-/// a fresh system (same scheme, same deterministic initial state as
-/// the sampled run) walks the whole trace with the functional model,
-/// yielding the per-interval control variates
-/// [`chrome_simpoint::reconstruct::reconstruct_with_profile`] pairs
-/// with detailed measurements. Costs zero detailed instructions.
-pub(crate) fn run_functional_profile(
-    spec: &CellSpec,
-    traces: Vec<Box<dyn chrome_sim::trace::TraceSource>>,
-    plan: &chrome_simpoint::WorkloadPlan,
-) -> chrome_sim::FunctionalProfile {
-    cell_system(spec, traces).run_functional_profile(&plan.boundaries)
-}
-
-/// JSON manifest describing a sampled run's shape — the contract
-/// `tldiff` uses to refuse silently diffing sampled against full runs.
-pub(crate) fn sampling_manifest(plan: &chrome_simpoint::WorkloadPlan) -> String {
-    let segments: Vec<String> = plan
-        .segments
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"interval\":{},\"weight\":{},\"detail\":{}}}",
-                s.interval,
-                chrome_exec::json::num(s.weight),
-                s.detail
-            )
-        })
-        .collect();
-    format!(
-        "{{\"spec\":\"{}\",\"segments\":[{}],\"total_instructions\":{},\
-         \"detailed_instructions\":{}}}",
-        plan.spec.render(),
-        segments.join(","),
-        plan.total_instructions,
-        plan.detailed_instructions,
-    )
 }
 
 /// Geometric mean of a slice (ignores non-positive values defensively).
@@ -346,7 +134,8 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_cell, simulate_cell};
+    use crate::grid::{replay_plan, run_cell, simulate_cell, TraceMap};
+    use chrome_exec::CellSpec;
 
     fn quick(workload: &str, scheme: &str) -> CellSpec {
         let params = RunParams {
@@ -446,6 +235,8 @@ mod tests {
             let seed = cell.workload_seed();
             let entry = index.lookup(wl, 1, seed).expect("trace recorded");
             let tf = chrome_tracefile::TraceFile::open(&entry.path).unwrap();
+            cell.trace = entry.hash_hex();
+            let traces = TraceMap::from([(cell.trace.clone(), entry.path.clone())]);
             let exhaustive = SamplingSpec {
                 k: usize::MAX / 2,
                 ramp: 0,
@@ -453,10 +244,10 @@ mod tests {
             };
             let ex =
                 build_plan_windowed(&tf, exhaustive, seed, cell.warmup, cell.instructions).unwrap();
-            let truth = run_traces_sampled(
+            let truth = replay_plan(
                 &cell,
-                tf.sources().unwrap(),
                 None,
+                Some(&traces),
                 &ex,
                 chrome_sim::Kernel::EventDriven,
             );
@@ -526,10 +317,10 @@ mod tests {
                 .collect();
             let w: Vec<f64> = plan.segments.iter().map(|s| s.weight).collect();
             let oracle = reconstruct::reconstruct(&w_sel, &sel);
-            let real_run = run_traces_sampled(
+            let real_run = replay_plan(
                 &cell,
-                tf.sources().unwrap(),
                 None,
+                Some(&traces),
                 &plan,
                 chrome_sim::Kernel::EventDriven,
             );

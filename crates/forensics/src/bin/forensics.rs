@@ -24,23 +24,33 @@
 //! binary directly as its smoke gate. `oracle` prints the standalone
 //! Belady bound of a raw trace file. `serve --quick` runs the same
 //! quick cell as `servebench --quick`.
+//!
+//! Every `sim` run is a grid cell (`chrome_exec::CellSpec`) built by
+//! `chrome_bench::cell_system`: `--seed` is the grid's base seed, so a
+//! `--workload` run replays the generator instances of the grid cell of
+//! that workload, core count and seed, and `--trace FILE` runs the
+//! file-backed cell of the recorded trace (cores from its manifest).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use chrome_bench::experiments::cell;
+use chrome_bench::{RunParams, TraceMap};
 use chrome_exec::cli::Args;
+use chrome_exec::CellSpec;
 use chrome_forensics::{
-    join_segment, render_markdown, run_hardware, run_serve, summarize, trace_min_bound, SimSource,
-    SimSpec, Summary,
+    join_segment, render_markdown, run_hardware, run_serve, summarize, trace_cell, trace_min_bound,
+    Summary, AUDIT_CAP,
 };
 use chrome_serve::{BenchParams, PolicyKind};
 
 /// A subcommand and its settings.
 enum Cmd {
-    /// Audited hardware runs, one per workload; `trace` wins over
-    /// `workloads`.
+    /// Audited hardware runs of grid cells, one per workload, with a
+    /// per-run audit cap; `trace` wins over `workloads`.
     Sim {
-        spec: SimSpec,
+        params: RunParams,
+        audit_cap: usize,
         trace: Option<PathBuf>,
         workloads: Vec<String>,
     },
@@ -83,14 +93,19 @@ impl Cli {
         let quick = args.has("--quick");
         let mut cmd = match sub.as_str() {
             "sim" => {
-                let mut spec = SimSpec::default();
-                if quick {
-                    spec.instructions = 200_000;
-                    spec.warmup = 20_000;
-                    spec.cores = 1;
-                }
+                let (cores, instructions, warmup) = if quick {
+                    (1, 200_000, 20_000)
+                } else {
+                    (2, 1_000_000, 100_000)
+                };
                 Cmd::Sim {
-                    spec,
+                    params: RunParams {
+                        cores,
+                        instructions,
+                        warmup,
+                        ..RunParams::default()
+                    },
+                    audit_cap: AUDIT_CAP,
                     trace: None,
                     workloads: vec!["mcf".to_string()],
                 }
@@ -101,7 +116,7 @@ impl Cli {
                 } else {
                     BenchParams::default()
                 },
-                audit_cap: SimSpec::default().audit_cap,
+                audit_cap: AUDIT_CAP,
             },
             "oracle" => Cmd::Oracle { trace: None },
             other => args.bad(&format!("unknown subcommand {other:?}")),
@@ -126,12 +141,12 @@ impl Cli {
                         all.contains(&w).then(|| w.to_string())
                     });
                 }
-                (Cmd::Sim { spec, .. }, "--cores") => spec.cores = args.number(flag),
-                (Cmd::Sim { spec, .. }, "--instructions") => spec.instructions = args.number(flag),
-                (Cmd::Sim { spec, .. }, "--warmup") => spec.warmup = args.number(flag),
-                (Cmd::Sim { spec, .. }, "--seed") => spec.seed = args.number(flag),
-                (Cmd::Sim { spec, .. }, "--audit-cap") => spec.audit_cap = args.number(flag),
-                (Cmd::Serve { audit_cap, .. }, "--audit-cap") => *audit_cap = args.number(flag),
+                (Cmd::Sim { params, .. }, "--cores" | "--instructions" | "--warmup" | "--seed") => {
+                    params.flag(flag, &mut args);
+                }
+                (Cmd::Sim { audit_cap, .. } | Cmd::Serve { audit_cap, .. }, "--audit-cap") => {
+                    *audit_cap = args.number(flag);
+                }
                 _ => args.bad(&format!("unknown flag {flag} for {sub}")),
             }
         }
@@ -141,9 +156,11 @@ impl Cli {
             }
         };
         match &cmd {
-            Cmd::Sim { spec, .. } => {
-                at_least_one("--cores", spec.cores as u64);
-                at_least_one("--audit-cap", spec.audit_cap as u64);
+            Cmd::Sim {
+                params, audit_cap, ..
+            } => {
+                at_least_one("--cores", params.cores as u64);
+                at_least_one("--audit-cap", *audit_cap as u64);
             }
             Cmd::Serve { params, audit_cap } => {
                 params.check(&args);
@@ -213,41 +230,45 @@ fn print_summary(s: &Summary) {
 }
 
 fn cmd_sim(
-    spec: SimSpec,
+    params: &RunParams,
+    audit_cap: usize,
     trace: Option<PathBuf>,
     workloads: Vec<String>,
     out: &Path,
 ) -> Result<(), String> {
-    let runs: Vec<(String, SimSource)> = match trace {
+    // one grid cell per report: a recorded trace's file-backed cell, or
+    // each workload's generator-backed cell
+    let runs: Vec<(String, CellSpec, Option<TraceMap>)> = match trace {
         Some(p) => {
             let label = p
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "trace".into());
-            vec![(label, SimSource::Trace(p))]
+            let (spec, traces) = trace_cell(&cell(params, "forensics", &label, "CHROME"), &p)?;
+            vec![(label, spec, Some(traces))]
         }
         None => workloads
             .into_iter()
-            .map(|w| (w.clone(), SimSource::Workload(w)))
+            .map(|w| (w.clone(), cell(params, "forensics", &w, "CHROME"), None))
             .collect(),
     };
 
     let mut summaries = Vec::new();
-    for (label, source) in runs {
-        let spec = SimSpec {
-            source,
-            ..spec.clone()
-        };
+    for (label, spec, traces) in runs {
         let mut pair = Vec::new();
-        for aware in [true, false] {
-            let run = run_hardware(&spec, aware)?;
+        for scheme in ["CHROME", "N-CHROME"] {
+            let spec = CellSpec {
+                scheme: scheme.to_string(),
+                ..spec.clone()
+            };
+            let run = run_hardware(&spec, traces.as_ref(), audit_cap)?;
             let joined: Vec<_> = run
                 .segments
                 .iter()
                 .zip(&run.verdicts)
                 .map(|(seg, v)| join_segment(seg, v))
                 .collect();
-            let s = summarize(&label, run.scheme, &run.segments, &joined);
+            let s = summarize(&label, &run.scheme, &run.segments, &joined);
             print_summary(&s);
             pair.push(s);
         }
@@ -297,10 +318,11 @@ fn main() -> ExitCode {
     let Cli { cmd, out } = Cli::from_args();
     let result = match cmd {
         Cmd::Sim {
-            spec,
+            params,
+            audit_cap,
             trace,
             workloads,
-        } => cmd_sim(spec, trace, workloads, &out),
+        } => cmd_sim(&params, audit_cap, trace, workloads, &out),
         Cmd::Serve { params, audit_cap } => cmd_serve(params, audit_cap, &out),
         Cmd::Oracle { trace } => cmd_oracle(&trace.expect("checked at parse time")),
     };

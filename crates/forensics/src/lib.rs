@@ -13,9 +13,11 @@
 //! * [`report`] — the positional join, divergence judgment,
 //!   per-feature Q-delta attribution, reward calibration, and the JSONL
 //!   + markdown renderers;
-//! * [`simrun`] — audited cycle-simulator runs (live workload
-//!   generators or recorded `.ctf` traces) plus a standalone raw-trace
-//!   MIN bound;
+//! * [`simrun`] — audited cycle-simulator runs of grid cells: each is
+//!   a [`chrome_exec::CellSpec`] built by [`chrome_bench::cell_system`],
+//!   so it replays the grid's trace instances (seeded generators, or a
+//!   recorded `.ctf` trace behind a file-backed spec), plus a
+//!   standalone raw-trace MIN bound;
 //! * [`serverun`] — audited serving-cache runs with an independent
 //!   stream-regeneration cross-check of the join.
 //!
@@ -30,4 +32,6 @@ pub mod simrun;
 pub use oracle::{min_hit_ratio, min_oracle, GroupCapacity, OracleVerdict};
 pub use report::{join_segment, judge, render_markdown, summarize, JoinedDecision, Summary};
 pub use serverun::{run_serve, ServeRun};
-pub use simrun::{decision_keys, run_hardware, trace_min_bound, HardwareRun, SimSource, SimSpec};
+pub use simrun::{
+    decision_keys, run_hardware, trace_cell, trace_min_bound, HardwareRun, AUDIT_CAP,
+};

@@ -3,6 +3,12 @@
 //! every decision, and compute the per-set Belady oracle over the
 //! audited access sequence.
 //!
+//! A run is a grid [`CellSpec`] built by [`chrome_bench::cell_system`],
+//! so it simulates the machine, the agent configuration and the trace
+//! instances of the grid cell its spec names: generators seeded by
+//! [`CellSpec::workload_seed`], or the recorded `.ctf` file of a
+//! file-backed spec ([`trace_cell`]).
+//!
 //! The oracle's grouping mirrors the LLC exactly: the audit key is the
 //! line address and `set = line & (num_sets − 1)` (the simulator's own
 //! mapping), so MIN with `ways` slots per set is the clairvoyant
@@ -10,58 +16,22 @@
 
 use std::path::Path;
 
-use chrome_core::{Chrome, ChromeConfig};
-use chrome_sim::{SimConfig, SimResults, System};
+use chrome_bench::{cell_system, TraceMap};
+use chrome_exec::CellSpec;
+use chrome_sim::{SimConfig, SimResults};
 use chrome_telemetry::{parse_audit, AuditRecord, AuditSegment};
 use chrome_tracefile::TraceFile;
 
 use crate::oracle::{min_oracle, GroupCapacity, OracleVerdict};
 
-/// Where the access stream comes from.
-#[derive(Debug, Clone)]
-pub enum SimSource {
-    /// A named in-repo workload generator, run homogeneously on every
-    /// core.
-    Workload(String),
-    /// A recorded `.ctf` trace file (cores come from its manifest).
-    Trace(std::path::PathBuf),
-}
-
-/// Parameters for one audited hardware run.
-#[derive(Debug, Clone)]
-pub struct SimSpec {
-    /// Access stream.
-    pub source: SimSource,
-    /// Cores (ignored for traces, which bring their own count).
-    pub cores: usize,
-    /// Measured instructions per core.
-    pub instructions: u64,
-    /// Warmup instructions per core.
-    pub warmup: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Audit-log record cap.
-    pub audit_cap: usize,
-}
-
-impl Default for SimSpec {
-    fn default() -> Self {
-        SimSpec {
-            source: SimSource::Workload("mcf".to_string()),
-            cores: 2,
-            instructions: 1_000_000,
-            warmup: 100_000,
-            seed: 0x5EED,
-            audit_cap: 1 << 22,
-        }
-    }
-}
+/// Default audit-log record cap (`--audit-cap`).
+pub const AUDIT_CAP: usize = 1 << 22;
 
 /// One audited run with its oracle verdicts.
 #[derive(Debug)]
 pub struct HardwareRun {
-    /// Scheme label ("CHROME" or "N-CHROME").
-    pub scheme: &'static str,
+    /// Scheme name ("CHROME" or "N-CHROME").
+    pub scheme: String,
     /// Raw simulation results.
     pub results: SimResults,
     /// Parsed audit segments (one: the LLC records stream 0).
@@ -81,55 +51,56 @@ pub fn decision_keys(seg: &AuditSegment) -> Vec<u64> {
         .collect()
 }
 
-/// CHROME configured as the experiment grid runs it
-/// ([`ChromeConfig::experiment`]), so the report grades the agent the
-/// grid measures.
-fn chrome_cfg(concurrency_aware: bool) -> ChromeConfig {
-    ChromeConfig {
-        concurrency_aware,
-        ..ChromeConfig::experiment()
-    }
-}
-
-fn trace_sources(
-    spec: &SimSpec,
-) -> Result<(Vec<Box<dyn chrome_sim::trace::TraceSource>>, usize), String> {
-    match &spec.source {
-        SimSource::Workload(name) => {
-            let traces = chrome_traces::mix::homogeneous(name, spec.cores, spec.seed)
-                .ok_or_else(|| format!("unknown workload {name}"))?;
-            Ok((traces, spec.cores))
-        }
-        SimSource::Trace(path) => {
-            let file = TraceFile::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let cores = file.manifest().cores.len();
-            let sources = file
-                .sources()
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            Ok((sources, cores))
-        }
-    }
-}
-
-/// Run one audited hardware simulation and compute its oracle.
+/// The file-backed cell of a recorded trace: `base` with the file's
+/// content hash and core count, plus the one-entry [`TraceMap`] that
+/// resolves it.
 ///
 /// # Errors
 ///
-/// Returns a message for unknown workloads, unreadable trace files, or
-/// a malformed audit blob (which would be a bug).
-pub fn run_hardware(spec: &SimSpec, concurrency_aware: bool) -> Result<HardwareRun, String> {
-    let (traces, cores) = trace_sources(spec)?;
-    let cfg = SimConfig::with_cores(cores);
-    let num_sets = cfg.llc().sets() as u64;
-    let ways = cfg.llc_ways;
-    let policy = Box::new(Chrome::new(chrome_cfg(concurrency_aware)));
-    let mut sys = System::with_policy(cfg, traces, policy);
-    assert!(
-        sys.enable_audit(0, spec.audit_cap),
-        "CHROME is auditable by construction"
-    );
+/// Returns a message when the file cannot be opened.
+pub fn trace_cell(base: &CellSpec, path: &Path) -> Result<(CellSpec, TraceMap), String> {
+    let file = TraceFile::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let m = file.manifest();
+    let spec = CellSpec {
+        cores: m.cores.len() as u32,
+        trace: m.hash_hex(),
+        ..base.clone()
+    };
+    let traces = TraceMap::from([(spec.trace.clone(), path.to_path_buf())]);
+    Ok((spec, traces))
+}
+
+/// Run one audited hardware simulation of `spec` and compute its
+/// oracle. The scheme (`CHROME` or `N-CHROME`) comes from the policy
+/// registry, configured as the grid runs it; `trace_files` resolves a
+/// file-backed spec, and `audit_cap` bounds the audit log.
+///
+/// # Errors
+///
+/// Returns a message for an unknown workload, a scheme that keeps no
+/// decision stream, or a malformed audit blob (which would be a bug).
+///
+/// # Panics
+///
+/// Panics as [`chrome_bench::cell_system`] does on any other spec it
+/// cannot build.
+pub fn run_hardware(
+    spec: &CellSpec,
+    trace_files: Option<&TraceMap>,
+    audit_cap: usize,
+) -> Result<HardwareRun, String> {
+    let known = chrome_traces::all_workloads();
+    if spec.trace.is_empty() && !spec.workload.split('+').all(|w| known.contains(&w)) {
+        return Err(format!("unknown workload {}", spec.workload));
+    }
+    let mut sys = cell_system(spec, trace_files);
+    if !sys.enable_audit(0, audit_cap) {
+        return Err(format!("{} keeps no decision stream to audit", spec.scheme));
+    }
     let results = sys.run(spec.instructions, spec.warmup);
     let segments = parse_audit(&sys.audit_bytes())?;
+    let llc = &sys.hierarchy().llc;
+    let (num_sets, ways) = (llc.num_sets() as u64, llc.ways());
     let verdicts = segments
         .iter()
         .map(|seg| {
@@ -146,11 +117,7 @@ pub fn run_hardware(spec: &SimSpec, concurrency_aware: bool) -> Result<HardwareR
         })
         .collect();
     Ok(HardwareRun {
-        scheme: if concurrency_aware {
-            "CHROME"
-        } else {
-            "N-CHROME"
-        },
+        scheme: spec.scheme.clone(),
         results,
         segments,
         verdicts,
@@ -200,19 +167,24 @@ pub fn trace_min_bound(path: &Path) -> Result<(u64, f64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chrome_bench::experiments::cell;
+    use chrome_bench::{simulate_cell, RunParams};
+    use chrome_tracefile::recorder::record_workload;
+    use chrome_tracefile::Codec;
 
-    fn tiny() -> SimSpec {
-        SimSpec {
+    fn tiny(scheme: &str) -> CellSpec {
+        let params = RunParams {
             cores: 1,
             instructions: 60_000,
             warmup: 6_000,
-            ..SimSpec::default()
-        }
+            ..RunParams::default()
+        };
+        cell(&params, "forensics", "mcf", scheme)
     }
 
     #[test]
     fn hardware_run_audits_every_llc_decision() {
-        let run = run_hardware(&tiny(), true).expect("runs");
+        let run = run_hardware(&tiny("CHROME"), None, AUDIT_CAP).expect("runs");
         assert_eq!(run.scheme, "CHROME");
         assert_eq!(run.segments.len(), 1, "the LLC records one stream");
         assert_eq!(run.segments[0].stream, 0);
@@ -225,17 +197,55 @@ mod tests {
 
     #[test]
     fn ablation_changes_the_scheme_label_only() {
-        let run = run_hardware(&tiny(), false).expect("runs");
+        let run = run_hardware(&tiny("N-CHROME"), None, AUDIT_CAP).expect("runs");
         assert_eq!(run.scheme, "N-CHROME");
         assert!(!decision_keys(&run.segments[0]).is_empty());
     }
 
     #[test]
     fn unknown_workload_is_an_error() {
-        let spec = SimSpec {
-            source: SimSource::Workload("nonsense".into()),
-            ..tiny()
+        let spec = CellSpec {
+            workload: "nonsense".into(),
+            ..tiny("CHROME")
         };
-        assert!(run_hardware(&spec, true).is_err());
+        assert!(run_hardware(&spec, None, AUDIT_CAP).is_err());
+    }
+
+    #[test]
+    fn hardware_run_replays_the_grid_cell_live_and_from_its_trace() {
+        // the audited run simulates exactly what the grid's cell does
+        let spec = CellSpec {
+            cores: 2,
+            ..tiny("CHROME")
+        };
+        let live = run_hardware(&spec, None, AUDIT_CAP).expect("runs");
+        assert_eq!(
+            live.results,
+            simulate_cell(&spec, None, None, false).results
+        );
+        // a recording of that cell's traces, with room for the ROB's
+        // runahead past the measured end, replays it exactly
+        let dir =
+            std::env::temp_dir().join(format!("chrome-forensics-simrun-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mcf.ctf");
+        let quota = 2 * (spec.warmup + spec.instructions);
+        record_workload(
+            &path,
+            &spec.workload,
+            2,
+            spec.workload_seed(),
+            quota,
+            Codec::Compact,
+            10_000,
+        )
+        .unwrap();
+        // the recording, not the base spec, sets the core count
+        let (file_spec, traces) = trace_cell(&tiny("CHROME"), &path).expect("opens");
+        assert_eq!(file_spec.cores, 2);
+        let replayed = run_hardware(&file_spec, Some(&traces), AUDIT_CAP).expect("replays");
+        assert_eq!(replayed.results, live.results);
+        assert_eq!(replayed.segments, live.segments, "identical audit trail");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,7 +19,7 @@
 //! * [`serve_agent`] — CHROME bound to the serving environment;
 //! * [`cache`] — the sharded [`cache::ServeCache`] with its zero-copy
 //!   `get_with` read path;
-//! * [`bench`] — the multi-threaded measurement harness behind the
+//! * [`bench`](mod@bench) — the multi-threaded measurement harness behind the
 //!   `servebench` binary, byte-reproducible at any thread count.
 
 pub mod bench;

@@ -1,4 +1,5 @@
-//! The shared last-level cache, managed by a pluggable [`LlcPolicy`].
+//! The shared last-level cache, managed by a pluggable
+//! [`LlcPolicy`](crate::policy::LlcPolicy).
 
 use crate::config::CacheConfig;
 use crate::mshr::MshrFile;
@@ -84,7 +85,7 @@ impl std::fmt::Debug for SharedLlc {
 
 impl SharedLlc {
     /// Build the LLC with the given geometry and policy. Calls
-    /// [`LlcPolicy::initialize`].
+    /// [`LlcPolicy::initialize`](crate::policy::LlcPolicy::initialize).
     ///
     /// # Panics
     ///

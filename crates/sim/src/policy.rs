@@ -318,20 +318,10 @@ impl PolicySlot {
     }
 }
 
-/// Returns `true` if `set` is one of the `sampled` observation sets used
-/// by sampling-based policies (Hawkeye, Mockingjay, CHROME). Sets are
-/// spaced evenly across the cache.
-#[inline]
-pub fn is_sampled_set(set: usize, num_sets: usize, sampled: usize) -> bool {
-    if sampled == 0 {
-        return false;
-    }
-    let stride = (num_sets / sampled).max(1);
-    set.is_multiple_of(stride) && set / stride < sampled
-}
-
-/// Index of a sampled set among the sampled population (0..sampled), or
-/// `None` if `set` is not sampled.
+/// Index of `set` among the `sampled` observation sets used by
+/// sampling-based policies (Hawkeye, Mockingjay, CHROME), in
+/// `0..sampled`, or `None` if `set` is not sampled. Sets are spaced
+/// evenly across the cache.
 #[inline]
 pub fn sampled_index(set: usize, num_sets: usize, sampled: usize) -> Option<usize> {
     if sampled == 0 {
@@ -444,23 +434,21 @@ mod tests {
     fn sampled_sets_are_spaced() {
         let num_sets = 16384;
         let count = (0..num_sets)
-            .filter(|&s| is_sampled_set(s, num_sets, 64))
+            .filter(|&s| sampled_index(s, num_sets, 64).is_some())
             .count();
         assert_eq!(count, 64);
-        assert!(is_sampled_set(0, num_sets, 64));
-        assert!(is_sampled_set(256, num_sets, 64));
-        assert!(!is_sampled_set(1, num_sets, 64));
+        assert!(sampled_index(0, num_sets, 64).is_some());
+        assert!(sampled_index(256, num_sets, 64).is_some());
+        assert!(sampled_index(1, num_sets, 64).is_none());
     }
 
     #[test]
     fn sampled_index_matches_membership() {
+        // 64 of 1024 sets: every 16th set, numbered in order
         let num_sets = 1024;
         for s in 0..num_sets {
             let idx = sampled_index(s, num_sets, 64);
-            assert_eq!(idx.is_some(), is_sampled_set(s, num_sets, 64));
-            if let Some(i) = idx {
-                assert!(i < 64);
-            }
+            assert_eq!(idx, s.is_multiple_of(16).then_some(s / 16), "set {s}");
         }
     }
 
@@ -468,14 +456,12 @@ mod tests {
     fn sampling_more_than_sets_samples_everything() {
         // tiny test caches: every set is sampled
         for s in 0..8 {
-            assert!(is_sampled_set(s, 8, 64));
             assert_eq!(sampled_index(s, 8, 64), Some(s));
         }
     }
 
     #[test]
     fn zero_sampled_sets() {
-        assert!(!is_sampled_set(0, 64, 0));
         assert_eq!(sampled_index(0, 64, 0), None);
     }
 

@@ -111,23 +111,6 @@ impl AnyPrefetcher {
     }
 }
 
-impl Prefetcher for AnyPrefetcher {
-    fn on_access(&mut self, pc: u64, line: LineAddr, hit: bool, out: &mut Vec<PrefetchRequest>) {
-        AnyPrefetcher::on_access(self, pc, line, hit, out)
-    }
-
-    fn name(&self) -> &str {
-        AnyPrefetcher::name(self)
-    }
-}
-
-/// Construct a boxed prefetcher of the given kind — retained for
-/// callers that plug custom [`Prefetcher`] impls alongside the
-/// built-ins; the simulator's own hot path uses [`AnyPrefetcher`].
-pub fn build(kind: PrefetcherKind, degree: usize) -> Box<dyn Prefetcher> {
-    Box::new(AnyPrefetcher::build(kind, degree))
-}
-
 #[inline]
 fn same_page(a: LineAddr, b: LineAddr) -> bool {
     a.page_number() == b.page_number()
@@ -588,6 +571,7 @@ mod tests {
 
     #[test]
     fn build_matches_kind() {
+        let build = AnyPrefetcher::build;
         assert_eq!(build(PrefetcherKind::None, 2).name(), "none");
         assert_eq!(build(PrefetcherKind::NextLine, 2).name(), "next-line");
         assert_eq!(build(PrefetcherKind::Stride, 2).name(), "stride");

@@ -17,7 +17,7 @@
 //!   [`chrome_sim::SampledInterval`] replay plan: per-core start
 //!   positions from the per-core interval sums, a detailed-but-
 //!   unmeasured timing ramp, and instruction-share cluster weights.
-//! * [`reconstruct`] — weighted reconstruction of full-run IPC / MPKI /
+//! * [`reconstruct`](mod@reconstruct) — weighted reconstruction of full-run IPC / MPKI /
 //!   C-AMAT from the per-interval `SimResults`, plus the sampled-vs-full
 //!   error rows the `simpoint validate` gate asserts on.
 

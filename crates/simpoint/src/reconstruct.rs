@@ -143,7 +143,7 @@ pub fn reconstruct(weights: &[f64], results: &[SimResults]) -> Reconstructed {
 /// the plain stratified one instead of injecting the covariate's
 /// noise. β is estimated from the sampled pairs themselves (weighted,
 /// clamped to [0, 2], shrunk by the pairs' r² — see
-/// [`regression_estimate`]). IPC is corrected in CPI space per core
+/// `regression_estimate`). IPC is corrected in CPI space per core
 /// (additive over instructions), MPKI in per-instruction miss rate;
 /// C-AMAT keeps the plain weighted estimator (the functional pass has
 /// no MSHR/latency accounting to pair with).

@@ -1,204 +1,19 @@
 //! Exporter well-formedness: write every artifact through the public
-//! sink API, then parse each one back (with a minimal in-test JSON
-//! parser — the crate itself is dependency-free) and assert the schema
-//! and row/event counts round-trip.
+//! sink API, then parse each one back (with the workspace JSON reader,
+//! a dev-dependency only — the crate itself is dependency-free) and
+//! assert the schema and row/event counts round-trip.
 
 use std::path::PathBuf;
 
+use chrome_exec::json::{self, JsonValue};
 use chrome_telemetry::attrib::STAGE_COUNT;
 use chrome_telemetry::diff::CsvTable;
 use chrome_telemetry::{
     EpochRecord, EventKind, ServiceLevel, SpanBuilder, Stage, TelemetryConfig, TelemetrySink,
 };
 
-// ---------------------------------------------------------------- JSON
-
-/// A minimal JSON value — just enough to validate our own exporters.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            s: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.i < self.s.len() && self.s[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .s
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.s.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.s.get(self.i).ok_or("truncated escape")?;
-                    self.i += 1;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        other => other as char,
-                    });
-                }
-                _ => out.push(c as char),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("bad array at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("bad object at byte {}", self.i)),
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Json {
-    let mut p = Parser::new(text);
-    let v = p.value().expect("valid JSON");
-    p.ws();
-    assert_eq!(p.i, p.s.len(), "trailing garbage after JSON value");
-    v
+fn parse_json(text: &str) -> JsonValue {
+    json::parse(text).expect("valid JSON")
 }
 
 // ------------------------------------------------------------- fixture
@@ -321,24 +136,24 @@ fn exported_artifacts_roundtrip() {
         }
     }
     // stage slices tile their request exactly
-    let requests: Vec<&Json> = events
+    let requests: Vec<&JsonValue> = events
         .iter()
         .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("request"))
         .collect();
     for req in requests {
         let (ts, dur) = (
-            req.get("ts").unwrap().as_num().unwrap(),
-            req.get("dur").unwrap().as_num().unwrap(),
+            req.get("ts").unwrap().as_f64().unwrap(),
+            req.get("dur").unwrap().as_f64().unwrap(),
         );
         let covered: f64 = events
             .iter()
             .filter(|e| {
                 e.get("cat").and_then(|c| c.as_str()) == Some("stage")
                     && e.get("tid") == req.get("tid")
-                    && e.get("ts").unwrap().as_num().unwrap() >= ts
-                    && e.get("ts").unwrap().as_num().unwrap() < ts + dur
+                    && e.get("ts").unwrap().as_f64().unwrap() >= ts
+                    && e.get("ts").unwrap().as_f64().unwrap() < ts + dur
             })
-            .map(|e| e.get("dur").unwrap().as_num().unwrap())
+            .map(|e| e.get("dur").unwrap().as_f64().unwrap())
             .sum();
         assert_eq!(covered, dur, "stage slices must tile the request span");
     }

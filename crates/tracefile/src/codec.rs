@@ -110,14 +110,17 @@ pub fn encode_frame(records: &[TraceRecord]) -> Vec<u8> {
     out
 }
 
-/// Parse a frame header; returns `(payload_len, record_count)`.
+/// Parse a frame header; returns `(payload_len, record_count)`. A
+/// header whose records cannot fit its payload is corrupt: every record
+/// is three varints of at least one byte each, so the check bounds the
+/// `out.reserve(nrec)` of [`decode_frame_payload`] by the payload size.
 pub fn decode_frame_header(h: &[u8]) -> Result<(usize, usize), TraceFileError> {
     if h.len() < FRAME_HEADER_LEN {
         return Err(TraceFileError::Truncated("frame header"));
     }
     let payload_len = u32::from_le_bytes(h[0..4].try_into().expect("4")) as usize;
     let nrec = u32::from_le_bytes(h[4..8].try_into().expect("4")) as usize;
-    if nrec > (1 << 26) || payload_len > (1 << 30) {
+    if nrec > (1 << 26) || payload_len > (1 << 30) || nrec > payload_len / 3 {
         return Err(TraceFileError::Corrupt(format!(
             "implausible frame ({nrec} records, {payload_len} payload bytes)"
         )));
@@ -270,6 +273,18 @@ mod tests {
         let overlong = [0xffu8; 11];
         let mut pos = 0;
         assert!(get_varint(&overlong, &mut pos).is_err());
+        // a header declaring more records than its payload can hold (an
+        // 11-byte frame claiming 67,108,863 records) is corrupt before
+        // any decode reserves room for them
+        let mut forged = Vec::new();
+        forged.extend_from_slice(&3u32.to_le_bytes());
+        forged.extend_from_slice(&67_108_863u32.to_le_bytes());
+        forged.extend_from_slice(&[0; 3]);
+        assert_eq!(forged.len(), 11);
+        assert!(matches!(
+            decode_frame_header(&forged),
+            Err(TraceFileError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   LEB128 varint encoding of ip/addresses, with non-memory gaps
 //!   run-length encoded in the record head (well under 8 bytes per
 //!   instruction on the synthetic corpus).
-//! * [`recorder`] — captures any [`TraceSource`] (the SPEC-like and GAP
-//!   generators, heterogeneous mixes) to a `.ctf` container with a
+//! * [`recorder`] — captures any
+//!   [`TraceSource`](chrome_sim::trace::TraceSource) (the SPEC-like and
+//!   GAP generators, heterogeneous mixes) to a `.ctf` container with a
 //!   footer manifest: record counts, per-core instruction quota, content
 //!   hash, generator spec and per-interval summary stats.
 //! * [`reader`] — a streaming reader with bounded memory: one

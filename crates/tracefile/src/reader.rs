@@ -447,6 +447,21 @@ mod tests {
     }
 
     #[test]
+    fn frame_declaring_more_records_than_bytes_is_corrupt() {
+        let path = record_strided("overcount.ctf", Codec::Compact);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // the first frame's record count, forged to 2^26 - 1: the header
+        // stays structurally plausible, but its payload cannot hold that
+        // many three-varint records
+        let count = HEADER_LEN as usize + 4;
+        bytes[count..count + 4].copy_from_slice(&67_108_863u32.to_le_bytes());
+        let p = tmp("overcount-forged.ctf");
+        std::fs::write(&p, &bytes).unwrap();
+        let tf = TraceFile::open(&p).expect("the container is intact");
+        assert!(matches!(tf.decode_core(0), Err(TraceFileError::Corrupt(_))));
+    }
+
+    #[test]
     fn out_of_range_core_is_an_error() {
         let path = record_strided("range.ctf", Codec::Compact);
         let tf = TraceFile::open(&path).unwrap();

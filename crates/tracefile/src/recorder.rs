@@ -227,9 +227,8 @@ pub fn record_sources(
 }
 
 /// Record a named workload (or `+`-joined heterogeneous mix) built from
-/// the `chrome-traces` registry, using the same construction the grid
-/// runner uses: a homogeneous mix of `cores` copies for a plain name,
-/// [`chrome_traces::mix::build_mix`] for a `+`-joined one.
+/// the `chrome-traces` registry by [`chrome_traces::mix::sources`], the
+/// construction grid cells use.
 ///
 /// # Errors
 ///
@@ -255,27 +254,27 @@ pub fn workload_spec(workload: &str, cores: usize, seed: u64) -> String {
     format!("workload={workload};cores={cores};seed={seed}")
 }
 
-/// Build the per-core sources for a workload identity exactly as the
-/// grid runner does (shared by the recorder and `traceinfo
-/// --cross-check`).
+/// Build the per-core sources for a workload identity exactly as grid
+/// cells do, through [`chrome_traces::mix::sources`] (shared by the
+/// recorder and `traceinfo --cross-check`).
+///
+/// # Errors
+///
+/// [`TraceFileError::Corrupt`] for a `+`-mix whose name count is not
+/// `cores`, [`TraceFileError::UnknownWorkload`] for unregistered names.
 pub fn build_workload_sources(
     workload: &str,
     cores: usize,
     seed: u64,
 ) -> Result<Vec<Box<dyn TraceSource>>, TraceFileError> {
-    let sources = if workload.contains('+') {
-        let names: Vec<&str> = workload.split('+').collect();
-        if names.len() != cores {
-            return Err(TraceFileError::Corrupt(format!(
-                "mix {workload} names {} cores, asked for {cores}",
-                names.len()
-            )));
-        }
-        chrome_traces::mix::build_mix(&names, seed)
-    } else {
-        chrome_traces::mix::homogeneous(workload, cores, seed)
-    };
-    sources.ok_or_else(|| TraceFileError::UnknownWorkload(workload.to_string()))
+    let names = workload.split('+').count();
+    if workload.contains('+') && names != cores {
+        return Err(TraceFileError::Corrupt(format!(
+            "mix {workload} names {names} cores, asked for {cores}"
+        )));
+    }
+    chrome_traces::mix::sources(workload, cores, seed)
+        .ok_or_else(|| TraceFileError::UnknownWorkload(workload.to_string()))
 }
 
 #[cfg(test)]

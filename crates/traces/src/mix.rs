@@ -46,6 +46,22 @@ pub fn build_mix(names: &[&str], seed: u64) -> Option<Vec<Box<dyn TraceSource>>>
         .collect()
 }
 
+/// The per-core sources of a workload identity: one source per name of
+/// a `+`-joined heterogeneous mix ([`build_mix`]), or `cores` copies of
+/// a single workload ([`homogeneous`]). Returns `None` for an unknown
+/// name, or for a mix whose name count is not `cores`.
+pub fn sources(workload: &str, cores: usize, seed: u64) -> Option<Vec<Box<dyn TraceSource>>> {
+    if workload.contains('+') {
+        let names: Vec<&str> = workload.split('+').collect();
+        if names.len() != cores {
+            return None;
+        }
+        build_mix(&names, seed)
+    } else {
+        homogeneous(workload, cores, seed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +116,23 @@ mod tests {
         let mut via_homo = homogeneous("mcf", 1, 3).unwrap();
         let differs = (0..64).any(|_| via_mix[0].next_record() != via_homo[0].next_record());
         assert!(differs, "mix and homogeneous seeds must stay independent");
+    }
+
+    #[test]
+    fn sources_builds_homogeneous_and_checks_mix_width() {
+        // a plain name is a homogeneous mix: same seeds, same streams
+        let mut homo = sources("mcf", 2, 5).expect("mcf exists");
+        let mut direct = homogeneous("mcf", 2, 5).unwrap();
+        assert_eq!(homo.len(), 2);
+        for (a, b) in homo.iter_mut().zip(&mut direct) {
+            assert!((0..64).all(|_| a.next_record() == b.next_record()));
+        }
+        // a `+`-mix is one source per name, and only at its own width
+        let mix = sources("mcf+libquantum", 2, 5).expect("both exist");
+        assert_eq!(mix[1].name(), "libquantum");
+        assert!(sources("mcf+libquantum", 4, 5).is_none());
+        assert!(sources("mcf+libquantum", 1, 5).is_none());
+        assert!(sources("nope", 2, 5).is_none());
     }
 
     #[test]
