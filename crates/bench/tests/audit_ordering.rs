@@ -3,7 +3,9 @@
 //! ids, rewards only settling already-seen decisions), and the blob
 //! must be byte-identical to the reference kernel's — cycle skipping is
 //! a scheduling transform, not a reordering of the agent's control
-//! flow.
+//! flow. The trail is the agent's only per-decision record, so it must
+//! also show the agent being rewarded both ways: by a key match and at
+//! EQ eviction.
 
 use chrome_core::{Chrome, ChromeConfig};
 use chrome_sim::{Kernel, SimConfig, System};
@@ -13,9 +15,12 @@ use chrome_traces::mix;
 fn audited_blob(kernel: Kernel) -> Vec<u8> {
     let cfg = SimConfig::with_cores(2);
     let traces = mix::homogeneous("gcc", 2, 0xA0D1).expect("known workload");
+    // A sampled set sees about two decisions in this run, so a deeper
+    // FIFO would never age an entry out: no dead-block reward and no
+    // SARSA update would reach the trail.
     let policy = Box::new(Chrome::new(ChromeConfig {
         sampled_sets: 512,
-        eq_fifo_len: 8,
+        eq_fifo_len: 2,
         ..ChromeConfig::default()
     }));
     let mut sys = System::with_policy(cfg, traces, policy);
@@ -30,6 +35,7 @@ fn decision_callbacks_arrive_in_decision_order_under_the_event_driven_kernel() {
     let segs = parse_audit(&blob).expect("well-formed blob");
     assert_eq!(segs.len(), 1);
     let mut decisions = 0u64;
+    let (mut matched, mut unmatched) = (0u64, 0u64);
     let mut last_id = None;
     let mut seen = std::collections::HashSet::new();
     for r in &segs[0].records {
@@ -50,10 +56,17 @@ fn decision_callbacks_arrive_in_decision_order_under_the_event_driven_kernel() {
                     "reward for decision {} arrived before the decision",
                     w.id
                 );
+                if w.matched {
+                    matched += 1;
+                } else {
+                    unmatched += 1;
+                }
             }
         }
     }
     assert!(decisions > 0, "the run produced LLC decisions");
+    assert!(matched > 0, "no decision was rewarded by a key match");
+    assert!(unmatched > 0, "no decision was rewarded at EQ eviction");
 }
 
 #[test]

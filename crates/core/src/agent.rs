@@ -9,7 +9,7 @@
 //! rewards, and C-AMAT obstruction feedback, while the RL mechanics
 //! live in the generic [`crate::engine::RlEngine`] driven through
 //! [`crate::env::Agent`]. [`Chrome`] wraps the pair with the LLC-side
-//! state (per-block EPVs, victim selection, telemetry emission). The
+//! state (per-block EPVs, victim selection, the audit log). The
 //! `agent_equiv` integration test pins that this split reproduces the
 //! pre-refactor simulation byte-for-byte.
 
@@ -18,7 +18,7 @@ use chrome_sim::policy::{
     sampled_index, AccessInfo, CandidateLine, FillDecision, LlcPolicy, SystemFeedback,
 };
 use chrome_sim::types::{mix64, LineAddr};
-use chrome_telemetry::{AuditLog, EventKind, PolicyEpochProbe, TelemetrySink};
+use chrome_telemetry::{AuditLog, PolicyEpochProbe};
 
 use crate::config::{ChromeConfig, FeatureSelection};
 use crate::engine::{EngineConfig, RlEngine, ACTION_BYPASS};
@@ -142,7 +142,6 @@ pub struct Chrome {
     num_sets: usize,
     ways: usize,
     pending_epv: u8,
-    sink: TelemetrySink,
     name: &'static str,
 }
 
@@ -171,7 +170,6 @@ impl Chrome {
             num_sets: 0,
             ways: 0,
             pending_epv: 1,
-            sink: TelemetrySink::noop(),
             name,
             cfg,
         }
@@ -192,31 +190,10 @@ impl Chrome {
         set * self.ways + way
     }
 
-    /// Run one LLC access through the agent and trace what it settled:
-    /// the matched reward, then the dead-block reward and the SARSA
-    /// update, stamped with the access's cycle and core. Returns the
-    /// chosen action.
+    /// Run one LLC access through the agent; returns the chosen action.
     fn decide(&mut self, set: usize, info: &AccessInfo, hit: bool, fb: &SystemFeedback) -> usize {
         let si = sampled_index(set, self.num_sets, self.cfg.sampled_sets);
-        let d = self.agent.on_access(si, info, hit, fb);
-        if cfg!(feature = "telemetry") {
-            let (cycle, core) = (info.cycle, info.core as u32);
-            let applied = |reward, matched| EventKind::RewardApplied { reward, matched };
-            if let Some(reward) = d.matched {
-                self.sink.emit(cycle, core, applied(reward, true));
-            }
-            if let Some(out) = d.trained {
-                if let Some(reward) = out.unmatched {
-                    self.sink.emit(cycle, core, applied(reward, false));
-                }
-                let update = EventKind::QUpdate {
-                    delta: out.delta,
-                    action: out.action as u8,
-                };
-                self.sink.emit(cycle, core, update);
-            }
-        }
-        d.action
+        self.agent.on_access(si, info, hit, fb)
     }
 }
 
@@ -276,10 +253,6 @@ impl LlcPolicy for Chrome {
     }
 
     fn on_evict(&mut self, _: usize, _: usize, _: LineAddr, _: bool) {}
-
-    fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.sink = sink;
-    }
 
     fn enable_audit(&mut self, stream: u32, cap: usize) -> bool {
         self.agent.enable_audit(stream, cap);

@@ -149,8 +149,8 @@ impl From<&ChromeConfig> for EngineConfig {
     }
 }
 
-/// What a training step (EQ overflow) did, so wrappers can emit
-/// telemetry without the engine depending on a sink.
+/// What a training step (EQ overflow) settled: the two fields the
+/// agent's audit log writes for a dead-block reward.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOutcome {
     /// Decision id of the trained (EQ-evicted) entry.
@@ -158,10 +158,6 @@ pub struct TrainOutcome {
     /// Reward assigned at eviction because the entry was never
     /// re-requested (`None` if it had already been matched).
     pub unmatched: Option<f64>,
-    /// Action whose Q-value moved.
-    pub action: usize,
-    /// Pre-update TD delta (`target − Q`).
-    pub delta: f64,
 }
 
 /// The generic SARSA engine.
@@ -309,16 +305,16 @@ impl RlEngine {
             }
             None => reward,
         };
-        let action = usize::from(evicted.action);
-        let q = self
-            .qtable
-            .update(&evicted.rows, action, target, self.cfg.alpha);
+        self.qtable.update(
+            &evicted.rows,
+            usize::from(evicted.action),
+            target,
+            self.cfg.alpha,
+        );
         self.stats.q_updates += 1;
         Some(TrainOutcome {
             id: evicted.id,
             unmatched,
-            action,
-            delta: target - q,
         })
     }
 }
@@ -394,7 +390,7 @@ mod tests {
             .record(0, 999, rows, 2, false, 999, 0, |_, _| -10.0)
             .expect("overflow");
         assert_eq!(out.unmatched, Some(-10.0));
-        assert_eq!(out.action, 2);
+        assert_eq!(out.id, 0, "the oldest entry trains");
         assert_eq!(e.stats.q_updates, 1);
         assert_eq!(e.stats.eq_overflows, 1);
     }
@@ -442,19 +438,30 @@ mod tests {
 
     #[test]
     fn delta_reports_pre_update_td_error() {
-        let mut e = engine();
+        // a step large enough that a bootstrap read after the update
+        // would land the table somewhere else
+        let mut e = RlEngine::new(EngineConfig {
+            alpha: 0.5,
+            ..EngineConfig::from(&ChromeConfig::default())
+        });
         let rows = e.qtable().rows(&[10, 11]);
         for i in 0..e.config().eq_fifo_len as u64 {
             e.record(0, i, rows, 3, false, i, 0, |_, _| 0.0);
         }
         let q_before = e.qtable().q(&rows, 3);
+        let mut reference = e.qtable().clone();
         let out = e
             .record(0, 500, rows, 3, false, 500, 0, |_, _| 12.0)
             .expect("overflow");
+        assert_eq!((out.id, out.unmatched), (0, Some(12.0)));
         // the next state-action is the same (rows, 3), read before the
-        // update: target = 12 + γ·q_before, delta = target − q_before
-        let expected = 12.0 + e.config().gamma * q_before - q_before;
-        assert_eq!(out.delta.to_bits(), expected.to_bits());
+        // update: target = 12 + γ·q_before
+        let (gamma, alpha) = (e.config().gamma, e.config().alpha);
+        reference.update(&rows, 3, 12.0 + gamma * q_before, alpha);
+        assert_eq!(
+            e.qtable().q(&rows, 3).to_bits(),
+            reference.q(&rows, 3).to_bits()
+        );
         assert_ne!(e.qtable().q(&rows, 3), q_before, "the update landed");
     }
 

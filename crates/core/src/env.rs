@@ -16,7 +16,7 @@
 
 use chrome_telemetry::{AuditLog, DecisionRecord, RewardRecord};
 
-use crate::engine::{legal_actions, RlEngine, TrainOutcome, ACTION_BYPASS};
+use crate::engine::{legal_actions, RlEngine, ACTION_BYPASS};
 use crate::qtable::NUM_ACTIONS;
 
 /// An access stream the SARSA engine can manage.
@@ -50,20 +50,6 @@ pub trait Environment {
     /// decision's lane; `accurate` is the engine's dead-block verdict on
     /// its action (bypass on a miss, the highest EPV on a hit).
     fn unmatched_reward(&self, ctx: &Self::Ctx, lane: usize, accurate: bool) -> f64;
-}
-
-/// What one access decided, and what the EQ did with it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Decision {
-    /// The selected action (paper encoding: 0 bypass, 1–3 insert at
-    /// EPV a−1, 4–6 re-assign EPV a−4).
-    pub action: usize,
-    /// The reward this access assigned, by key match, to an earlier
-    /// unrewarded decision (sampled accesses only).
-    pub matched: Option<f64>,
-    /// The SARSA step this access's EQ push triggered, if it overflowed
-    /// the FIFO.
-    pub trained: Option<TrainOutcome>,
 }
 
 /// A SARSA agent bound to an environment: the engine plus the
@@ -109,7 +95,8 @@ impl<E: Environment> Agent<E> {
     /// sampled FIFO index, `None` when the access is unsampled (it then
     /// only selects an action). The state is hashed into its Q-table
     /// rows once; selection, the audit record and the EQ entry all use
-    /// those rows.
+    /// those rows. Returns the selected action (paper encoding: 0
+    /// bypass, 1–3 insert at EPV a−1, 4–6 re-assign EPV a−4).
     ///
     /// When auditing, the matched reward, the decision and the
     /// unmatched reward are logged in that order. The decision record's
@@ -124,25 +111,21 @@ impl<E: Environment> Agent<E> {
         access: &E::Access,
         hit: bool,
         ctx: &E::Ctx,
-    ) -> Decision {
+    ) -> usize {
         let id = self.engine.stats.decisions;
         self.engine.stats.decisions += 1;
-        let mut matched = None;
         if let Some(si) = si {
             self.engine.stats.sampled_accesses += 1;
             let env = &self.env;
             let settled = self
                 .engine
                 .try_match(si, env.key(access), || env.matched_reward(access, hit));
-            if let Some((settled_id, reward)) = settled {
-                matched = Some(reward);
-                if let Some(audit) = self.audit.as_mut() {
-                    audit.push_reward(RewardRecord {
-                        id: settled_id,
-                        matched: true,
-                        reward,
-                    });
-                }
+            if let (Some((settled_id, reward)), Some(audit)) = (settled, self.audit.as_mut()) {
+                audit.push_reward(RewardRecord {
+                    id: settled_id,
+                    matched: true,
+                    reward,
+                });
             }
         }
         let (buf, n) = self.env.state(access, hit);
@@ -196,11 +179,7 @@ impl<E: Environment> Agent<E> {
         if !hit && action == ACTION_BYPASS {
             self.engine.stats.bypasses += 1;
         }
-        Decision {
-            action,
-            matched,
-            trained,
-        }
+        action
     }
 }
 
@@ -263,10 +242,10 @@ mod tests {
     #[test]
     fn unsampled_access_selects_without_recording() {
         let mut a = agent();
-        let d = a.on_access(None, &7, false, &());
-        assert!(d.matched.is_none() && d.trained.is_none());
-        assert!(MISS_ACTIONS.contains(&d.action));
+        let action = a.on_access(None, &7, false, &());
+        assert!(MISS_ACTIONS.contains(&action));
         assert_eq!(a.engine.stats.sampled_accesses, 0);
+        assert_eq!(a.engine.stats.q_updates, 0);
         assert_eq!(a.engine.eq().total_entries(), 0);
         assert!(a.audit().is_none(), "auditing is opt-in");
     }
@@ -277,32 +256,40 @@ mod tests {
         a.enable_audit(0, 1 << 10);
         let mut keys = vec![42, 42];
         keys.extend(100..110u64);
-        let mut matched = Vec::new();
-        let mut trained = Vec::new();
+        // the rewards the audit log holds, matched or dead-block
+        let rewards = |a: &Agent<ToyEnv>, matched: bool| -> Vec<f64> {
+            let records = a.audit().expect("auditing enabled").records();
+            records
+                .iter()
+                .filter_map(|r| match r {
+                    AuditRecord::Reward(w) if w.matched == matched => Some(w.reward),
+                    _ => None,
+                })
+                .collect()
+        };
         for (i, &k) in keys.iter().enumerate() {
             let before = a.engine.stats;
+            let logged = (rewards(&a, true).len(), rewards(&a, false).len());
             // the same key again hits and is matched; then distinct
             // keys overflow the 4-deep FIFO into dead-block rewards
-            let d = a.on_access(Some(0), &k, i == 1, &());
+            a.on_access(Some(0), &k, i == 1, &());
             let after = a.engine.stats;
-            // the decision reports exactly what the stats counted
+            // the log records exactly what the stats counted
             assert_eq!(
-                d.matched.is_some() as u64,
+                (rewards(&a, true).len() - logged.0) as u64,
                 after.matched_rewards - before.matched_rewards
             );
             assert_eq!(
-                d.trained.is_some() as u64,
-                after.q_updates - before.q_updates
-            );
-            assert_eq!(
-                d.trained.and_then(|t| t.unmatched).is_some() as u64,
+                (rewards(&a, false).len() - logged.1) as u64,
                 after.unmatched_rewards - before.unmatched_rewards
             );
-            matched.extend(d.matched);
-            trained.extend(d.trained);
         }
-        assert_eq!(matched, [20.0], "the re-requested key, judged a hit");
-        assert!(trained.iter().any(|t| t.unmatched == Some(-10.0)));
+        assert_eq!(
+            rewards(&a, true),
+            [20.0],
+            "the re-requested key, judged a hit"
+        );
+        assert!(rewards(&a, false).contains(&-10.0));
 
         let records = a.audit().expect("auditing enabled").records();
         let mut decisions = Vec::new();
@@ -332,8 +319,8 @@ mod tests {
     fn hit_actions_only_on_hits() {
         let mut a = agent();
         for k in 0..50u64 {
-            let d = a.on_access(Some((k % 4) as usize), &k, true, &());
-            assert!(HIT_ACTIONS.contains(&d.action), "{d:?}");
+            let action = a.on_access(Some((k % 4) as usize), &k, true, &());
+            assert!(HIT_ACTIONS.contains(&action), "{action}");
         }
     }
 

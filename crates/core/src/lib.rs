@@ -46,7 +46,7 @@ pub mod rewards;
 pub use agent::Chrome;
 pub use config::{ChromeConfig, FeatureSelection};
 pub use engine::{ChromeStats, EngineConfig, RlEngine};
-pub use env::{Agent, Decision, Environment};
+pub use env::{Agent, Environment};
 pub use rewards::RewardTable;
 
 /// Build the paper's CHROME configuration.

@@ -171,13 +171,11 @@ impl QTable {
 
     /// SARSA update: move every feature's Q toward
     /// `reward + γ·q_next`, each by its own TD error scaled by α.
-    /// Returns the pre-update Q(s,a). Features own disjoint sub-tables,
-    /// so each feature's Q is read before any write can reach it.
-    pub fn update(&mut self, rows: &Rows, action: usize, target: f64, alpha: f64) -> f64 {
-        let mut q = f64::NEG_INFINITY;
+    /// Features own disjoint sub-tables, so each feature's Q is read
+    /// before any write can reach it.
+    pub fn update(&mut self, rows: &Rows, action: usize, target: f64, alpha: f64) {
         for f in 0..self.features {
             let q_f = self.feature_q(rows, f, action);
-            q = q.max(q_f);
             let td = alpha * (target - q_f);
             let subs = self.feature_rows(rows, f);
             // distribute the TD step across the sub-tables so the sum
@@ -203,7 +201,6 @@ impl QTable {
                 *p = (*p as i32 + step).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
             }
         }
-        q
     }
 
     /// Storage in bits (for the Table III accounting).

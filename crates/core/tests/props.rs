@@ -155,8 +155,7 @@ impl NaiveTable {
 
 /// The flat `QTable` agrees bit for bit with the reference table: the
 /// same random states, actions and targets give equal Q reads before
-/// and after every update, and `update` returns the reference's
-/// pre-update Q(s,a). Tiny learning rates exercise the `step == 0`
+/// and after every update. Tiny learning rates exercise the `step == 0`
 /// nudge, huge targets drive partials into `i16` saturation, and a
 /// five-row table forces states to share rows.
 #[test]
@@ -187,14 +186,8 @@ fn flat_qtable_matches_the_nested_reference() {
                     _ => rng.gen_f64() * 80.0 - 40.0,
                 };
                 let alpha = [1e-7, 1e-3, 0.05, 0.5, 1.0][rng.gen_range(0..5usize)];
-                let before = naive.q(state, action);
-                let returned = flat.update(&rows, action, target, alpha);
+                flat.update(&rows, action, target, alpha);
                 naive.update(state, action, target, alpha);
-                assert_eq!(
-                    returned.to_bits(),
-                    before.to_bits(),
-                    "({features},{sub_tables},{entries}) step {step}: pre-update Q"
-                );
             }
             for state in &pool {
                 let rows = flat.rows(state);

@@ -6,45 +6,6 @@ use std::collections::HashMap;
 
 use chrome_sim::policy::CandidateLine;
 use chrome_sim::types::mix64;
-use chrome_telemetry::{EventKind, TelemetrySink};
-
-/// A small holder that predictor-based policies embed to stream their
-/// keep/avert verdicts into the telemetry event ring without each
-/// policy re-implementing the sink plumbing.
-#[derive(Clone, Default)]
-pub struct DecisionTrace {
-    sink: TelemetrySink,
-}
-
-impl std::fmt::Debug for DecisionTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecisionTrace")
-            .field("enabled", &self.sink.is_enabled())
-            .finish()
-    }
-}
-
-impl DecisionTrace {
-    /// Install the sink (forwarded from `LlcPolicy::set_telemetry`).
-    pub fn attach(&mut self, sink: TelemetrySink) {
-        self.sink = sink;
-    }
-
-    /// Record one predictor verdict: `friendly` is the policy's
-    /// keep/avert classification of `signature` at fill time.
-    pub fn verdict(&self, cycle: u64, core: usize, signature: u64, friendly: bool) {
-        if cfg!(feature = "telemetry") {
-            self.sink.emit(
-                cycle,
-                core as u32,
-                EventKind::PredictorVerdict {
-                    signature,
-                    friendly,
-                },
-            );
-        }
-    }
-}
 
 /// A per-block Re-Reference Prediction Value array with RRIP-style aging.
 #[derive(Debug, Clone)]

@@ -9,9 +9,8 @@
 use chrome_sim::overhead::StorageOverhead;
 use chrome_sim::policy::{AccessInfo, CandidateLine, FillDecision, LlcPolicy, SystemFeedback};
 use chrome_sim::types::LineAddr;
-use chrome_telemetry::TelemetrySink;
 
-use crate::common::{pc_signature, CounterTable, DecisionTrace, OptGen};
+use crate::common::{pc_signature, CounterTable, OptGen};
 
 const PREDICTOR_ENTRIES: usize = 8 * 1024;
 const PREDICTOR_MAX: u8 = 7;
@@ -30,7 +29,6 @@ pub struct Hawkeye {
     friendly: Vec<bool>,
     num_sets: usize,
     ways: usize,
-    trace: DecisionTrace,
 }
 
 impl std::fmt::Debug for Hawkeye {
@@ -57,7 +55,6 @@ impl Hawkeye {
             friendly: Vec::new(),
             num_sets: 0,
             ways: 0,
-            trace: DecisionTrace::default(),
         }
     }
 
@@ -145,8 +142,6 @@ impl LlcPolicy for Hawkeye {
 
     fn on_fill(&mut self, set: usize, way: usize, info: &AccessInfo, _: &SystemFeedback) {
         let friendly = self.is_friendly(info);
-        let sig = pc_signature(info.pc, info.is_prefetch, info.core, SIG_BITS);
-        self.trace.verdict(info.cycle, info.core, sig, friendly);
         if friendly {
             self.age_friendly(set);
         }
@@ -156,10 +151,6 @@ impl LlcPolicy for Hawkeye {
     }
 
     fn on_evict(&mut self, _: usize, _: usize, _: LineAddr, _: bool) {}
-
-    fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.trace.attach(sink);
-    }
 
     fn name(&self) -> &str {
         "Hawkeye"

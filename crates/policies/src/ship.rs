@@ -11,9 +11,8 @@
 use chrome_sim::overhead::StorageOverhead;
 use chrome_sim::policy::{AccessInfo, CandidateLine, FillDecision, LlcPolicy, SystemFeedback};
 use chrome_sim::types::LineAddr;
-use chrome_telemetry::TelemetrySink;
 
-use crate::common::{pc_signature, CounterTable, DecisionTrace, RrpvArray};
+use crate::common::{pc_signature, CounterTable, RrpvArray};
 
 const SHCT_ENTRIES: usize = 16 * 1024;
 const SHCT_MAX: u8 = 7;
@@ -27,7 +26,6 @@ pub struct ShipPlusPlus {
     block_sig: Vec<u16>,
     block_reused: Vec<bool>,
     ways: usize,
-    trace: DecisionTrace,
 }
 
 impl Default for ShipPlusPlus {
@@ -45,7 +43,6 @@ impl ShipPlusPlus {
             block_sig: Vec::new(),
             block_reused: Vec::new(),
             ways: 0,
-            trace: DecisionTrace::default(),
         }
     }
 
@@ -102,12 +99,7 @@ impl LlcPolicy for ShipPlusPlus {
         } else {
             2
         };
-        self.trace.verdict(info.cycle, info.core, sig, rrpv < 3);
         self.rrpv.set(set, way, rrpv);
-    }
-
-    fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.trace.attach(sink);
     }
 
     fn on_evict(&mut self, set: usize, way: usize, _: LineAddr, was_hit: bool) {

@@ -247,7 +247,7 @@ impl ChromeServePolicy {
     /// Run one request through the agent; returns the chosen action.
     fn decide(&mut self, req: &Request, hit: bool, pressure: &ShardPressure) -> usize {
         let si = self.bucket(req.key);
-        self.agent.on_access(Some(si), req, hit, pressure).action
+        self.agent.on_access(Some(si), req, hit, pressure)
     }
 }
 

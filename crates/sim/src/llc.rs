@@ -7,7 +7,6 @@ use crate::policy::{AccessInfo, CandidateLine, FillDecision, PolicySlot, SystemF
 use crate::probe::{find_key, key_of, line_of};
 use crate::stats::{CacheStats, EvictedUnusedTracker};
 use crate::types::LineAddr;
-use chrome_telemetry::{EventKind, TelemetrySink};
 
 /// Result of an LLC access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +68,6 @@ pub struct SharedLlc {
     pub unused_tracker: EvictedUnusedTracker,
     /// Fig. 9 tracker: outcome of bypassed lines (disabled by default).
     pub bypass_tracker: EvictedUnusedTracker,
-    /// Decision-event sink (no-op unless telemetry is attached).
-    sink: TelemetrySink,
 }
 
 impl std::fmt::Debug for SharedLlc {
@@ -116,15 +113,7 @@ impl SharedLlc {
             stats: CacheStats::default(),
             unused_tracker: EvictedUnusedTracker::new(false),
             bypass_tracker: EvictedUnusedTracker::new(false),
-            sink: TelemetrySink::noop(),
         }
-    }
-
-    /// Attach a telemetry sink for decision events, forwarding it to the
-    /// management policy as well.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.policy.set_telemetry(sink.clone());
-        self.sink = sink;
     }
 
     /// Enable the (memory-hungry) Fig. 2 / Fig. 9 outcome tracking.
@@ -200,16 +189,6 @@ impl SharedLlc {
             self.stats.bypasses += 1;
             self.bypass_tracker
                 .on_unused_eviction(info.line, info.is_prefetch);
-            if cfg!(feature = "telemetry") {
-                self.sink.emit(
-                    info.cycle,
-                    info.core as u32,
-                    EventKind::BypassTaken {
-                        line: info.line.0,
-                        pc: info.pc,
-                    },
-                );
-            }
             return LlcOutcome::Miss {
                 bypassed: true,
                 writeback: None,
@@ -248,17 +227,6 @@ impl SharedLlc {
                 let w = self.policy.choose_victim(set, &candidates, info);
                 self.victim_scratch = candidates;
                 assert!(w < self.ways, "policy returned out-of-range victim way");
-                if cfg!(feature = "telemetry") {
-                    self.sink.emit(
-                        info.cycle,
-                        info.core as u32,
-                        EventKind::VictimChosen {
-                            set: set as u32,
-                            way: w as u32,
-                            line: line_of(self.keys[base + w]).0,
-                        },
-                    );
-                }
                 w
             }
         };

@@ -128,10 +128,12 @@ pub trait LlcPolicy {
         let _ = feedback;
     }
 
-    /// Install a telemetry sink so the policy can emit structured
-    /// decision events (predictor verdicts, rewards, Q-updates).
-    /// The default drops it; heuristics without internals to expose
-    /// need not implement this.
+    /// Offer the policy a telemetry sink. Nothing in the simulator calls
+    /// this: a policy's per-decision record is its audit log
+    /// ([`LlcPolicy::enable_audit`]) and its epoch sample is
+    /// [`LlcPolicy::epoch_probe`]. It remains so wrapping policies (such
+    /// as `perfbench`'s timing decorator) can forward it; the default
+    /// drops the sink.
     fn set_telemetry(&mut self, sink: TelemetrySink) {
         let _ = sink;
     }
@@ -280,11 +282,6 @@ impl PolicySlot {
     /// See [`LlcPolicy::on_epoch`].
     pub fn on_epoch(&mut self, feedback: &SystemFeedback) {
         slot_dispatch!(self, p => p.on_epoch(feedback))
-    }
-
-    /// See [`LlcPolicy::set_telemetry`].
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        slot_dispatch!(self, p => p.set_telemetry(sink))
     }
 
     /// See [`LlcPolicy::epoch_probe`].

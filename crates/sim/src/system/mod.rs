@@ -19,7 +19,7 @@ use crate::core_model::Core;
 use crate::policy::{BuiltinLru, PolicySlot};
 use crate::stats::{CacheStats, CoreStats, SimResults};
 use crate::trace::TraceSource;
-use chrome_telemetry::{EpochRecord, EventKind, TelemetrySink};
+use chrome_telemetry::{EpochRecord, TelemetrySink};
 
 /// Which scheduling kernel drives [`System::run`].
 ///
@@ -139,11 +139,11 @@ impl System {
         );
     }
 
-    /// Attach a telemetry sink; it is forwarded to the LLC and the
-    /// management policy so decision events flow into the same buffers
-    /// as the epoch series.
+    /// Attach a telemetry sink. The system records the epoch series
+    /// into it, and the hierarchy its latency-attribution spans when the
+    /// sink profiles. The management policy gets no sink: its
+    /// per-decision record is the audit log ([`System::enable_audit`]).
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.hier.llc.set_telemetry(sink.clone());
         self.hier.sink = sink.clone();
         self.telemetry = sink;
     }
@@ -357,13 +357,6 @@ impl System {
             noc_link_busy,
             policy: self.hier.llc.policy.epoch_probe(),
         };
-        self.telemetry.emit(
-            self.cycle,
-            0,
-            EventKind::EpochBoundary {
-                epoch: self.epoch_seq,
-            },
-        );
         self.telemetry.push_epoch(rec);
         self.epoch_base = llc;
         self.epoch_seq += 1;

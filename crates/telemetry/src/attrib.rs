@@ -287,6 +287,10 @@ impl StageAccum {
     }
 }
 
+/// Raw spans the default profiler keeps: generous for debugging,
+/// bounded for soaks.
+const SPAN_CAPACITY: usize = 65_536;
+
 /// The latency-attribution profiler: aggregate stage tables, the
 /// end-to-end demand latency histogram, and a bounded ring of the
 /// newest raw spans for trace export.
@@ -312,7 +316,7 @@ pub struct AttribProfiler {
 
 impl Default for AttribProfiler {
     fn default() -> Self {
-        Self::new(crate::RING_CAPACITY)
+        Self::new(SPAN_CAPACITY)
     }
 }
 

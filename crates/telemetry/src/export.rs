@@ -1,6 +1,5 @@
-//! Exporters: CSV and JSON-lines for the epoch series, Chrome
-//! `trace_event` JSON for the event ring, and the latency-attribution
-//! reports.
+//! Exporters: CSV for the epoch series, Chrome `trace_event` JSON for
+//! the epochs and request spans, and the latency-attribution reports.
 //!
 //! Everything is hand-serialised — the schemas are small and fixed, and
 //! owning the writer keeps the workspace free of registry dependencies.
@@ -11,30 +10,14 @@ use std::fmt::Write as _;
 
 use crate::attrib::{AttribProfiler, RequestSpan, ServiceLevel, Stage, StageAccum};
 use crate::epoch::{EpochRecord, EpochSeries};
-use crate::events::{EventKind, EventRing};
 
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else {
-        // JSON has no Infinity/NaN; CSV readers choke on them too
+        // CSV readers choke on Infinity/NaN
         "0.000000".to_string()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// CSV header for a series with `cores` cores. Per-core vector columns
@@ -136,125 +119,25 @@ pub fn epoch_csv(series: &EpochSeries) -> String {
     out
 }
 
-fn join_u64<T: std::fmt::Display>(v: &[T]) -> String {
-    v.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn epoch_json(r: &EpochRecord) -> String {
-    let camat: Vec<String> = r.camat.iter().map(|c| fmt_f64(*c)).collect();
-    let amat: Vec<String> = r.amat.iter().map(|a| fmt_f64(*a)).collect();
-    let obstructed: Vec<String> = r.obstructed.iter().map(|o| o.to_string()).collect();
-    // NoC keys only appear on NoC-enabled runs; JSONL is self-describing
-    // so NoC-off output stays byte-identical to the pre-NoC schema.
-    let noc = if r.noc_slice_accesses.is_empty() && r.noc_link_busy.is_empty() {
-        String::new()
-    } else {
-        format!(
-            ",\"noc_slice_accesses\":[{}],\"noc_link_busy\":[{}]",
-            join_u64(&r.noc_slice_accesses),
-            join_u64(&r.noc_link_busy),
-        )
-    };
-    format!(
-        "{{\"epoch\":{},\"end_cycle\":{},\"camat\":[{}],\"amat\":[{}],\
-         \"obstructed\":[{}],\"llc_active\":[{}],\"llc_accesses\":[{}],\
-         \"l1_mshr_occupancy\":[{}],\"l2_mshr_occupancy\":[{}],\
-         \"demand_accesses\":{},\"demand_misses\":{},\"bypasses\":{},\
-         \"evictions\":{},\"writebacks\":{},\"mshr_occupancy\":{},\
-         \"mshr_capacity\":{},\"dram_queue_avg\":{},\"dram_queue_max\":{},\
-         \"eq_occupancy\":{},\"eq_overflows\":{},\"epsilon\":{},\"mean_q_mag\":{}{}}}",
-        r.epoch,
-        r.end_cycle,
-        camat.join(","),
-        amat.join(","),
-        obstructed.join(","),
-        join_u64(&r.llc_active),
-        join_u64(&r.llc_accesses),
-        join_u64(&r.l1_mshr_occupancy),
-        join_u64(&r.l2_mshr_occupancy),
-        r.demand_accesses,
-        r.demand_misses,
-        r.bypasses,
-        r.evictions,
-        r.writebacks,
-        r.mshr_occupancy,
-        r.mshr_capacity,
-        fmt_f64(r.dram_queue_avg),
-        r.dram_queue_max,
-        fmt_f64(r.policy.eq_occupancy),
-        r.policy.eq_overflows,
-        fmt_f64(r.policy.epsilon),
-        fmt_f64(r.policy.mean_q_mag),
-        noc,
-    )
-}
-
-/// Render the epoch series as JSON-lines (one object per epoch).
-pub fn epoch_jsonl(series: &EpochSeries) -> String {
-    let mut out = String::new();
-    for r in series.records() {
-        out.push_str(&epoch_json(r));
-        out.push('\n');
-    }
-    out
-}
-
-fn event_args(kind: &EventKind) -> String {
-    match kind {
-        EventKind::VictimChosen { set, way, line } => {
-            format!("{{\"set\":{set},\"way\":{way},\"line\":{line}}}")
-        }
-        EventKind::BypassTaken { line, pc } => {
-            format!("{{\"line\":{line},\"pc\":{pc}}}")
-        }
-        EventKind::RewardApplied { reward, matched } => {
-            format!("{{\"reward\":{},\"matched\":{matched}}}", fmt_f64(*reward))
-        }
-        EventKind::QUpdate { delta, action } => {
-            format!("{{\"delta\":{},\"action\":{action}}}", fmt_f64(*delta))
-        }
-        EventKind::PredictorVerdict {
-            signature,
-            friendly,
-        } => {
-            format!("{{\"signature\":{signature},\"friendly\":{friendly}}}")
-        }
-        EventKind::EpochBoundary { epoch } => format!("{{\"epoch\":{epoch}}}"),
-    }
-}
-
-/// Render the event ring (plus epoch boundaries from the series and any
-/// sampled request spans) as Chrome `trace_event` JSON — openable in
-/// `chrome://tracing` and Perfetto. Cycles map to microsecond timestamps
-/// 1:1; each core is a thread, epochs span thread 0 as duration events.
-/// Each request span becomes one outer duration event tiled exactly by
-/// its per-stage slices, so the stages nest under the request.
-pub fn chrome_trace_json(ring: &EventRing, series: &EpochSeries, spans: &[RequestSpan]) -> String {
-    let mut parts: Vec<String> = Vec::with_capacity(ring.len() + series.len() + spans.len());
+/// Render the epoch series and any sampled request spans as Chrome
+/// `trace_event` JSON — openable in `chrome://tracing` and Perfetto.
+/// Cycles map to microsecond timestamps 1:1; each core is a thread,
+/// epochs span thread 0 as duration events. Each request span becomes
+/// one outer duration event tiled exactly by its per-stage slices, so
+/// the stages nest under the request.
+pub fn chrome_trace_json(series: &EpochSeries, spans: &[RequestSpan]) -> String {
+    let mut parts: Vec<String> = Vec::with_capacity(series.len() + spans.len());
     let mut prev_end = 0u64;
     for r in series.records() {
         parts.push(format!(
             "{{\"name\":\"epoch {}\",\"cat\":\"epoch\",\"ph\":\"X\",\
-             \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":0,\"args\":{}}}",
+             \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":0,\"args\":{{\"epoch\":{}}}}}",
             r.epoch,
             prev_end,
             r.end_cycle.saturating_sub(prev_end),
-            event_args(&EventKind::EpochBoundary { epoch: r.epoch }),
+            r.epoch,
         ));
         prev_end = r.end_cycle;
-    }
-    for ev in ring.iter() {
-        parts.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"policy\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":0,\"tid\":{},\"args\":{}}}",
-            json_escape(ev.kind.name()),
-            ev.cycle,
-            ev.core + 1,
-            event_args(&ev.kind),
-        ));
     }
     for s in spans {
         let kind = if s.is_prefetch { "prefetch" } else { "demand" };
@@ -429,7 +312,6 @@ pub fn attrib_text(p: &AttribProfiler) -> String {
 mod tests {
     use super::*;
     use crate::epoch::PolicyEpochProbe;
-    use crate::events::TraceEvent;
 
     fn sample_series() -> EpochSeries {
         let mut s = EpochSeries::new();
@@ -489,11 +371,9 @@ mod tests {
 
     #[test]
     fn noc_columns_appear_only_when_present() {
-        // NoC off: no noc columns or keys anywhere
+        // NoC off: no noc columns anywhere
         let csv = epoch_csv(&sample_series());
         assert!(!csv.contains("noc_"));
-        let jsonl = epoch_jsonl(&sample_series());
-        assert!(!jsonl.contains("noc_"));
         // NoC on: per-slice and per-link columns, still rectangular
         let csv = epoch_csv(&noc_series());
         let mut lines = csv.lines();
@@ -502,9 +382,6 @@ mod tests {
         assert!(header.ends_with(",noc_slice0,noc_slice1,noc_link0,noc_link1,noc_link2,noc_link3"));
         assert_eq!(header.split(',').count(), row.split(',').count());
         assert!(row.ends_with(",60,40,5,0,7,1"));
-        let jsonl = epoch_jsonl(&noc_series());
-        assert!(jsonl.contains("\"noc_slice_accesses\":[60,40]"));
-        assert!(jsonl.contains("\"noc_link_busy\":[5,0,7,1]"));
     }
 
     #[test]
@@ -514,19 +391,6 @@ mod tests {
         let noc = format!("{:?}", noc_series().records()[0]);
         assert!(noc.contains("noc_slice_accesses: [60, 40]"));
         assert!(noc.contains("noc_link_busy: [5, 0, 7, 1]"));
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let jsonl = epoch_jsonl(&sample_series());
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        assert!(lines[0].contains("\"camat\":[1.500000,2.000000]"));
-        assert!(lines[0].contains("\"amat\":[3.500000,4.000000]"));
-        assert!(lines[0].contains("\"obstructed\":[false,true]"));
-        assert!(lines[0].contains("\"llc_active\":[150,200]"));
-        assert!(lines[0].contains("\"l1_mshr_occupancy\":[1,2]"));
     }
 
     fn sample_span() -> RequestSpan {
@@ -540,18 +404,14 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape() {
-        let mut ring = EventRing::new(8);
-        ring.offer(TraceEvent {
-            cycle: 123,
-            core: 1,
-            kind: EventKind::BypassTaken { line: 7, pc: 9 },
-        });
-        let json = chrome_trace_json(&ring, &sample_series(), &[sample_span()]);
+        let json = chrome_trace_json(&sample_series(), &[sample_span()]);
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.contains("\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\"")); // the epoch span
-        assert!(json.contains("\"name\":\"bypass_taken\""));
-        assert!(json.contains("\"ts\":123"));
+        // the epoch span, its boundary index in args
+        assert!(json.contains("\"name\":\"epoch 0\",\"cat\":\"epoch\",\"ph\":\"X\""));
+        assert!(
+            json.contains("\"ts\":0,\"dur\":100000,\"pid\":0,\"tid\":0,\"args\":{\"epoch\":0}}")
+        );
         assert!(json.contains("\"name\":\"demand\""));
         assert!(json.contains("\"cat\":\"stage\""));
         assert!(json.contains("\"name\":\"llc_lookup\""));
@@ -565,7 +425,7 @@ mod tests {
     #[test]
     fn span_stage_slices_tile_the_request() {
         let s = sample_span();
-        let json = chrome_trace_json(&EventRing::new(8), &EpochSeries::new(), &[s]);
+        let json = chrome_trace_json(&EpochSeries::new(), &[s]);
         // outer request event covers [1000, 1054); stage slices are
         // contiguous: 1000+4, 1004+10, 1014+40
         assert!(json.contains("\"ts\":1000,\"dur\":54"));

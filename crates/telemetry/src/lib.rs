@@ -8,29 +8,32 @@
 //! * [`EpochSeries`] — one [`EpochRecord`] per epoch: per-core C-AMAT,
 //!   LLC hit/miss/bypass deltas, MSHR and DRAM queue occupancy, EQ
 //!   state, ε, and mean |Q|,
-//! * [`EventRing`] — a bounded ring buffer of structured policy
-//!   decisions ([`TraceEvent`]),
-//! * [`export`] — CSV / JSON-lines / Chrome `trace_event` writers.
+//! * [`AttribProfiler`] — per-request latency attribution (where each
+//!   request's cycles went),
+//! * [`AuditLog`] — the learned policies' per-decision record: every
+//!   decision and every reward it later received,
+//! * [`export`] — CSV and Chrome `trace_event` writers.
 //!
-//! Everything funnels through a [`TelemetrySink`]: a cheap clonable
-//! handle that is either recording or a no-op. Disabled sinks cost one
-//! branch per hook; the simulator additionally compiles its hooks away
-//! when built without its `telemetry` feature.
+//! Epochs and spans funnel through a [`TelemetrySink`]: a cheap
+//! clonable handle that is either recording or a no-op, held by the
+//! simulated system and its hierarchy. Disabled sinks cost one branch
+//! per hook; the simulator additionally compiles its hooks away when
+//! built without its `telemetry` feature. A policy holds no sink: its
+//! decisions go to its own audit log.
 //!
 //! ```
-//! use chrome_telemetry::{EventKind, TelemetryConfig, TelemetrySink};
+//! use chrome_telemetry::{EpochRecord, TelemetryConfig, TelemetrySink};
 //!
 //! let sink = TelemetrySink::recording(TelemetryConfig::default());
-//! sink.emit(42, 0, EventKind::BypassTaken { line: 0x1000, pc: 0x400 });
-//! assert_eq!(sink.with(|t| t.events.len()), Some(1));
-//! assert_eq!(TelemetrySink::noop().with(|t| t.events.len()), None);
+//! sink.push_epoch(EpochRecord { epoch: 0, end_cycle: 100_000, ..Default::default() });
+//! assert_eq!(sink.with(|t| t.epochs.len()), Some(1));
+//! assert_eq!(TelemetrySink::noop().with(|t| t.epochs.len()), None);
 //! ```
 
 pub mod attrib;
 pub mod audit;
 pub mod diff;
 pub mod epoch;
-pub mod events;
 pub mod export;
 pub mod metrics;
 
@@ -45,15 +48,9 @@ pub use audit::{
     AUDIT_FEATURES,
 };
 pub use epoch::{EpochRecord, EpochSeries, PolicyEpochProbe};
-pub use events::{EventKind, EventRing, TraceEvent};
 pub use metrics::Histogram;
 
-/// Events a recording sink's ring retains, and raw spans its profiler
-/// keeps: 64K events ≈ 2.5 MB, generous for debugging, bounded for
-/// soaks.
-pub(crate) const RING_CAPACITY: usize = 65_536;
-
-/// What a recording sink records beyond events and epochs.
+/// What a recording sink records beyond epochs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Record per-request latency-attribution spans. Off by default:
@@ -65,8 +62,6 @@ pub struct TelemetryConfig {
 /// The recorded state behind a live sink.
 #[derive(Debug)]
 pub struct Telemetry {
-    /// Structured decision events.
-    pub events: EventRing,
     /// Per-epoch system samples.
     pub epochs: EpochSeries,
     /// Per-request latency attribution (populated only when the sink
@@ -82,7 +77,6 @@ pub struct Telemetry {
 impl Telemetry {
     fn new() -> Self {
         Telemetry {
-            events: EventRing::new(RING_CAPACITY),
             epochs: EpochSeries::new(),
             attrib: AttribProfiler::default(),
             sampling: None,
@@ -146,16 +140,6 @@ impl TelemetrySink {
         self.inner.as_ref().map(|t| f(&t.borrow()))
     }
 
-    /// Offer a decision event.
-    #[inline]
-    pub fn emit(&self, cycle: u64, core: u32, kind: EventKind) {
-        if let Some(t) = &self.inner {
-            t.borrow_mut()
-                .events
-                .offer(TraceEvent { cycle, core, kind });
-        }
-    }
-
     /// Append an epoch record.
     pub fn push_epoch(&self, rec: EpochRecord) {
         if let Some(t) = &self.inner {
@@ -170,7 +154,6 @@ impl TelemetrySink {
     pub fn clear(&self) {
         if let Some(t) = &self.inner {
             let mut t = t.borrow_mut();
-            t.events.clear();
             t.epochs.clear();
             t.attrib.clear();
         }
@@ -185,8 +168,8 @@ impl TelemetrySink {
         }
     }
 
-    /// Write all artifacts into `dir` as `<prefix>_epochs.csv`,
-    /// `<prefix>_epochs.jsonl` and `<prefix>_trace.json` — plus
+    /// Write all artifacts into `dir` as `<prefix>_epochs.csv` and
+    /// `<prefix>_trace.json` — plus
     /// `<prefix>_attrib.csv` and
     /// `<prefix>_attrib.txt` when profiling, and `<prefix>_sampling.json`
     /// when a sampling manifest was attached. Creates `dir` if missing;
@@ -200,12 +183,8 @@ impl TelemetrySink {
         let mut files = vec![
             (format!("{prefix}_epochs.csv"), export::epoch_csv(&t.epochs)),
             (
-                format!("{prefix}_epochs.jsonl"),
-                export::epoch_jsonl(&t.epochs),
-            ),
-            (
                 format!("{prefix}_trace.json"),
-                export::chrome_trace_json(&t.events, &t.epochs, t.attrib.spans()),
+                export::chrome_trace_json(&t.epochs, t.attrib.spans()),
             ),
         ];
         if self.profile {
@@ -239,9 +218,8 @@ mod tests {
     fn noop_sink_records_nothing() {
         let s = TelemetrySink::noop();
         assert!(!s.is_enabled());
-        s.emit(1, 0, EventKind::EpochBoundary { epoch: 0 });
         s.push_epoch(EpochRecord::default());
-        assert_eq!(s.with(|t| t.events.len()), None);
+        assert_eq!(s.with(|t| t.epochs.len()), None);
     }
 
     #[test]
@@ -256,10 +234,8 @@ mod tests {
     #[test]
     fn clear_resets_all_streams() {
         let s = TelemetrySink::recording(TelemetryConfig::default());
-        s.emit(1, 0, EventKind::EpochBoundary { epoch: 0 });
         s.push_epoch(EpochRecord::default());
         s.clear();
-        assert_eq!(s.with(|t| t.events.len()), Some(0));
         assert_eq!(s.with(|t| t.epochs.len()), Some(0));
     }
 
@@ -274,7 +250,7 @@ mod tests {
             ..Default::default()
         });
         let files = s.export(&dir, "run0").unwrap();
-        assert_eq!(files.len(), 3);
+        assert_eq!(files.len(), 2);
         for f in &files {
             assert!(f.exists(), "{f:?} missing");
         }
@@ -294,7 +270,7 @@ mod tests {
         s.record_span(b.finish(ServiceLevel::L1, Stage::L1Lookup, 104, false));
         assert_eq!(s.with(|t| t.attrib.total_requests()), Some(1));
         let files = s.export(&dir, "run0").unwrap();
-        assert_eq!(files.len(), 5, "attrib csv+txt join the artifact set");
+        assert_eq!(files.len(), 4, "attrib csv+txt join the artifact set");
         assert!(dir.join("run0_attrib.csv").exists());
         assert!(dir.join("run0_attrib.txt").exists());
         s.clear();
@@ -310,13 +286,13 @@ mod tests {
         s.set_sampling("{\"spec\":\"k=2,ramp=100\"}".into());
         s.clear(); // measurement-boundary reset must not drop the manifest
         let files = s.export(&dir, "run0").unwrap();
-        assert_eq!(files.len(), 4);
+        assert_eq!(files.len(), 3);
         let json = std::fs::read_to_string(dir.join("run0_sampling.json")).unwrap();
         assert!(json.contains("k=2,ramp=100"));
         // full runs export no sampling artifact
         let plain = TelemetrySink::recording(TelemetryConfig::default());
         let files = plain.export(&dir, "run1").unwrap();
-        assert_eq!(files.len(), 3);
+        assert_eq!(files.len(), 2);
         assert!(!dir.join("run1_sampling.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }

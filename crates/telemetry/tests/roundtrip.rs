@@ -9,7 +9,7 @@ use chrome_exec::json::{self, JsonValue};
 use chrome_telemetry::attrib::STAGE_COUNT;
 use chrome_telemetry::diff::CsvTable;
 use chrome_telemetry::{
-    EpochRecord, EventKind, ServiceLevel, SpanBuilder, Stage, TelemetryConfig, TelemetrySink,
+    EpochRecord, ServiceLevel, SpanBuilder, Stage, TelemetryConfig, TelemetrySink,
 };
 
 fn parse_json(text: &str) -> JsonValue {
@@ -52,7 +52,6 @@ fn export_all() -> (PathBuf, Vec<PathBuf>) {
     let sink = TelemetrySink::recording(TelemetryConfig { profile: true });
     for e in 0..EPOCHS as u64 {
         sink.push_epoch(record(e));
-        sink.emit(e * 10_000, 0, EventKind::EpochBoundary { epoch: e });
     }
     for i in 0..SPANS as u64 {
         let s = span((i % CORES as u64) as u32, i * 100);
@@ -72,7 +71,7 @@ fn read(dir: &std::path::Path, name: &str) -> String {
 #[test]
 fn exported_artifacts_roundtrip() {
     let (dir, files) = export_all();
-    assert_eq!(files.len(), 5, "epochs csv+jsonl, trace, attrib csv+txt");
+    assert_eq!(files.len(), 4, "epochs csv, trace, attrib csv+txt");
 
     // -- epoch CSV: header width matches every row, row count matches
     let csv = read(&dir, "rt_epochs.csv");
@@ -90,29 +89,6 @@ fn exported_artifacts_roundtrip() {
         .expect("numeric column");
     assert_eq!(actives, vec![100.0, 200.0, 300.0]);
 
-    // -- epoch JSONL: one parseable object per epoch with the full keys
-    let jsonl = read(&dir, "rt_epochs.jsonl");
-    let lines: Vec<&str> = jsonl.lines().collect();
-    assert_eq!(lines.len(), EPOCHS);
-    for line in lines {
-        let obj = parse_json(line);
-        for key in [
-            "epoch",
-            "end_cycle",
-            "camat",
-            "amat",
-            "obstructed",
-            "llc_active",
-            "llc_accesses",
-            "l1_mshr_occupancy",
-            "l2_mshr_occupancy",
-            "demand_accesses",
-        ] {
-            assert!(obj.get(key).is_some(), "jsonl missing {key}");
-        }
-        assert_eq!(obj.get("camat").unwrap().as_arr().unwrap().len(), CORES);
-    }
-
     // -- Chrome trace: valid JSON, expected event population
     let trace = parse_json(&read(&dir, "rt_trace.json"));
     let events = trace
@@ -126,10 +102,17 @@ fn exported_artifacts_roundtrip() {
             .count()
     };
     assert_eq!(by_cat("epoch"), EPOCHS);
-    assert_eq!(by_cat("policy"), EPOCHS, "one boundary event per epoch");
     assert_eq!(by_cat("request"), SPANS);
     // each synthetic span has 4 nonzero stages
     assert_eq!(by_cat("stage"), SPANS * 4);
+    assert_eq!(events.len(), EPOCHS + SPANS * 5, "no other categories");
+    // each epoch event carries its boundary index
+    let epochs: Vec<f64> = events
+        .iter()
+        .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("epoch"))
+        .filter_map(|e| e.get("args")?.get("epoch")?.as_f64())
+        .collect();
+    assert_eq!(epochs, [0.0, 1.0, 2.0]);
     for ev in events {
         for key in ["name", "cat", "ph", "ts", "pid", "tid"] {
             assert!(ev.get(key).is_some(), "trace event missing {key}");

@@ -274,7 +274,7 @@ impl GapSource {
 
     // ---- emission helpers ----
 
-    fn emit_offsets(&mut self, u: u32) {
+    fn push_offsets(&mut self, u: u32) {
         self.buf.push_back(TraceRecord::load(
             PC_OFFSETS,
             OFFSETS_BASE + u as u64 * 4,
@@ -282,7 +282,7 @@ impl GapSource {
         ));
     }
 
-    fn emit_neighbor(&mut self, edge_index: usize) {
+    fn push_neighbor(&mut self, edge_index: usize) {
         self.buf.push_back(TraceRecord::load(
             PC_NEIGHBORS,
             NEIGHBORS_BASE + edge_index as u64 * 4,
@@ -290,20 +290,20 @@ impl GapSource {
         ));
     }
 
-    fn emit_data_load(&mut self, v: u32, second_array: bool) {
+    fn push_data_load(&mut self, v: u32, second_array: bool) {
         let base = if second_array { DATA2_BASE } else { DATA1_BASE };
         // data-dependent on the neighbor load -> serialized
         self.buf
             .push_back(TraceRecord::dep_load(PC_DATA_LOAD, base + v as u64 * 4, 8));
     }
 
-    fn emit_data_store(&mut self, v: u32, second_array: bool) {
+    fn push_data_store(&mut self, v: u32, second_array: bool) {
         let base = if second_array { DATA2_BASE } else { DATA1_BASE };
         self.buf
             .push_back(TraceRecord::store(PC_DATA_STORE, base + v as u64 * 4, 4));
     }
 
-    fn emit_queue(&mut self, slot: usize) {
+    fn push_queue(&mut self, slot: usize) {
         self.buf.push_back(TraceRecord::store(
             PC_QUEUE,
             QUEUE_BASE + slot as u64 * 4,
@@ -317,11 +317,11 @@ impl GapSource {
     where
         F: FnMut(&mut Self, u32, usize),
     {
-        self.emit_offsets(u);
+        self.push_offsets(u);
         let start = self.graph.offsets[u as usize] as usize;
         let end = self.graph.offsets[u as usize + 1] as usize;
         for i in start..end {
-            self.emit_neighbor(i);
+            self.push_neighbor(i);
             let v = self.graph.neighbors[i];
             f(self, v, i);
         }
@@ -355,17 +355,17 @@ impl GapSource {
             let round = self.round;
             let mut discovered = Vec::new();
             self.scan_vertex(u, |s, v, _| {
-                s.emit_data_load(v, false);
+                s.push_data_load(v, false);
                 if s.dist[v as usize] == u32::MAX {
                     s.dist[v as usize] = round + 1;
-                    s.emit_data_store(v, false);
+                    s.push_data_store(v, false);
                     discovered.push(v);
                 }
             });
             for v in discovered {
                 let slot = self.next_frontier.len();
                 self.next_frontier.push(v);
-                self.emit_queue(slot);
+                self.push_queue(slot);
             }
         }
     }
@@ -386,12 +386,12 @@ impl GapSource {
             self.cursor += 1;
             let mut min_label = self.dist[u as usize];
             self.scan_vertex(u, |s, v, _| {
-                s.emit_data_load(v, false);
+                s.push_data_load(v, false);
                 min_label = min_label.min(s.dist[v as usize]);
             });
             if min_label < self.dist[u as usize] {
                 self.dist[u as usize] = min_label;
-                self.emit_data_store(u, false);
+                self.push_data_store(u, false);
                 changed = true;
             }
         }
@@ -411,12 +411,12 @@ impl GapSource {
             self.cursor += 1;
             let mut sum: u64 = 0;
             self.scan_vertex(u, |s, v, _| {
-                s.emit_data_load(v, false);
+                s.push_data_load(v, false);
                 sum += s.dist[v as usize] as u64;
             });
             let deg = self.graph.neighbors_of(u).len().max(1) as u64;
             self.aux[u as usize] = (150 + (sum * 85 / 100) / deg) as u32;
-            self.emit_data_store(u, true);
+            self.push_data_store(u, true);
         }
     }
 
@@ -441,19 +441,19 @@ impl GapSource {
             }
             let mut relaxed = Vec::new();
             self.scan_vertex(u, |s, v, _| {
-                s.emit_data_load(v, false);
+                s.push_data_load(v, false);
                 let w = s.graph.weight(u, v);
                 let cand = du.saturating_add(w);
                 if cand < s.dist[v as usize] {
                     s.dist[v as usize] = cand;
-                    s.emit_data_store(v, false);
+                    s.push_data_store(v, false);
                     relaxed.push(v);
                 }
             });
             for v in relaxed {
                 let slot = self.next_frontier.len();
                 self.next_frontier.push(v);
-                self.emit_queue(slot);
+                self.push_queue(slot);
             }
         }
     }
@@ -480,22 +480,22 @@ impl GapSource {
                 let sigma_u = self.aux[u as usize];
                 let mut discovered = Vec::new();
                 self.scan_vertex(u, |s, v, _| {
-                    s.emit_data_load(v, false);
+                    s.push_data_load(v, false);
                     if s.dist[v as usize] == u32::MAX {
                         s.dist[v as usize] = round + 1;
-                        s.emit_data_store(v, false);
+                        s.push_data_store(v, false);
                         discovered.push(v);
                     }
                     if s.dist[v as usize] == round + 1 {
                         s.aux[v as usize] = s.aux[v as usize].wrapping_add(sigma_u);
-                        s.emit_data_load(v, true);
-                        s.emit_data_store(v, true);
+                        s.push_data_load(v, true);
+                        s.push_data_store(v, true);
                     }
                 });
                 for v in discovered {
                     let slot = self.next_frontier.len();
                     self.next_frontier.push(v);
-                    self.emit_queue(slot);
+                    self.push_queue(slot);
                 }
             }
         } else {
@@ -521,9 +521,9 @@ impl GapSource {
                 let u = self.frontier[self.cursor];
                 self.cursor += 1;
                 self.scan_vertex(u, |s, v, _| {
-                    s.emit_data_load(v, true);
+                    s.push_data_load(v, true);
                 });
-                self.emit_data_store(u, true);
+                self.push_data_store(u, true);
             }
         }
     }

@@ -1,16 +1,18 @@
 //! Telemetry integration: a real multi-core run must produce an epoch
 //! series whose per-epoch counter deltas reconcile exactly with the
 //! end-of-run `CacheStats`, and the artifact exporter must write every
-//! format.
+//! format. What the agent decided is the audit log's record: the same
+//! run, audited, must show its decisions and rewards there.
 
 #![cfg(feature = "telemetry")]
 
+use chrome_repro::chrome::engine::ACTION_BYPASS;
 use chrome_repro::chrome::{Chrome, ChromeConfig};
 use chrome_repro::sim::{SimConfig, System};
-use chrome_repro::telemetry::{EventKind, TelemetryConfig, TelemetrySink};
+use chrome_repro::telemetry::{export, parse_audit, AuditRecord, TelemetryConfig, TelemetrySink};
 use chrome_repro::traces::mix;
 
-fn run_with_telemetry() -> (chrome_repro::sim::stats::SimResults, TelemetrySink) {
+fn telemetry_system() -> (System, TelemetrySink) {
     let traces = mix::build_mix(&["mcf", "gcc"], 11).expect("known workloads");
     let policy = Box::new(Chrome::new(ChromeConfig {
         sampled_sets: 256,
@@ -20,6 +22,11 @@ fn run_with_telemetry() -> (chrome_repro::sim::stats::SimResults, TelemetrySink)
     let mut sys = System::with_policy(SimConfig::small_test(2), traces, policy);
     let sink = TelemetrySink::recording(TelemetryConfig::default());
     sys.set_telemetry(sink.clone());
+    (sys, sink)
+}
+
+fn run_with_telemetry() -> (chrome_repro::sim::stats::SimResults, TelemetrySink) {
+    let (mut sys, sink) = telemetry_system();
     let r = sys.run(60_000, 5_000);
     (r, sink)
 }
@@ -71,39 +78,48 @@ fn epoch_series_reconciles_with_final_stats() {
 
 #[test]
 fn event_trace_captures_decisions() {
-    let (r, sink) = run_with_telemetry();
-    let (boundaries, victims, bypasses, rewards) = sink
-        .with(|t| {
-            let mut b = 0u64;
-            let mut v = 0u64;
-            let mut by = 0u64;
-            let mut rw = 0u64;
-            for e in t.events.iter() {
-                match e.kind {
-                    EventKind::EpochBoundary { .. } => b += 1,
-                    EventKind::VictimChosen { .. } => v += 1,
-                    EventKind::BypassTaken { .. } => by += 1,
-                    EventKind::RewardApplied { .. } => rw += 1,
-                    _ => {}
-                }
+    let (mut sys, sink) = telemetry_system();
+    assert!(sys.enable_audit(0, 1 << 20), "CHROME is auditable");
+    let r = sys.run(60_000, 5_000);
+    let segs = parse_audit(&sys.audit_bytes()).expect("well-formed blob");
+    assert_eq!(segs.len(), 1);
+    assert_eq!(segs[0].dropped, 0, "audit log too small for the run");
+    let (mut inserts, mut bypasses, mut rewards) = (0u64, 0u64, 0u64);
+    for rec in &segs[0].records {
+        match rec {
+            AuditRecord::Decision(d) if !d.hit && usize::from(d.action) == ACTION_BYPASS => {
+                bypasses += 1
             }
-            (b, v, by, rw)
+            AuditRecord::Decision(d) if !d.hit => inserts += 1,
+            AuditRecord::Decision(_) => {}
+            AuditRecord::Reward(_) => rewards += 1,
+        }
+    }
+    let (epochs, trace) = sink
+        .with(|t| {
+            (
+                t.epochs.len(),
+                export::chrome_trace_json(&t.epochs, t.attrib.spans()),
+            )
         })
         .expect("recording sink");
-    let epochs = sink.with(|t| t.epochs.len()).unwrap();
     assert_eq!(
-        boundaries, epochs as u64,
-        "one boundary event per epoch record"
+        trace.matches("\"cat\":\"epoch\"").count(),
+        epochs,
+        "one trace span per epoch record"
     );
     assert!(
-        victims > 0,
-        "no victim events despite {} evictions",
+        inserts > 0,
+        "no insert decisions despite {} evictions",
         r.llc.evictions
     );
     if r.llc.bypasses > 0 {
-        assert!(bypasses > 0, "bypasses happened but no events traced");
+        assert!(
+            bypasses > 0,
+            "bypasses happened but no decision recorded one"
+        );
     }
-    assert!(rewards > 0, "agent trained without any reward events");
+    assert!(rewards > 0, "agent trained without any reward records");
 }
 
 #[test]
@@ -111,7 +127,7 @@ fn exporter_writes_all_artifacts() {
     let (_, sink) = run_with_telemetry();
     let dir = std::env::temp_dir().join(format!("chrome_telem_it_{}", std::process::id()));
     let files = sink.export(&dir, "it").expect("export succeeds");
-    assert_eq!(files.len(), 3, "epochs csv+jsonl, trace");
+    assert_eq!(files.len(), 2, "epochs csv, trace");
     let epochs = sink.with(|t| t.epochs.len()).unwrap();
     let csv = std::fs::read_to_string(dir.join("it_epochs.csv")).unwrap();
     assert_eq!(
@@ -119,8 +135,6 @@ fn exporter_writes_all_artifacts() {
         epochs + 1,
         "CSV = header + one row per epoch"
     );
-    let jsonl = std::fs::read_to_string(dir.join("it_epochs.jsonl")).unwrap();
-    assert_eq!(jsonl.lines().count(), epochs);
     let trace = std::fs::read_to_string(dir.join("it_trace.json")).unwrap();
     assert!(trace.starts_with('{') && trace.ends_with('}'));
     assert!(trace.contains("\"traceEvents\":["));
