@@ -153,11 +153,22 @@ fn bench_dram() {
     });
 }
 
+/// One record per iteration. GAP kernels regenerate each scanned
+/// vertex's adjacency: PageRank walks vertices in order, while the
+/// frontier kernels jump between vertices and replay up to 15 others per
+/// scan, and the skewed `tw` and `or` graphs pay a `powf` per neighbor.
 fn bench_generators() {
     let mut spec = chrome_traces::build_workload("mcf", 1).expect("known");
     bench("trace_gen_spec_mcf", || black_box(spec.next_record()));
-    let mut gap = chrome_traces::build_workload("pr-ur", 1).expect("known");
-    bench("trace_gen_gap_pr", || black_box(gap.next_record()));
+    for (name, workload) in [
+        ("trace_gen_gap_pr", "pr-ur"),
+        ("trace_gen_gap_bfs_ur", "bfs-ur"),
+        ("trace_gen_gap_bfs_tw", "bfs-tw"),
+        ("trace_gen_gap_sssp_or", "sssp-or"),
+    ] {
+        let mut gap = chrome_traces::build_workload(workload, 1).expect("known");
+        bench(name, || black_box(gap.next_record()));
+    }
 }
 
 fn main() {

@@ -81,18 +81,21 @@ impl SmallRng {
         range.sample(self)
     }
 
-    /// Unbiased integer in `[0, span)` via Lemire's rejection method.
+    /// Unbiased integer in `[0, span)` via Lemire's nearly-divisionless
+    /// rejection method: the rejection threshold `2^64 mod span` is below
+    /// `span`, so a draw whose low product word reaches `span` is accepted
+    /// without computing it.
     #[inline]
     fn bounded_u64(&mut self, span: u64) -> u64 {
         debug_assert!(span > 0);
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (span as u128);
-            let low = m as u64;
-            if low >= span.wrapping_neg() % span {
-                return (m >> 64) as u64;
+        let mut m = (self.next_u64() as u128) * (span as u128);
+        if (m as u64) < span {
+            let threshold = span.wrapping_neg() % span;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (span as u128);
             }
         }
+        (m >> 64) as u64
     }
 }
 
@@ -191,6 +194,37 @@ mod tests {
             seen[r.gen_range(0usize..8)] = true;
         }
         assert!(seen.iter().all(|&s| s), "some bucket never drawn");
+    }
+
+    /// The division-per-draw form `bounded_u64` replaced.
+    fn bounded_u64_reference(rng: &mut SmallRng, span: u64) -> u64 {
+        loop {
+            let x = rng.next_u64();
+            let m = (x as u128) * (span as u128);
+            let low = m as u64;
+            if low >= span.wrapping_neg() % span {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_draws_match_the_division_form() {
+        let mut spans = vec![1, 2, 3, 13, 1 << 20, (1 << 32) - 1, (1 << 63) + 1, u64::MAX];
+        let mut r = SmallRng::seed_from_u64(17);
+        spans.extend((0..64).map(|i| r.next_u64() >> (i % 64)).filter(|&s| s > 0));
+        for span in spans {
+            let mut fast = SmallRng::seed_from_u64(span);
+            let mut slow = fast.clone();
+            for _ in 0..1000 {
+                assert_eq!(
+                    fast.bounded_u64(span),
+                    bounded_u64_reference(&mut slow, span),
+                    "span {span}"
+                );
+                assert_eq!(fast, slow, "span {span}");
+            }
+        }
     }
 
     #[test]

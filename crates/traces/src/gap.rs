@@ -11,6 +11,10 @@
 //! * `ur` — uniform-random graph (like GAP's `urand`),
 //! * `tw` — highly skewed power-law graph (like `twitter`),
 //! * `or` — denser, moderately skewed graph (like `orkut`).
+//!
+//! A graph stores no neighbor array: a kernel reads one vertex's
+//! adjacency at a time, and [`CsrGraph`] regenerates it on demand from
+//! saved generator states, so each 1M-vertex dataset holds 6 MiB.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -33,11 +37,49 @@ const PC_DATA_LOAD: u64 = 0x51_0020;
 const PC_DATA_STORE: u64 = 0x51_0030;
 const PC_QUEUE: u64 = 0x51_0040;
 
-/// A compressed-sparse-row graph.
+/// Vertices per saved generator state of a [`CsrGraph`]: regenerating
+/// one vertex's adjacency replays the draws of at most this many minus
+/// one other vertices.
+const CHECKPOINT_SPACING: usize = 16;
+
+/// How a [`CsrGraph`] draws each vertex's degree and endpoints.
+#[derive(Debug)]
+enum Shape {
+    /// Degree uniform in `avg_deg / 2..=avg_deg + avg_deg / 2`,
+    /// endpoints uniform.
+    Uniform { avg_deg: usize },
+    /// Degree from a hashed power-law rank, endpoints skewed toward hubs.
+    Skewed { avg_deg: usize, skew: f64 },
+}
+
+/// A compressed-sparse-row graph whose neighbor array is never stored.
+///
+/// Construction draws every vertex's degree and then its endpoints from
+/// one seeded generator, vertex after vertex. The graph keeps each
+/// vertex's first edge index and the generator's state before every
+/// 16th vertex (6 MiB for 1M vertices), and regenerates an adjacency on
+/// demand by replaying the construction's draws from the vertex's
+/// checkpoint, or from a reader's cursor already inside that 16-vertex
+/// block. The graph is immutable: each reader carries its own cursor, so
+/// readers share it without a lock.
 #[derive(Debug)]
 pub struct CsrGraph {
+    n: usize,
+    seed: u64,
+    shape: Shape,
+    /// `offsets[v]` is vertex `v`'s first edge index; `offsets[n]` the
+    /// edge count.
     offsets: Vec<u32>,
-    neighbors: Vec<u32>,
+    /// `checkpoints[k]` draws vertex `k * CHECKPOINT_SPACING` first.
+    checkpoints: Vec<SmallRng>,
+}
+
+/// A reader's position in a [`CsrGraph`]'s construction: `rng` draws
+/// vertex `next` first.
+#[derive(Debug)]
+struct AdjCursor {
+    next: usize,
+    rng: SmallRng,
 }
 
 impl CsrGraph {
@@ -49,18 +91,7 @@ impl CsrGraph {
     /// Panics if `n == 0` or `avg_deg == 0`.
     pub fn uniform(n: usize, avg_deg: usize, seed: u64) -> Self {
         assert!(n > 0 && avg_deg > 0, "degenerate graph");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(n * avg_deg);
-        offsets.push(0u32);
-        for _ in 0..n {
-            let deg = rng.gen_range(avg_deg / 2..=avg_deg + avg_deg / 2);
-            for _ in 0..deg {
-                neighbors.push(rng.gen_range(0..n as u32));
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        CsrGraph { offsets, neighbors }
+        Self::build(n, seed, Shape::Uniform { avg_deg })
     }
 
     /// Skewed graph: degrees and endpoints follow a power law, so a few
@@ -71,47 +102,142 @@ impl CsrGraph {
     /// Panics if `n == 0` or `avg_deg == 0`.
     pub fn skewed(n: usize, avg_deg: usize, skew: f64, seed: u64) -> Self {
         assert!(n > 0 && avg_deg > 0, "degenerate graph");
+        Self::build(n, seed, Shape::Skewed { avg_deg, skew })
+    }
+
+    /// Runs the construction's draws once, keeping the offsets and the
+    /// checkpoints but no endpoint.
+    fn build(n: usize, seed: u64, shape: Shape) -> Self {
+        let mut g = CsrGraph {
+            n,
+            seed,
+            shape,
+            offsets: Vec::with_capacity(n + 1),
+            checkpoints: Vec::with_capacity(n.div_ceil(CHECKPOINT_SPACING)),
+        };
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(n * avg_deg);
-        offsets.push(0u32);
+        let mut edges = 0u32;
+        g.offsets.push(edges);
         for v in 0..n {
-            // hubs (low hashed rank) get larger out-degree
-            let rank = (mix64(v as u64 ^ seed) % n as u64) as f64 / n as f64;
-            let boost = (1.0 / (rank + 0.02)).powf(skew).min(32.0);
-            let deg = ((avg_deg as f64) * boost * 0.2).max(1.0) as usize;
-            for _ in 0..deg {
-                // endpoint choice also skewed toward hubs
-                let u: f64 = rng.gen_f64();
-                let target_rank = u.powf(1.0 + skew * 2.0);
-                let t = ((target_rank * n as f64) as u64).min(n as u64 - 1);
-                // map rank to a scattered vertex id so hubs spread over pages
-                neighbors.push((mix64(t) % n as u64) as u32);
+            if v % CHECKPOINT_SPACING == 0 {
+                g.checkpoints.push(rng.clone());
             }
-            offsets.push(neighbors.len() as u32);
+            let deg = g.draw_vertex(v, None, &mut rng, None);
+            edges = u32::try_from(edges as usize + deg).expect("edge count fits the u32 offsets");
+            g.offsets.push(edges);
         }
-        CsrGraph { offsets, neighbors }
+        g
+    }
+
+    /// Vertex `v`'s draws from `rng`, in the construction's order: its
+    /// degree, then one draw per edge. A uniform graph draws the degree; a
+    /// skewed one derives it from `v`'s hashed rank at the cost of a
+    /// `powf`, unless the caller passes it as `deg`. Each edge's draw is
+    /// mapped to an endpoint and pushed to `out` only when `out` is given
+    /// (a skewed endpoint costs another `powf`). Returns the degree.
+    ///
+    /// Construction and every replay draw through here, so they cannot
+    /// drift apart.
+    fn draw_vertex(
+        &self,
+        v: usize,
+        deg: Option<usize>,
+        rng: &mut SmallRng,
+        out: Option<&mut Vec<u32>>,
+    ) -> usize {
+        let n = self.n;
+        match self.shape {
+            Shape::Uniform { avg_deg } => {
+                let drawn = rng.gen_range(avg_deg / 2..=avg_deg + avg_deg / 2);
+                debug_assert!(deg.is_none_or(|d| d == drawn), "replay drifted at {v}");
+                match out {
+                    Some(out) => out.extend((0..drawn).map(|_| rng.gen_range(0..n as u32))),
+                    None => {
+                        for _ in 0..drawn {
+                            rng.gen_range(0..n as u32);
+                        }
+                    }
+                }
+                drawn
+            }
+            Shape::Skewed { avg_deg, skew } => {
+                let deg = deg.unwrap_or_else(|| {
+                    // hubs (low hashed rank) get larger out-degree
+                    let rank = (mix64(v as u64 ^ self.seed) % n as u64) as f64 / n as f64;
+                    let boost = (1.0 / (rank + 0.02)).powf(skew).min(32.0);
+                    ((avg_deg as f64) * boost * 0.2).max(1.0) as usize
+                });
+                match out {
+                    Some(out) => out.extend((0..deg).map(|_| {
+                        // endpoint choice also skewed toward hubs
+                        let target_rank = rng.gen_f64().powf(1.0 + skew * 2.0);
+                        let t = ((target_rank * n as f64) as u64).min(n as u64 - 1);
+                        // map rank to a scattered vertex id so hubs spread over pages
+                        (mix64(t) % n as u64) as u32
+                    })),
+                    None => {
+                        for _ in 0..deg {
+                            rng.gen_f64();
+                        }
+                    }
+                }
+                deg
+            }
+        }
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.n
     }
 
     /// Number of directed edges.
     pub fn num_edges(&self) -> usize {
-        self.neighbors.len()
+        self.offsets[self.n] as usize
     }
 
-    /// Neighbor slice of vertex `v`.
+    /// Index of vertex `v`'s first edge in the (unstored) neighbor array.
+    fn first_edge(&self, v: u32) -> usize {
+        self.offsets[v as usize] as usize
+    }
+
+    /// Out-degree of vertex `v`.
+    fn degree(&self, v: u32) -> usize {
+        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+    }
+
+    /// A cursor before vertex 0.
+    fn cursor(&self) -> AdjCursor {
+        AdjCursor {
+            next: 0,
+            rng: self.checkpoints[0].clone(),
+        }
+    }
+
+    /// Regenerates vertex `v`'s neighbor list into `out`, replacing its
+    /// contents, and leaves `cursor` before vertex `v + 1`. The replay
+    /// starts at `cursor` when it stands in `v`'s block at or before `v`,
+    /// else at the block's checkpoint, so a walk in vertex order replays
+    /// nothing and any other walk replays at most
+    /// `CHECKPOINT_SPACING - 1` vertices per call.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn neighbors_of(&self, v: u32) -> &[u32] {
-        let s = self.offsets[v as usize] as usize;
-        let e = self.offsets[v as usize + 1] as usize;
-        &self.neighbors[s..e]
+    fn neighbors_into(&self, v: u32, cursor: &mut AdjCursor, out: &mut Vec<u32>) {
+        let target = v as usize;
+        let block = target / CHECKPOINT_SPACING;
+        if cursor.next > target || cursor.next / CHECKPOINT_SPACING != block {
+            cursor.next = block * CHECKPOINT_SPACING;
+            cursor.rng.clone_from(&self.checkpoints[block]);
+        }
+        for w in cursor.next..target {
+            let deg = self.degree(w as u32);
+            self.draw_vertex(w, Some(deg), &mut cursor.rng, None);
+        }
+        out.clear();
+        self.draw_vertex(target, Some(self.degree(v)), &mut cursor.rng, Some(out));
+        cursor.next = target + 1;
     }
 
     /// Deterministic edge weight in `1..=16` (for SSSP).
@@ -194,6 +320,13 @@ pub struct GapSource {
     name: String,
     kernel: Kernel,
     graph: Arc<CsrGraph>,
+    /// Where this source's replay of `graph`'s construction stands.
+    adj: AdjCursor,
+    /// The scanned vertex's neighbors.
+    nbrs: Vec<u32>,
+    /// Vertices the scanned vertex discovered or relaxed, queued after
+    /// its scan.
+    found: Vec<u32>,
     buf: VecDeque<TraceRecord>,
     rng: SmallRng,
     // shared vertex-centric state
@@ -224,7 +357,10 @@ impl GapSource {
         let mut src = GapSource {
             name: name.to_string(),
             kernel,
+            adj: graph.cursor(),
             graph,
+            nbrs: Vec::new(),
+            found: Vec::new(),
             buf: VecDeque::with_capacity(512),
             rng: SmallRng::seed_from_u64(seed ^ 0x6A7),
             dist: vec![u32::MAX; n],
@@ -312,19 +448,32 @@ impl GapSource {
     }
 
     /// Scan vertex `u`'s adjacency, emitting the canonical access pattern
-    /// and calling `f(self, v, edge_index)` per neighbor.
+    /// and calling `f(self, v)` per neighbor `v`.
     fn scan_vertex<F>(&mut self, u: u32, mut f: F)
     where
-        F: FnMut(&mut Self, u32, usize),
+        F: FnMut(&mut Self, u32),
     {
         self.push_offsets(u);
-        let start = self.graph.offsets[u as usize] as usize;
-        let end = self.graph.offsets[u as usize + 1] as usize;
-        for i in start..end {
+        let mut nbrs = std::mem::take(&mut self.nbrs);
+        self.graph.neighbors_into(u, &mut self.adj, &mut nbrs);
+        for (i, &v) in (self.graph.first_edge(u)..).zip(&nbrs) {
             self.push_neighbor(i);
-            let v = self.graph.neighbors[i];
-            f(self, v, i);
+            f(self, v);
         }
+        self.nbrs = nbrs;
+    }
+
+    /// Append the vertices the last scan found to the next frontier, one
+    /// queue store each.
+    fn enqueue_found(&mut self) {
+        let mut found = std::mem::take(&mut self.found);
+        for &v in &found {
+            let slot = self.next_frontier.len();
+            self.next_frontier.push(v);
+            self.push_queue(slot);
+        }
+        found.clear();
+        self.found = found;
     }
 
     // ---- kernel steps (process a handful of vertices per call) ----
@@ -353,20 +502,15 @@ impl GapSource {
             let u = self.frontier[self.cursor];
             self.cursor += 1;
             let round = self.round;
-            let mut discovered = Vec::new();
-            self.scan_vertex(u, |s, v, _| {
+            self.scan_vertex(u, |s, v| {
                 s.push_data_load(v, false);
                 if s.dist[v as usize] == u32::MAX {
                     s.dist[v as usize] = round + 1;
                     s.push_data_store(v, false);
-                    discovered.push(v);
+                    s.found.push(v);
                 }
             });
-            for v in discovered {
-                let slot = self.next_frontier.len();
-                self.next_frontier.push(v);
-                self.push_queue(slot);
-            }
+            self.enqueue_found();
         }
     }
 
@@ -385,7 +529,7 @@ impl GapSource {
             let u = self.cursor as u32;
             self.cursor += 1;
             let mut min_label = self.dist[u as usize];
-            self.scan_vertex(u, |s, v, _| {
+            self.scan_vertex(u, |s, v| {
                 s.push_data_load(v, false);
                 min_label = min_label.min(s.dist[v as usize]);
             });
@@ -410,11 +554,11 @@ impl GapSource {
             let u = self.cursor as u32;
             self.cursor += 1;
             let mut sum: u64 = 0;
-            self.scan_vertex(u, |s, v, _| {
+            self.scan_vertex(u, |s, v| {
                 s.push_data_load(v, false);
                 sum += s.dist[v as usize] as u64;
             });
-            let deg = self.graph.neighbors_of(u).len().max(1) as u64;
+            let deg = self.graph.degree(u).max(1) as u64;
             self.aux[u as usize] = (150 + (sum * 85 / 100) / deg) as u32;
             self.push_data_store(u, true);
         }
@@ -439,22 +583,17 @@ impl GapSource {
             if du == u32::MAX {
                 continue;
             }
-            let mut relaxed = Vec::new();
-            self.scan_vertex(u, |s, v, _| {
+            self.scan_vertex(u, |s, v| {
                 s.push_data_load(v, false);
                 let w = s.graph.weight(u, v);
                 let cand = du.saturating_add(w);
                 if cand < s.dist[v as usize] {
                     s.dist[v as usize] = cand;
                     s.push_data_store(v, false);
-                    relaxed.push(v);
+                    s.found.push(v);
                 }
             });
-            for v in relaxed {
-                let slot = self.next_frontier.len();
-                self.next_frontier.push(v);
-                self.push_queue(slot);
-            }
+            self.enqueue_found();
         }
     }
 
@@ -478,13 +617,12 @@ impl GapSource {
                 self.cursor += 1;
                 let round = self.round;
                 let sigma_u = self.aux[u as usize];
-                let mut discovered = Vec::new();
-                self.scan_vertex(u, |s, v, _| {
+                self.scan_vertex(u, |s, v| {
                     s.push_data_load(v, false);
                     if s.dist[v as usize] == u32::MAX {
                         s.dist[v as usize] = round + 1;
                         s.push_data_store(v, false);
-                        discovered.push(v);
+                        s.found.push(v);
                     }
                     if s.dist[v as usize] == round + 1 {
                         s.aux[v as usize] = s.aux[v as usize].wrapping_add(sigma_u);
@@ -492,11 +630,7 @@ impl GapSource {
                         s.push_data_store(v, true);
                     }
                 });
-                for v in discovered {
-                    let slot = self.next_frontier.len();
-                    self.next_frontier.push(v);
-                    self.push_queue(slot);
-                }
+                self.enqueue_found();
             }
         } else {
             // backward phase: walk levels in reverse, accumulating
@@ -520,7 +654,7 @@ impl GapSource {
                 }
                 let u = self.frontier[self.cursor];
                 self.cursor += 1;
-                self.scan_vertex(u, |s, v, _| {
+                self.scan_vertex(u, |s, v| {
                     s.push_data_load(v, true);
                 });
                 self.push_data_store(u, true);
@@ -553,13 +687,144 @@ mod tests {
         Arc::new(CsrGraph::uniform(1024, 8, 42))
     }
 
+    /// Every vertex's neighbor list, regenerated in vertex order.
+    fn adjacency(g: &CsrGraph) -> Vec<Vec<u32>> {
+        let mut cursor = g.cursor();
+        (0..g.num_vertices() as u32)
+            .map(|v| {
+                let mut out = Vec::new();
+                g.neighbors_into(v, &mut cursor, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    /// The materializing construction the on-demand graph replays:
+    /// offsets and the full neighbor array, drawn vertex after vertex.
+    fn reference_uniform(n: usize, avg_deg: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut offsets = vec![0u32];
+        let mut neighbors = Vec::new();
+        for _ in 0..n {
+            let deg = rng.gen_range(avg_deg / 2..=avg_deg + avg_deg / 2);
+            for _ in 0..deg {
+                neighbors.push(rng.gen_range(0..n as u32));
+            }
+            offsets.push(neighbors.len() as u32);
+        }
+        (offsets, neighbors)
+    }
+
+    /// As [`reference_uniform`], for the skewed shape.
+    fn reference_skewed(n: usize, avg_deg: usize, skew: f64, seed: u64) -> (Vec<u32>, Vec<u32>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut offsets = vec![0u32];
+        let mut neighbors = Vec::new();
+        for v in 0..n {
+            let rank = (mix64(v as u64 ^ seed) % n as u64) as f64 / n as f64;
+            let boost = (1.0 / (rank + 0.02)).powf(skew).min(32.0);
+            let deg = ((avg_deg as f64) * boost * 0.2).max(1.0) as usize;
+            for _ in 0..deg {
+                let u: f64 = rng.gen_f64();
+                let target_rank = u.powf(1.0 + skew * 2.0);
+                let t = ((target_rank * n as f64) as u64).min(n as u64 - 1);
+                neighbors.push((mix64(t) % n as u64) as u32);
+            }
+            offsets.push(neighbors.len() as u32);
+        }
+        (offsets, neighbors)
+    }
+
+    #[test]
+    fn regenerated_adjacency_matches_the_materializing_construction() {
+        for n in [1, 15, 16, 17, 1000] {
+            let cases = [
+                (CsrGraph::uniform(n, 8, 3), reference_uniform(n, 8, 3)),
+                (
+                    CsrGraph::skewed(n, 16, 0.9, 4),
+                    reference_skewed(n, 16, 0.9, 4),
+                ),
+                (
+                    CsrGraph::skewed(n, 24, 0.5, 5),
+                    reference_skewed(n, 24, 0.5, 5),
+                ),
+            ];
+            for (g, (offsets, neighbors)) in cases {
+                assert_eq!(g.num_vertices(), n);
+                assert_eq!(g.num_edges(), neighbors.len(), "n={n}");
+                let forward: Vec<u32> = (0..n as u32).collect();
+                let reverse: Vec<u32> = forward.iter().rev().copied().collect();
+                let mut rng = SmallRng::seed_from_u64(n as u64);
+                let random: Vec<u32> = (0..3 * n).map(|_| rng.gen_range(0..n as u32)).collect();
+                // one cursor across all three walks: each starts wherever
+                // the previous one left it
+                let mut cursor = g.cursor();
+                let mut out = Vec::new();
+                for v in forward.into_iter().chain(reverse).chain(random) {
+                    let (s, e) = (
+                        offsets[v as usize] as usize,
+                        offsets[v as usize + 1] as usize,
+                    );
+                    g.neighbors_into(v, &mut cursor, &mut out);
+                    assert_eq!(g.first_edge(v), s, "n={n} v={v}");
+                    assert_eq!(g.degree(v), e - s, "n={n} v={v}");
+                    assert_eq!(out, neighbors[s..e], "n={n} v={v}");
+                }
+            }
+        }
+    }
+
+    /// FNV-1a 64 over every vertex's first edge index and neighbors, each
+    /// as little-endian `u32`s, in vertex order.
+    fn adjacency_digest(g: &CsrGraph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u32| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut cursor = g.cursor();
+        let mut nbrs = Vec::new();
+        for v in 0..g.num_vertices() as u32 {
+            eat(g.first_edge(v) as u32);
+            g.neighbors_into(v, &mut cursor, &mut nbrs);
+            nbrs.iter().copied().for_each(&mut eat);
+        }
+        h
+    }
+
+    #[test]
+    fn datasets_keep_their_adjacency_digests() {
+        // recorded from the fully materialized CSR arrays
+        for (tag, edges, digest) in [
+            ("ur", 12_581_873, 0x8f24_4a7d_9dce_7d2d),
+            ("tw", 10_413_841, 0x03df_45a8_0b93_f303),
+            ("or", 8_213_896, 0x9804_8006_74e5_ee9c),
+        ] {
+            let g = dataset(tag).expect("known dataset");
+            assert_eq!(g.num_vertices(), DEFAULT_VERTICES, "{tag}");
+            assert_eq!(g.num_edges(), edges, "{tag}");
+            assert_eq!(adjacency_digest(&g), digest, "{tag}");
+        }
+    }
+
+    #[test]
+    fn datasets_retain_at_most_8_mib() {
+        for tag in ["ur", "tw", "or"] {
+            let g = dataset(tag).expect("known dataset");
+            let heap = g.offsets.capacity() * std::mem::size_of::<u32>()
+                + g.checkpoints.capacity() * std::mem::size_of::<SmallRng>();
+            assert!(heap <= 8 << 20, "{tag} retains {heap} bytes");
+        }
+    }
+
     #[test]
     fn uniform_graph_geometry() {
         let g = CsrGraph::uniform(100, 8, 1);
         assert_eq!(g.num_vertices(), 100);
         assert!(g.num_edges() >= 400 && g.num_edges() <= 1200);
-        for v in 0..100 {
-            for &n in g.neighbors_of(v) {
+        for nbrs in adjacency(&g) {
+            for n in nbrs {
                 assert!((n as usize) < 100);
             }
         }
@@ -569,7 +834,7 @@ mod tests {
     fn skewed_graph_has_hubs() {
         let g = CsrGraph::skewed(2000, 16, 0.9, 1);
         let mut in_deg = vec![0u32; 2000];
-        for &v in &g.neighbors {
+        for v in adjacency(&g).into_iter().flatten() {
             in_deg[v as usize] += 1;
         }
         in_deg.sort_unstable_by(|a, b| b.cmp(a));
@@ -662,9 +927,9 @@ mod tests {
     /// Reverse adjacency for invariant checking.
     fn in_neighbors(g: &CsrGraph) -> Vec<Vec<u32>> {
         let mut inn = vec![Vec::new(); g.num_vertices()];
-        for u in 0..g.num_vertices() as u32 {
-            for &v in g.neighbors_of(u) {
-                inn[v as usize].push(u);
+        for (u, nbrs) in adjacency(g).into_iter().enumerate() {
+            for v in nbrs {
+                inn[v as usize].push(u as u32);
             }
         }
         inn
@@ -730,13 +995,13 @@ mod tests {
         // non-sources, and no relaxed edge can still be over-tight by
         // more than the edge weight bound
         let mut finite = 0;
-        for u in 0..graph.num_vertices() as u32 {
-            let du = s.dist[u as usize];
+        for (u, nbrs) in adjacency(&graph).into_iter().enumerate() {
+            let du = s.dist[u];
             if du == u32::MAX {
                 continue;
             }
             finite += 1;
-            for &v in graph.neighbors_of(u) {
+            for v in nbrs {
                 let dv = s.dist[v as usize];
                 // the kernel may still be mid-round, but dv can never be
                 // *worse* than du + max_weight once u settled and the
