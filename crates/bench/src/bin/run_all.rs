@@ -18,9 +18,12 @@
 //!
 //! Pass `--quick` for a reduced instruction budget, and
 //! `--homo-workloads N` / `--mixes N` to cap the grid for smoke runs.
-//! An unknown name or flag, a malformed value, `--sampling` without
-//! `--trace-dir`, or a `--trace-dir` that is not a directory exits 2
-//! with the reason and the usage before any cell runs.
+//! `--trace-dir DIR` replays every cell whose workload identity matches
+//! a recorded `.ctf` trace in DIR from that file. Every cell runs in
+//! full: sampled cells come only from `simpoint validate`, which
+//! measures their error against the full run. An unknown name or flag,
+//! a malformed value, or a `--trace-dir` that is not a directory exits
+//! 2 with the reason and the usage before any cell runs.
 
 use chrome_bench::experiments::{plans, EXPERIMENTS};
 use chrome_bench::{run_plans, RunParams};
@@ -32,8 +35,7 @@ fn main() {
         "[NAME...] [--cores N] [--instructions N] [--warmup N] [--seed N]\n\
          \x20      [--quick] [--full] [--jobs N] [--resume]\n\
          \x20      [--manifest PATH] [--trace-dir DIR] [--mixes N] [--homo-workloads N]\n\
-         \x20      [--sampling k=<k>,ramp=<n>] [--noc slices=..,hop=..,..]\n\
-         \x20      [--telemetry-out DIR]\n\
+         \x20      [--noc slices=..,hop=..,..] [--telemetry-out DIR]\n\
          NAME is one of: {}",
         names.join(" ")
     ));
@@ -50,9 +52,6 @@ fn main() {
             Some(name) => selected.push(*name),
             None => args.bad(&format!("unknown experiment {arg}")),
         }
-    }
-    if params.sampling.is_some() && params.trace_dir.is_none() {
-        args.bad("--sampling needs recorded interval stats; pass --trace-dir too");
     }
     if let Some(dir) = params.trace_dir.as_deref().filter(|d| !d.is_dir()) {
         args.bad(&format!("--trace-dir {}: no such directory", dir.display()));

@@ -15,16 +15,20 @@
 //!   trace: representative intervals, cluster weights, per-core start
 //!   positions and the detail-reduction factor.
 //! * `inspect` — dump the per-interval feature matrix (raw and
-//!   normalized) the clustering runs on.
+//!   normalized) the planner clusters
+//!   (`chrome_simpoint::trace_features`).
 //! * `validate` — run full and sampled simulations for every registered
-//!   workload against recorded traces, emit the sampled-vs-full error
-//!   table (`results/sampling_validation.tsv` and `--out-table`), and
-//!   gate: IPC and MPKI within the tolerances on EVERY workload while
-//!   simulating at least `--min-reduction` times fewer detailed
+//!   workload against recorded traces, write the sampled-vs-full error
+//!   table to `--out-table` (default `results/sampling_validation.tsv`),
+//!   and gate: IPC and MPKI within the tolerances on EVERY workload
+//!   while simulating at least `--min-reduction` times fewer detailed
 //!   instructions. `--check-kernels` additionally runs each sampled
 //!   cell through the grid's own sampled-cell function
 //!   (`chrome_bench::sampled_cell`: plan, replay, functional profile,
 //!   reconstruction) once per kernel and requires identical results.
+//!   `validate` is the only producer of sampled cells, so every one is
+//!   measured against its full run; `--scheme` screens a learning
+//!   scheme the same way.
 //!
 //! Exit codes: 0 pass, 1 gate/validation failure, 2 usage error.
 
@@ -38,7 +42,7 @@ use chrome_exec::cli::Args;
 use chrome_exec::workload_seed;
 use chrome_sim::Kernel;
 use chrome_simpoint::features::DIM_NAMES;
-use chrome_simpoint::{build_plan, extract_features, ErrorRow, SamplingSpec};
+use chrome_simpoint::{build_plan, trace_features, SamplingSpec};
 use chrome_tracefile::recorder::record_workload;
 use chrome_tracefile::{Codec, TraceFile, TraceIndex};
 
@@ -65,7 +69,7 @@ struct Options {
     base_seed: u64,
     jobs: Option<usize>,
     record_missing: bool,
-    out_table: Option<PathBuf>,
+    out_table: PathBuf,
     csv: Option<PathBuf>,
     manifest: Option<PathBuf>,
     resume: bool,
@@ -97,7 +101,8 @@ fn parse_args() -> Options {
         // path-dependent: sampled replay compresses the reward timeline
         // ~10x, the agent's learning trajectory diverges from the full
         // run's, and the gap is policy-state error the reconstruction
-        // cannot (and should not) hide. See EXPERIMENTS.md.
+        // cannot (and should not) hide; `--scheme` measures it. See
+        // EXPERIMENTS.md.
         scheme: "LRU".to_string(),
         workloads: None,
         cores: 1,
@@ -107,7 +112,7 @@ fn parse_args() -> Options {
         base_seed: 0x5EED,
         jobs: None,
         record_missing: false,
-        out_table: None,
+        out_table: PathBuf::from("results/sampling_validation.tsv"),
         csv: None,
         manifest: None,
         resume: false,
@@ -132,7 +137,7 @@ fn parse_args() -> Options {
             "--base-seed" => opts.base_seed = args.number(flag),
             "--jobs" => opts.jobs = Some(args.number(flag)),
             "--record-missing" => opts.record_missing = true,
-            "--out-table" => opts.out_table = Some(args.value(flag).into()),
+            "--out-table" => opts.out_table = args.value(flag).into(),
             "--csv" => opts.csv = Some(args.value(flag).into()),
             "--manifest" => opts.manifest = Some(args.value(flag).into()),
             "--resume" => opts.resume = true,
@@ -220,25 +225,20 @@ fn cluster(opts: &Options) -> i32 {
     0
 }
 
-/// `inspect`: dump the per-interval feature matrix.
+/// `inspect`: dump the per-interval feature matrix the planner clusters.
 fn inspect(opts: &Options) -> i32 {
     let path = opts.trace.clone().expect("checked while parsing");
     let tf = TraceFile::open(&path).unwrap_or_else(|e| {
         eprintln!("opening {}: {e}", path.display());
         exit(1);
     });
-    let cores = tf.manifest().cores.len();
-    let mut per_core = Vec::with_capacity(cores);
-    for c in 0..cores {
-        match tf.intervals_for(c) {
-            Ok(iv) => per_core.push(iv),
-            Err(e) => {
-                eprintln!("intervals for core {c}: {e}");
-                return 1;
-            }
+    let fs = match trace_features(&tf) {
+        Ok((fs, _)) => fs,
+        Err(e) => {
+            eprintln!("features of {}: {e}", path.display());
+            return 1;
         }
-    }
-    let fs = extract_features(&per_core);
+    };
     let mut out = String::from("interval,instructions");
     for n in DIM_NAMES {
         out.push_str(&format!(",{n}"));
@@ -324,8 +324,8 @@ fn check_kernels(params: &RunParams, opts: &Options, workloads: &[String]) -> us
             mismatches += 1;
             continue;
         }
-        let event = sampled_cell(cell, None, Some(&traces), Kernel::EventDriven);
-        let reference = sampled_cell(cell, None, Some(&traces), Kernel::Reference);
+        let event = sampled_cell(cell, Some(&traces), Kernel::EventDriven);
+        let reference = sampled_cell(cell, Some(&traces), Kernel::Reference);
         if event == reference {
             eprintln!("kernel check: {wl} identical");
         } else {
@@ -350,9 +350,6 @@ fn validate(opts: &Options) -> i32 {
         trace_dir: Some(dir.clone()),
         homo_workloads: opts.workloads,
         progress: opts.progress,
-        // cells carry their own sampling spec; the global axis would
-        // sample the full-reference cells too
-        sampling: None,
         ..RunParams::default()
     };
     let workloads = sampling::workloads(&params);
@@ -366,23 +363,12 @@ fn validate(opts: &Options) -> i32 {
     let cells = sampling::cells(&params, &workloads, &opts.scheme, &opts.sampling);
     let report = run_grid(&params, cells);
     let rows = sampling::error_rows(&workloads, &report.outcomes);
-    sampling::table(&rows).finish().unwrap_or_else(|e| {
-        eprintln!("writing results table: {e}");
-        exit(1);
-    });
-    if let Some(path) = &opts.out_table {
-        let mut tsv = ErrorRow::header();
-        tsv.push('\n');
-        for r in &rows {
-            tsv.push_str(&r.render());
-            tsv.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, tsv) {
-            eprintln!("writing {}: {e}", path.display());
-            return 1;
-        }
-        eprintln!("validate: wrote {}", path.display());
+    let path = &opts.out_table;
+    if let Err(e) = sampling::table(&rows).finish_to(path) {
+        eprintln!("writing {}: {e}", path.display());
+        return 1;
     }
+    eprintln!("validate: wrote {}", path.display());
 
     let mut failures = 0usize;
     if rows.len() != workloads.len() {

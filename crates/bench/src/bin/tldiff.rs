@@ -6,7 +6,8 @@
 //! cell-by-cell against a relative-change threshold. This is the
 //! regression-detection primitive for profiler output: run a cell twice
 //! (two schemes, two commits, two seeds), export with `--telemetry-out`,
-//! then diff.
+//! then diff. Every artifact comes from a full run: sampled cells
+//! (`simpoint validate`) export no telemetry.
 //!
 //! ```text
 //! tldiff DIR_A DIR_B [--t THRESH] [--rel THRESH] [--all] [--fail-on-diff]
@@ -17,13 +18,6 @@
 //! threshold (default 0.05 = 5%), `--all` prints insignificant columns
 //! too, and `--fail-on-diff` exits 1 when any significant delta was
 //! found (for CI gates).
-//!
-//! Sampled-replay exports carry a `<prefix>_sampling.json` manifest
-//! next to their CSVs. A pair is only comparable when both sides were
-//! produced by the same sampling plan (or both by full runs): epochs
-//! from different plans — or a sampled run against a full one — are
-//! different populations, so the pair is refused and counted as a
-//! significant difference rather than t-tested into false confidence.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -90,24 +84,6 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-/// The sampling manifest exported alongside `name` (an artifact file
-/// ending in `suffix`), if the run was a sampled replay.
-fn sampling_of(dir: &Path, name: &str, suffix: &str) -> Option<String> {
-    let prefix = name.strip_suffix(suffix)?;
-    std::fs::read_to_string(dir.join(format!("{prefix}_sampling.json"))).ok()
-}
-
-/// `Some(reason)` when the two artifacts must not be compared.
-fn sampling_mismatch(a: Option<&String>, b: Option<&String>) -> Option<&'static str> {
-    match (a, b) {
-        (None, None) => None,
-        (Some(_), None) => Some("A is a sampled replay, B a full run"),
-        (None, Some(_)) => Some("A is a full run, B a sampled replay"),
-        (Some(ma), Some(mb)) if ma != mb => Some("sampled replays use different plans"),
-        _ => None,
-    }
-}
-
 fn main() {
     let opts = parse_args();
     let mut significant = 0usize;
@@ -143,13 +119,6 @@ fn main() {
             } else {
                 format!("{name_a} vs {name_b}")
             };
-            let sampling_a = sampling_of(&opts.dir_a, &name_a, suffix);
-            let sampling_b = sampling_of(&opts.dir_b, &name_b, suffix);
-            if let Some(reason) = sampling_mismatch(sampling_a.as_ref(), sampling_b.as_ref()) {
-                println!("! {label}: not comparable — {reason}");
-                significant += 1;
-                continue;
-            }
             let a = read(&opts.dir_a.join(&name_a));
             let b = read(&opts.dir_b.join(&name_b));
             if suffix == "_epochs.csv" {

@@ -8,9 +8,8 @@
 //! detail-reduction factor — the table the `simpoint validate` gate
 //! (±3% IPC and MPKI at ≥10x reduction) asserts over.
 //!
-//! The sampled cells carry their own `CellSpec::sampling`, so the grid
-//! runs them WITHOUT the global `--sampling` axis (which would sample
-//! the full-reference cells too).
+//! [`cells`] is the only producer of sampled cells: each one is paired
+//! with the full cell it is measured against.
 
 use chrome_exec::CellOutcome;
 use chrome_simpoint::ErrorRow;

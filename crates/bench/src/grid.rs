@@ -6,8 +6,10 @@
 //! and sampled grid cells, `profile`, `throughput`, `forensics sim` and
 //! `simpoint validate --check-kernels`, so each replays exactly the
 //! traces of the grid cell its spec names. [`simulate_cell`] runs a
-//! full cell and [`sampled_cell`] a sampled one, through one
-//! telemetry/report/export tail.
+//! full cell, with telemetry when asked, and [`sampled_cell`] a sampled
+//! one. Only `simpoint validate` makes sampled cells
+//! ([`crate::experiments::sampling::cells`]), so the sampled-vs-full
+//! error of every sampled cell is measured, and none exports telemetry.
 //!
 //! [`run_grid`] is the single entry point `run_all` and `simpoint
 //! validate` funnel their cells through: it maps each [`CellSpec`]
@@ -27,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use chrome_exec::{CellOutcome, CellSpec, Codec, EngineConfig, GridReport, JsonValue};
 use chrome_sim::{Kernel, PrefetcherConfig, SimConfig, SimResults, System};
-use chrome_simpoint::{build_plan_windowed, reconstruct, SamplingSpec, WorkloadPlan};
+use chrome_simpoint::{build_plan_windowed, reconstruct, SamplingSpec};
 use chrome_telemetry::{AttribProfiler, EpochSeries, TelemetryConfig, TelemetrySink};
 use chrome_tracefile::{TraceFile, TraceIndex};
 
@@ -139,13 +141,11 @@ pub fn speedup(out: &[CellOutcome<CellResult>], i: usize, b: usize) -> f64 {
     }
 }
 
-/// Everything one simulation of a cell produced. `R` is its raw
-/// results: one [`SimResults`] for a full run, one per representative
-/// interval, in plan order, for a sampled replay.
+/// Everything one full simulation of a cell produced.
 #[derive(Debug, Clone)]
-pub struct SchemeResult<R = SimResults> {
+pub struct SchemeResult {
     /// Raw simulation results.
-    pub results: R,
+    pub results: SimResults,
     /// Scheme-specific report metrics (e.g. CHROME's UPKSA) from the
     /// end-of-run policy state.
     pub report: Vec<(String, f64)>,
@@ -157,7 +157,7 @@ pub struct SchemeResult<R = SimResults> {
     /// runs).
     pub attrib: Option<AttribProfiler>,
     /// Telemetry artifact files this run exported (empty without
-    /// `--telemetry-out`; a sampled replay's include `*_sampling.json`).
+    /// `--telemetry-out`).
     pub artifacts: Vec<PathBuf>,
 }
 
@@ -243,38 +243,6 @@ fn open_spec_trace(spec: &CellSpec, trace_files: Option<&TraceMap>) -> TraceFile
     tf
 }
 
-/// Build `spec`'s system, record telemetry when anything reads it
-/// (`telemetry_out`, [`CellSpec::record_epochs`], or `profile`, which
-/// also turns on the per-request latency-attribution profiler), drive
-/// it with `run`, then collect the policy report, epoch series,
-/// attribution state and exported artifacts: the one tail full runs
-/// and sampled replays share.
-fn run_system<R>(
-    spec: &CellSpec,
-    telemetry_out: Option<&Path>,
-    trace_files: Option<&TraceMap>,
-    profile: bool,
-    run: impl FnOnce(&mut System) -> R,
-) -> SchemeResult<R> {
-    let mut sys = cell_system(spec, trace_files);
-    if telemetry_out.is_some() || spec.record_epochs || profile {
-        sys.set_telemetry(TelemetrySink::recording(TelemetryConfig { profile }));
-    }
-    let results = run(&mut sys);
-    let telemetry = sys.telemetry();
-    SchemeResult {
-        results,
-        report: sys.hierarchy().llc.policy.report(),
-        epochs: telemetry.with(|t| t.epochs.clone()).unwrap_or_default(),
-        attrib: if profile {
-            telemetry.with(|t| t.attrib.clone())
-        } else {
-            None
-        },
-        artifacts: export(&sys, spec, telemetry_out),
-    }
-}
-
 /// The safe artifact-file prefix of a cell: workload and scheme, plus
 /// the spec hash, which keeps artifact names collision-free when
 /// concurrent cells from different experiments share one
@@ -305,8 +273,9 @@ fn export(sys: &System, spec: &CellSpec, dir: Option<&Path>) -> Vec<PathBuf> {
 /// Simulate one full (unsampled) cell and return everything the run
 /// produced. [`run_cell`] distills its result, and the `profile` binary
 /// reads it whole, so a profiled cell replays exactly the traces of its
-/// grid cell. `profile` enables the per-request latency-attribution
-/// profiler.
+/// grid cell. The run records telemetry when anything reads it
+/// (`telemetry_out`, [`CellSpec::record_epochs`], or `profile`, which
+/// also turns on the per-request latency-attribution profiler).
 ///
 /// # Panics
 ///
@@ -318,51 +287,23 @@ pub fn simulate_cell(
     trace_files: Option<&TraceMap>,
     profile: bool,
 ) -> SchemeResult {
-    run_system(spec, telemetry_out, trace_files, profile, |sys| {
-        sys.run(spec.instructions, spec.warmup)
-    })
-}
-
-/// Replay `spec` over a sampled-replay plan on `kernel`: functionally
-/// warm to each representative interval, run a detailed-but-unmeasured
-/// ramp, then measure. The sampling manifest is attached to the
-/// telemetry sink so exported artifact sets are self-describing.
-pub(crate) fn replay_plan(
-    spec: &CellSpec,
-    telemetry_out: Option<&Path>,
-    trace_files: Option<&TraceMap>,
-    plan: &WorkloadPlan,
-    kernel: Kernel,
-) -> SchemeResult<Vec<SimResults>> {
-    run_system(spec, telemetry_out, trace_files, false, |sys| {
-        sys.telemetry().set_sampling(sampling_manifest(plan));
-        sys.run_sampled(&plan.to_sim_plan(), kernel)
-    })
-}
-
-/// JSON manifest describing a sampled run's shape — the contract
-/// `tldiff` uses to refuse silently diffing sampled against full runs.
-fn sampling_manifest(plan: &WorkloadPlan) -> String {
-    let segments: Vec<String> = plan
-        .segments
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"interval\":{},\"weight\":{},\"detail\":{}}}",
-                s.interval,
-                chrome_exec::json::num(s.weight),
-                s.detail
-            )
-        })
-        .collect();
-    format!(
-        "{{\"spec\":\"{}\",\"segments\":[{}],\"total_instructions\":{},\
-         \"detailed_instructions\":{}}}",
-        plan.spec.render(),
-        segments.join(","),
-        plan.total_instructions,
-        plan.detailed_instructions,
-    )
+    let mut sys = cell_system(spec, trace_files);
+    if telemetry_out.is_some() || spec.record_epochs || profile {
+        sys.set_telemetry(TelemetrySink::recording(TelemetryConfig { profile }));
+    }
+    let results = sys.run(spec.instructions, spec.warmup);
+    let telemetry = sys.telemetry();
+    SchemeResult {
+        results,
+        report: sys.hierarchy().llc.policy.report(),
+        epochs: telemetry.with(|t| t.epochs.clone()).unwrap_or_default(),
+        attrib: if profile {
+            telemetry.with(|t| t.attrib.clone())
+        } else {
+            None
+        },
+        artifacts: export(&sys, spec, telemetry_out),
+    }
 }
 
 /// Execute one cell and distill its result. This is the function the
@@ -391,7 +332,7 @@ pub fn run_cell_with_traces(
     trace_files: Option<&TraceMap>,
 ) -> CellResult {
     if !spec.sampling.is_empty() {
-        return sampled_cell(spec, telemetry_out, trace_files, Kernel::default());
+        return sampled_cell(spec, trace_files, Kernel::default());
     }
     let r = simulate_cell(spec, telemetry_out, trace_files, false);
     let (eq_occupancy, eq_overflows) = r.epochs.records().last().map_or((0.0, 0), |last| {
@@ -471,9 +412,9 @@ fn weighted_ratio(
 /// intervals (functional warmup + detailed ramp + measurement); walk
 /// the whole trace once more with the functional model for the
 /// per-interval control variates; and reconstruct full-run metrics
-/// from the weighted per-interval results. The grid runs sampled cells
-/// on the default kernel; `simpoint validate --check-kernels` runs each
-/// on both kernels and compares.
+/// from the weighted per-interval results. `simpoint validate`'s grid
+/// runs its sampled cells on the default kernel; `--check-kernels` runs
+/// each on both kernels and compares.
 ///
 /// # Panics
 ///
@@ -481,12 +422,7 @@ fn weighted_ratio(
 /// blocks (whole-run state no sample reconstructs), or its sampling
 /// spec or plan is unusable; otherwise as [`cell_system`] does.
 #[must_use]
-pub fn sampled_cell(
-    spec: &CellSpec,
-    telemetry_out: Option<&Path>,
-    trace_files: Option<&TraceMap>,
-    kernel: Kernel,
-) -> CellResult {
+pub fn sampled_cell(spec: &CellSpec, trace_files: Option<&TraceMap>, kernel: Kernel) -> CellResult {
     assert!(
         !spec.trace.is_empty(),
         "cell {} requests sampling ({}) but is not file-backed; \
@@ -510,18 +446,16 @@ pub fn sampled_cell(
         spec.instructions,
     )
     .unwrap_or_else(|e| panic!("cell {}: building sampling plan: {e}", spec.label()));
-    let run = replay_plan(spec, telemetry_out, trace_files, &plan, kernel);
+    let mut sys = cell_system(spec, trace_files);
+    let results = sys.run_sampled(&plan.to_sim_plan(), kernel);
     // functional control-variate pass: full interval coverage at zero
     // detailed cost, pairing with the measured segments above
     let profile = cell_system(spec, trace_files).run_functional_profile(&plan.boundaries);
     let weights: Vec<f64> = plan.segments.iter().map(|s| s.weight).collect();
-    let rec = reconstruct::reconstruct_with_profile(&plan, &run.results, &profile);
+    let rec = reconstruct::reconstruct_with_profile(&plan, &results, &profile);
     let budget = spec.instructions * u64::from(spec.cores);
     let llc = |f: fn(&chrome_sim::CacheStats) -> u64| move |r: &SimResults| f(&r.llc);
-    let (eq_occupancy, eq_overflows) = run.epochs.records().last().map_or((0.0, 0), |last| {
-        (last.policy.eq_occupancy, last.policy.eq_overflows)
-    });
-    let mut report = run.report;
+    let mut report = sys.hierarchy().llc.policy.report();
     report.push(("sampled".into(), 1.0));
     report.push(("mpki".into(), rec.mpki));
     report.push(("camat".into(), rec.camat));
@@ -534,37 +468,28 @@ pub fn sampled_cell(
         ipc: rec.per_core_ipc,
         demand_miss_ratio: weighted_ratio(
             &weights,
-            &run.results,
+            &results,
             llc(|l| l.demand_misses),
             llc(|l| l.demand_accesses),
         ),
         ephr: weighted_ratio(
             &weights,
-            &run.results,
+            &results,
             llc(|l| l.prefetch_useful),
             llc(|l| l.prefetch_fills),
         ),
-        bypass_coverage: weighted_ratio(&weights, &run.results, llc(|l| l.bypasses), |r| {
+        bypass_coverage: weighted_ratio(&weights, &results, llc(|l| l.bypasses), |r| {
             r.llc.bypasses
                 + (r.llc.demand_misses + r.llc.prefetch_misses).saturating_sub(r.llc.bypasses)
         }),
         bypassed_outcome: (0, 0, 0),
         evicted_unused: (0, 0, 0),
-        evictions: weighted_scaled(&weights, &run.results, budget, llc(|l| l.evictions)),
-        evictions_unused: weighted_scaled(
-            &weights,
-            &run.results,
-            budget,
-            llc(|l| l.evictions_unused),
-        ),
+        evictions: weighted_scaled(&weights, &results, budget, llc(|l| l.evictions)),
+        evictions_unused: weighted_scaled(&weights, &results, budget, llc(|l| l.evictions_unused)),
         report,
-        eq_occupancy,
-        eq_overflows,
-        artifacts: run
-            .artifacts
-            .iter()
-            .map(|p| p.to_string_lossy().into_owned())
-            .collect(),
+        eq_occupancy: 0.0,
+        eq_overflows: 0,
+        artifacts: Vec::new(),
     }
 }
 
@@ -732,27 +657,6 @@ pub fn run_grid(params: &RunParams, mut cells: Vec<CellSpec>) -> GridReport<Cell
         .trace_dir
         .as_deref()
         .map(|dir| resolve_traces(&mut cells, dir));
-    if let Some(sampling) = &params.sampling {
-        assert!(
-            trace_files.is_some(),
-            "--sampling needs recorded interval stats; pass --trace-dir too"
-        );
-        SamplingSpec::parse(sampling).unwrap_or_else(|e| panic!("--sampling: {e}"));
-        let mut sampled = 0usize;
-        for cell in &mut cells {
-            // sampling folds into the spec hash, so sampled cells never
-            // share a checkpoint with full cells of the same identity
-            if !cell.trace.is_empty() {
-                cell.sampling = sampling.clone();
-                sampled += 1;
-            }
-        }
-        eprintln!(
-            "sampling: {sampled} of {} cells sampled with {sampling}; \
-             generator-backed cells stay full",
-            cells.len()
-        );
-    }
     let manifest = params
         .manifest
         .clone()

@@ -42,11 +42,6 @@ pub struct RunParams {
     pub homo_workloads: Option<usize>,
     /// Paint live grid progress to stderr (tests switch it off).
     pub progress: bool,
-    /// Representative-interval sampling spec (`--sampling k=<k>,ramp=<n>`);
-    /// file-backed grid cells replay only clustered representative
-    /// intervals with functional warmup and reconstruct full-run
-    /// metrics. Requires `--trace-dir`.
-    pub sampling: Option<String>,
     /// Mesh-NoC spec in [`chrome_noc::NocConfig::canonical`] form
     /// (`--noc slices=4,hop=2,...`); empty keeps the NoC off and the
     /// simulator byte-identical to the uniform-latency model.
@@ -68,7 +63,6 @@ impl Default for RunParams {
             mixes: None,
             homo_workloads: None,
             progress: true,
-            sampling: None,
             noc: String::new(),
         }
     }
@@ -79,8 +73,8 @@ impl RunParams {
     /// `args`: `--cores N`, `--instructions N`, `--warmup N`, `--seed N`,
     /// `--quick` (divides the instruction budget set so far by 10),
     /// `--full` (multiplies it by 10), `--telemetry-out DIR` and the grid
-    /// flags. A missing or malformed value, sampling spec or NoC spec is
-    /// a usage error. Returns false for any other flag.
+    /// flags. A missing or malformed value or NoC spec is a usage error.
+    /// Returns false for any other flag.
     pub fn flag(&mut self, flag: &str, args: &mut Args) -> bool {
         match flag {
             "--cores" => self.cores = args.number(flag),
@@ -94,13 +88,6 @@ impl RunParams {
             "--trace-dir" => self.trace_dir = Some(args.value(flag).into()),
             "--mixes" => self.mixes = Some(args.number(flag)),
             "--homo-workloads" => self.homo_workloads = Some(args.number(flag)),
-            "--sampling" => {
-                let spec = args.value(flag);
-                if let Err(e) = chrome_simpoint::SamplingSpec::parse(&spec) {
-                    args.bad(&format!("--sampling: {e}"));
-                }
-                self.sampling = Some(spec);
-            }
             "--noc" => {
                 let cfg = chrome_noc::NocConfig::parse(&args.value(flag))
                     .unwrap_or_else(|e| args.bad(&format!("--noc: {e}")));
@@ -134,7 +121,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{replay_plan, run_cell, simulate_cell, TraceMap};
+    use crate::grid::{run_cell, simulate_cell};
     use chrome_exec::CellSpec;
 
     fn quick(workload: &str, scheme: &str) -> CellSpec {
@@ -199,190 +186,5 @@ mod tests {
         };
         let r = simulate_cell(&spec, None, None, false);
         assert_eq!(r.results.per_core.len(), 2);
-    }
-
-    /// Diagnostic (opt-in): isolate plan-selection error from
-    /// functional-gap state error. Runs every interval with contiguous
-    /// timed state (exhaustive plan, ramp 0), then reconstructs the
-    /// full-run metrics from the k-plan's representatives using those
-    /// oracle-state per-interval results. The residual is pure
-    /// clustering/selection error; the gap to a real sampled run is
-    /// functional-warmup state error.
-    ///
-    /// `SP_TRACE_DIR` must point at recorded traces;
-    /// `SP_WORKLOADS`/`SP_SCHEME`/`SP_SAMPLING` narrow the sweep.
-    #[test]
-    #[ignore = "diagnostic: needs recorded traces in SP_TRACE_DIR"]
-    fn oracle_state_reconstruction() {
-        use chrome_simpoint::{build_plan_windowed, reconstruct, SamplingSpec};
-        let dir = std::env::var("SP_TRACE_DIR").expect("SP_TRACE_DIR");
-        let wls = std::env::var("SP_WORKLOADS").unwrap_or_else(|_| "pr-or".into());
-        let scheme = std::env::var("SP_SCHEME").unwrap_or_else(|_| "LRU".into());
-        let spec_str =
-            std::env::var("SP_SAMPLING").unwrap_or_else(|_| "k=26,ramp=2200,reps=3".into());
-        let index = chrome_tracefile::TraceIndex::scan(std::path::Path::new(&dir)).unwrap();
-        for wl in wls.split(',') {
-            let mut cell = CellSpec {
-                instructions: 6_000_000,
-                warmup: 60_000,
-                ..quick(wl, &scheme)
-            };
-            // SP_PREFETCH=none isolates prefetcher-state divergence from
-            // demand-path divergence across functional gaps.
-            if std::env::var("SP_PREFETCH").as_deref() == Ok("none") {
-                cell.prefetch = "none".into();
-            }
-            let seed = cell.workload_seed();
-            let entry = index.lookup(wl, 1, seed).expect("trace recorded");
-            let tf = chrome_tracefile::TraceFile::open(&entry.path).unwrap();
-            cell.trace = entry.hash_hex();
-            let traces = TraceMap::from([(cell.trace.clone(), entry.path.clone())]);
-            let exhaustive = SamplingSpec {
-                k: usize::MAX / 2,
-                ramp: 0,
-                reps: 1,
-            };
-            let ex =
-                build_plan_windowed(&tf, exhaustive, seed, cell.warmup, cell.instructions).unwrap();
-            let truth = replay_plan(
-                &cell,
-                None,
-                Some(&traces),
-                &ex,
-                chrome_sim::Kernel::EventDriven,
-            );
-            let w_ex: Vec<f64> = ex.segments.iter().map(|s| s.weight).collect();
-            let full = reconstruct::reconstruct(&w_ex, &truth.results);
-            let spec = SamplingSpec::parse(&spec_str).unwrap();
-            let mut plan =
-                build_plan_windowed(&tf, spec, seed, cell.warmup, cell.instructions).unwrap();
-            // SP_RUNS=NxM replaces the clustered plan with N evenly
-            // spaced systematic runs of M consecutive intervals each —
-            // probes how state error scales with measured-run length.
-            if let Ok(runs) = std::env::var("SP_RUNS") {
-                let (n_runs, run_len) = runs.split_once('x').unwrap();
-                let (n_runs, run_len): (usize, usize) =
-                    (n_runs.parse().unwrap(), run_len.parse().unwrap());
-                let spacing = ex.segments.len() / n_runs;
-                let mut segs = Vec::new();
-                for r in 0..n_runs {
-                    let i = r * spacing + (spacing - run_len) / 2;
-                    let group = &ex.segments[i..i + run_len];
-                    segs.push(chrome_simpoint::Segment {
-                        interval: group[0].interval,
-                        weight: group.iter().map(|s| s.weight).sum(),
-                        start: group[0].start.clone(),
-                        detail: group.iter().map(|s| s.detail).sum(),
-                    });
-                }
-                plan.detailed_instructions = segs.iter().map(|s| s.detail + plan.spec.ramp).sum();
-                plan.segments = segs;
-            }
-            // SP_PROLOGUE=N prepends a weight-0 timed segment over the
-            // last N warmup instructions, mirroring the full run's
-            // timed warmup before the first functional gap.
-            if let Ok(n) = std::env::var("SP_PROLOGUE") {
-                let n: u64 = n.parse().unwrap();
-                let n = n.min(cell.warmup);
-                if n > 0 {
-                    plan.segments.insert(
-                        0,
-                        chrome_simpoint::Segment {
-                            interval: usize::MAX,
-                            weight: 0.0,
-                            start: vec![cell.warmup - n; 1],
-                            detail: n,
-                        },
-                    );
-                    plan.detailed_instructions += n;
-                }
-            }
-            let by_interval: std::collections::HashMap<usize, &chrome_sim::SimResults> = ex
-                .segments
-                .iter()
-                .zip(&truth.results)
-                .map(|(s, r)| (s.interval, r))
-                .collect();
-            let sel: Vec<chrome_sim::SimResults> = plan
-                .segments
-                .iter()
-                .filter(|s| s.interval != usize::MAX)
-                .map(|s| by_interval[&s.interval].clone())
-                .collect();
-            let w_sel: Vec<f64> = plan
-                .segments
-                .iter()
-                .filter(|s| s.interval != usize::MAX)
-                .map(|s| s.weight)
-                .collect();
-            let w: Vec<f64> = plan.segments.iter().map(|s| s.weight).collect();
-            let oracle = reconstruct::reconstruct(&w_sel, &sel);
-            let real_run = replay_plan(
-                &cell,
-                None,
-                Some(&traces),
-                &plan,
-                chrome_sim::Kernel::EventDriven,
-            );
-            let real = reconstruct::reconstruct(&w, &real_run.results);
-            let pct = |a: f64, b: f64| 100.0 * (a - b) / b;
-            // SP_DETAIL=1 prints per-interval sampled-vs-oracle stat
-            // deltas to localize which machine state diverges.
-            if std::env::var("SP_DETAIL").as_deref() == Ok("1") {
-                for ((seg, s), o) in plan
-                    .segments
-                    .iter()
-                    .zip(&real_run.results)
-                    .filter(|(seg, _)| seg.interval != usize::MAX)
-                    .zip(&sel)
-                {
-                    eprintln!(
-                        "  iv {:>4} w {:.3}: ipc {:+6.2}% dmiss {:+6.2}% l2pf {:+6.2}% \
-                         llcpf {:+6.2}% pfuse {:+6.2}% shed {:+6.2}% [o: dmiss {} l2pf {} shed {}]",
-                        seg.interval,
-                        seg.weight,
-                        pct(s.ipc_sum(), o.ipc_sum()),
-                        pct(
-                            s.llc.demand_misses as f64,
-                            o.llc.demand_misses.max(1) as f64
-                        ),
-                        pct(
-                            s.l2.iter().map(|c| c.prefetch_accesses).sum::<u64>() as f64,
-                            o.l2.iter().map(|c| c.prefetch_accesses).sum::<u64>().max(1) as f64
-                        ),
-                        pct(
-                            s.llc.prefetch_accesses as f64,
-                            o.llc.prefetch_accesses.max(1) as f64
-                        ),
-                        pct(
-                            s.llc.prefetch_useful as f64,
-                            o.llc.prefetch_useful.max(1) as f64
-                        ),
-                        pct(
-                            (s.llc.prefetch_dropped
-                                + s.l2.iter().map(|c| c.prefetch_dropped).sum::<u64>())
-                                as f64,
-                            (o.llc.prefetch_dropped
-                                + o.l2.iter().map(|c| c.prefetch_dropped).sum::<u64>())
-                            .max(1) as f64
-                        ),
-                        o.llc.demand_misses,
-                        o.l2.iter().map(|c| c.prefetch_accesses).sum::<u64>(),
-                        o.llc.prefetch_dropped
-                            + o.l2.iter().map(|c| c.prefetch_dropped).sum::<u64>(),
-                    );
-                }
-            }
-            eprintln!(
-                "{wl}: full ipc {:.4} mpki {:.3} | oracle({}) ipc {:+.2}% mpki {:+.2}% | sampled ipc {:+.2}% mpki {:+.2}%",
-                full.ipc,
-                full.mpki,
-                plan.segments.len(),
-                pct(oracle.ipc, full.ipc),
-                pct(oracle.mpki, full.mpki),
-                pct(real.ipc, full.ipc),
-                pct(real.mpki, full.mpki),
-            );
-        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Collects rows, pretty-prints them, and writes a TSV into `results/`.
 #[derive(Debug)]
@@ -76,17 +76,29 @@ impl TableWriter {
     /// Returns an error when the results directory or file cannot be
     /// written.
     pub fn finish(&self) -> std::io::Result<PathBuf> {
+        let path = Path::new("results").join(format!("{}.tsv", self.name));
+        self.finish_to(&path)?;
+        Ok(path)
+    }
+
+    /// Print to stdout and write the TSV to `path`, creating its
+    /// directory.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the directory or file cannot be written.
+    pub fn finish_to(&self, path: &Path) -> std::io::Result<()> {
         println!("\n== {} ==", self.name);
         println!("{}", self.render());
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.tsv", self.name));
-        let mut f = fs::File::create(&path)?;
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let mut f = fs::File::create(path)?;
         writeln!(f, "{}", self.header.join("\t"))?;
         for row in &self.rows {
             writeln!(f, "{}", row.join("\t"))?;
         }
-        Ok(path)
+        Ok(())
     }
 }
 

@@ -51,10 +51,8 @@ fn bad_run_all_flags_are_usage_errors() {
         // cells run once; there is no retry count to set
         (&["--retries", "2"], "unknown flag --retries"),
         (&["nope"], "unknown experiment nope"),
-        (
-            &["--sampling", "k=2,ramp=100", "--homo-workloads", "1"],
-            "--sampling needs recorded interval stats; pass --trace-dir too",
-        ),
+        // sampled cells come only from `simpoint validate`
+        (&["--sampling", "k=2,ramp=100"], "unknown flag --sampling"),
         (
             &[
                 "fig12_nchrome",

@@ -84,7 +84,9 @@ pub struct CellSpec {
     /// empty for full simulation. Folded into the spec hash the same
     /// conditional way as `trace`, so sampled and full runs of the same
     /// cell never share a checkpoint and full-run hashes are unchanged.
-    /// Must not contain `;` (the canonical-form field separator).
+    /// Must not contain `;` (the canonical-form field separator). Only
+    /// `simpoint validate`'s cells set it, each paired with its full
+    /// cell.
     pub sampling: String,
     /// Canonical mesh-NoC configuration (`slices=..,hop=..,flits=..,
     /// depth=..` form), empty for the classic uniform-latency LLC.

@@ -40,7 +40,8 @@
 //! correction stays small and stable.
 
 use chrome_sim::types::{TraceRecord, LINE_SHIFT};
-use chrome_tracefile::IntervalStats;
+use chrome_sim::{SimConfig, System};
+use chrome_tracefile::{IntervalStats, TraceFile, TraceFileError};
 
 /// Scalar feature dimensions straight from the footer interval stats.
 pub const SCALAR_DIMS: usize = 7;
@@ -186,40 +187,86 @@ pub fn region_histograms(
     out
 }
 
-/// Build the feature matrix from each core's interval list, with the
-/// region dimensions left at zero (they normalize to constant columns
-/// and contribute nothing to distances). Prefer
-/// [`extract_features_with_regions`] when the record streams are
-/// available — scalar-only clustering cannot separate phases that
-/// touch different parts of the address space.
+/// The feature matrix the sampling planner clusters for `tf`, and each
+/// core's cumulative fetch position at every interval boundary
+/// (`intervals + 1` entries per core, starting at 0). Per core, it reads
+/// the footer interval stats (recomputed for files recorded before they
+/// existed) and decodes the records once for the region histograms;
+/// one functional pass over the whole trace yields the covariates.
+/// `simpoint inspect` prints this same matrix.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `per_core` is empty (a trace always has at least one core).
-#[must_use]
-pub fn extract_features(per_core: &[Vec<IntervalStats>]) -> FeatureSet {
-    extract_features_with_regions(per_core, None, None)
+/// Returns the trace file's error when a core's intervals or records
+/// cannot be read.
+pub fn trace_features(tf: &TraceFile) -> Result<(FeatureSet, Vec<Vec<u64>>), TraceFileError> {
+    let cores = tf.manifest().cores.len();
+    let mut per_core = Vec::with_capacity(cores);
+    let mut regions = Vec::with_capacity(cores);
+    for c in 0..cores {
+        per_core.push(tf.intervals_for(c)?);
+        // one linear decode per core feeds the region vectors; the
+        // scalar footer stats alone cannot separate phases that touch
+        // different parts of the address space
+        regions.push(region_histograms(&tf.decode_core(c)?, &per_core[c]));
+    }
+
+    // per-core cumulative fetch positions at each interval boundary
+    let mut cum: Vec<Vec<u64>> = Vec::with_capacity(cores);
+    for intervals in &per_core {
+        let mut acc = 0u64;
+        let mut cur = Vec::with_capacity(intervals.len() + 1);
+        cur.push(0);
+        for iv in intervals {
+            acc += iv.instructions;
+            cur.push(acc);
+        }
+        cum.push(cur);
+    }
+
+    // functional-covariate columns: one functional pass over the whole
+    // trace under the default policy (scheme-independent, so every
+    // grid cell on the same trace clusters identically) yields each
+    // interval's pseudo-CPI and LLC demand MPKI
+    let n_aligned = per_core.iter().map(Vec::len).min().unwrap_or(0);
+    let func: Vec<[f64; FUNC_DIMS]> = {
+        let mut sys = System::new(SimConfig::with_cores(cores), tf.sources()?);
+        let profile = sys.run_functional_profile(&cum);
+        (0..n_aligned)
+            .map(|j| {
+                let instr: u64 = per_core.iter().map(|core| core[j].instructions).sum();
+                let instr = instr.max(1) as f64;
+                [
+                    profile.cycles[j] as f64 / instr,
+                    profile.llc_misses[j] as f64 / instr * 1000.0,
+                ]
+            })
+            .collect()
+    };
+
+    let features = extract_features_with_regions(&per_core, &regions, &func);
+    Ok((features, cum))
 }
 
-/// Build the feature matrix from each core's interval list plus
-/// (optionally) each core's region histograms from
-/// [`region_histograms`] and (optionally) per-interval functional
-/// covariates — `[pseudo-CPI, LLC demand MPKI]` from a functional
-/// profile pass ([`chrome_sim::System::run_functional_profile`]).
-/// Only the first `min(len)` intervals participate — cores drift
-/// apart by at most one trailing partial interval, and an unmatched
-/// tail has no aligned system state to sample.
+/// Build the feature matrix from each core's interval list, each
+/// core's region histograms from [`region_histograms`] and the
+/// per-interval functional covariates — `[pseudo-CPI, LLC demand
+/// MPKI]` from a functional profile pass
+/// ([`chrome_sim::System::run_functional_profile`]). Only the first
+/// `min(len)` intervals participate — cores drift apart by at most one
+/// trailing partial interval, and an unmatched tail has no aligned
+/// system state to sample.
 ///
 /// # Panics
 ///
 /// Panics if `per_core` is empty (a trace always has at least one
-/// core), or if `regions`/`func` is present with fewer entries than
-/// aligned intervals.
+/// core), or if `regions` or `func` has fewer entries than aligned
+/// intervals.
 #[must_use]
 pub fn extract_features_with_regions(
     per_core: &[Vec<IntervalStats>],
-    regions: Option<&[Vec<[u64; REGION_DIMS]>]>,
-    func: Option<&[[f64; FUNC_DIMS]]>,
+    regions: &[Vec<[u64; REGION_DIMS]>],
+    func: &[[f64; FUNC_DIMS]],
 ) -> FeatureSet {
     assert!(!per_core.is_empty(), "no cores in interval data");
     let n = per_core.iter().map(Vec::len).min().unwrap_or(0);
@@ -228,15 +275,12 @@ pub fn extract_features_with_regions(
     for j in 0..n {
         let agg: Vec<&IntervalStats> = per_core.iter().map(|c| &c[j]).collect();
         let mut region = [0u64; REGION_DIMS];
-        if let Some(regions) = regions {
-            for core in regions {
-                for (b, &c) in region.iter_mut().zip(&core[j]) {
-                    *b += c;
-                }
+        for core in regions {
+            for (b, &c) in region.iter_mut().zip(&core[j]) {
+                *b += c;
             }
         }
-        let fc = func.map_or([0.0; FUNC_DIMS], |f| f[j]);
-        raw.push(raw_features(&agg, j as f64, &region, fc));
+        raw.push(raw_features(&agg, j as f64, &region, func[j]));
         instructions.push(agg.iter().map(|s| s.instructions).sum());
     }
     FeatureSet {
@@ -314,9 +358,20 @@ mod tests {
         }
     }
 
+    /// The features of `per_core` with explicit zero region and
+    /// functional rows.
+    fn scalar_features(per_core: &[Vec<IntervalStats>]) -> FeatureSet {
+        let regions: Vec<Vec<[u64; REGION_DIMS]>> = per_core
+            .iter()
+            .map(|core| vec![[0; REGION_DIMS]; core.len()])
+            .collect();
+        let n = per_core.iter().map(Vec::len).min().unwrap_or(0);
+        extract_features_with_regions(per_core, &regions, &vec![[0.0; FUNC_DIMS]; n])
+    }
+
     #[test]
     fn aligned_length_is_min_over_cores() {
-        let fs = extract_features(&[
+        let fs = scalar_features(&[
             vec![
                 iv(1000, 100, 10, 50),
                 iv(1000, 200, 20, 60),
@@ -330,7 +385,7 @@ mod tests {
 
     #[test]
     fn normalization_bounds_and_constant_columns() {
-        let fs = extract_features(&[vec![
+        let fs = scalar_features(&[vec![
             iv(1000, 100, 10, 50),
             iv(1000, 500, 250, 400),
             iv(1000, 300, 30, 200),
@@ -345,7 +400,7 @@ mod tests {
         }
         // identical intervals ⇒ every behaviour column constant ⇒ zero;
         // only the position column still spreads across [0, 1]
-        let flat = extract_features(&[vec![iv(1000, 100, 10, 50); 4]]);
+        let flat = scalar_features(&[vec![iv(1000, 100, 10, 50); 4]]);
         let pos = SCALAR_DIMS - 1;
         assert!(flat.norm.iter().all(|r| r[..pos].iter().all(|&v| v == 0.0)));
         assert!(flat
@@ -394,8 +449,11 @@ mod tests {
         assert_eq!(hists[1][b], 2);
         // the whole feature pipeline spreads intervals that differ only
         // in where (not how much) they touch memory
-        let fs =
-            extract_features_with_regions(std::slice::from_ref(&intervals), Some(&[hists]), None);
+        let fs = extract_features_with_regions(
+            std::slice::from_ref(&intervals),
+            &[hists],
+            &[[0.0; FUNC_DIMS]; 2],
+        );
         assert!(
             fs.norm[0][SCALAR_DIMS..SCALAR_DIMS + REGION_DIMS]
                 != fs.norm[1][SCALAR_DIMS..SCALAR_DIMS + REGION_DIMS]
@@ -405,7 +463,7 @@ mod tests {
     #[test]
     fn empty_interval_features_are_finite() {
         // a (degenerate) interval with no records must not produce NaN
-        let fs = extract_features(&[vec![
+        let fs = scalar_features(&[vec![
             IntervalStats {
                 instructions: 10,
                 records: 0,

@@ -4,11 +4,13 @@
 //! the Representativeness of Simulation Intervals for the Cache Memory
 //! System"; Sherwood et al.'s SimPoint; SMARTS-style functional warmup):
 //!
-//! * [`features`] — per-interval feature vectors derived from the
-//!   footer's `IntervalStats` (memory intensity, store/dependence mix,
-//!   footprint, reuse, span), min-max normalized. Files recorded before
-//!   interval stats existed are recomputed on the fly by
-//!   `TraceFile::intervals_for`.
+//! * [`features`] — the per-interval feature matrix the planner
+//!   clusters and `simpoint inspect` prints ([`trace_features`]): the
+//!   footer's `IntervalStats` scalars (memory intensity,
+//!   store/dependence mix, footprint, reuse, span, position), hashed
+//!   4 KiB-region histograms and functional-pass covariates. Files
+//!   recorded before interval stats existed are recomputed on the fly
+//!   by `TraceFile::intervals_for`.
 //! * [`kmeans`] — deterministic k-means++ (seeded from
 //!   `chrome_exec::workload_seed`, fixed iteration order, lowest-index
 //!   tie-breaks) over those vectors; every run of the same trace and
@@ -26,7 +28,7 @@ pub mod kmeans;
 pub mod plan;
 pub mod reconstruct;
 
-pub use features::{extract_features, FeatureSet};
+pub use features::{trace_features, FeatureSet};
 pub use kmeans::{cluster, Clustering};
 pub use plan::{build_plan, build_plan_windowed, SamplingSpec, Segment, WorkloadPlan};
 pub use reconstruct::{

@@ -12,7 +12,7 @@
 use chrome_sim::SampledInterval;
 use chrome_tracefile::{TraceFile, TraceFileError};
 
-use crate::features::{extract_features_with_regions, region_histograms};
+use crate::features::trace_features;
 use crate::kmeans::cluster;
 
 /// Parsed form of the `k=<k>,ramp=<n>[,reps=<m>]` sampling axis.
@@ -145,10 +145,10 @@ impl WorkloadPlan {
     }
 }
 
-/// Build the sampling plan for `tf`: extract features from the footer's
-/// interval stats (recomputing them for pre-interval-stats files),
-/// cluster with the deterministic seed, and emit one segment per
-/// cluster representative with instruction-share weights.
+/// Build the sampling plan for `tf`: extract its feature matrix
+/// ([`trace_features`]), cluster with the deterministic seed, and emit
+/// one segment per cluster representative with instruction-share
+/// weights.
 ///
 /// Fewer aligned intervals than `k` degrades gracefully to exact
 /// sampling (every interval is its own segment).
@@ -174,52 +174,7 @@ pub fn build_plan_windowed(
     skip: u64,
     len: u64,
 ) -> Result<WorkloadPlan, TraceFileError> {
-    let cores = tf.manifest().cores.len();
-    let mut per_core = Vec::with_capacity(cores);
-    let mut regions = Vec::with_capacity(cores);
-    for c in 0..cores {
-        per_core.push(tf.intervals_for(c)?);
-        // one linear decode per core feeds the region vectors; the
-        // scalar footer stats alone cannot separate phases that touch
-        // different parts of the address space
-        regions.push(region_histograms(&tf.decode_core(c)?, &per_core[c]));
-    }
-
-    // per-core cumulative fetch positions at each interval boundary
-    let mut cum: Vec<Vec<u64>> = Vec::with_capacity(cores);
-    for intervals in &per_core {
-        let mut acc = 0u64;
-        let mut cur = Vec::with_capacity(intervals.len() + 1);
-        cur.push(0);
-        for iv in intervals {
-            acc += iv.instructions;
-            cur.push(acc);
-        }
-        cum.push(cur);
-    }
-
-    // functional-covariate columns: one functional pass over the whole
-    // trace under the default policy (scheme-independent, so every
-    // grid cell on the same trace clusters identically) yields each
-    // interval's pseudo-CPI and LLC demand MPKI
-    let n_aligned = per_core.iter().map(Vec::len).min().unwrap_or(0);
-    let func: Vec<[f64; crate::features::FUNC_DIMS]> = {
-        let mut sys =
-            chrome_sim::System::new(chrome_sim::SimConfig::with_cores(cores), tf.sources()?);
-        let profile = sys.run_functional_profile(&cum);
-        (0..n_aligned)
-            .map(|j| {
-                let instr: u64 = per_core.iter().map(|core| core[j].instructions).sum();
-                let instr = instr.max(1) as f64;
-                [
-                    profile.cycles[j] as f64 / instr,
-                    profile.llc_misses[j] as f64 / instr * 1000.0,
-                ]
-            })
-            .collect()
-    };
-
-    let features = extract_features_with_regions(&per_core, Some(&regions), Some(&func));
+    let (features, cum) = trace_features(tf)?;
     assert!(
         !features.is_empty(),
         "trace {} has no aligned intervals to sample",
@@ -338,9 +293,9 @@ pub fn build_plan_windowed(
     for &(rep_p, c) in &chosen {
         let rep = in_window[rep_p];
         let start: Vec<u64> = cum.iter().map(|core| core[rep]).collect();
-        let detail = per_core
+        let detail = cum
             .iter()
-            .map(|core| core[rep].instructions)
+            .map(|core| core[rep + 1] - core[rep])
             .min()
             .unwrap_or(0)
             .max(1);

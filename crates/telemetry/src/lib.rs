@@ -67,11 +67,6 @@ pub struct Telemetry {
     /// Per-request latency attribution (populated only when the sink
     /// was configured with `profile: true`).
     pub attrib: AttribProfiler,
-    /// Sampling manifest (JSON) when the run was a representative-
-    /// interval sampled replay; `None` for full runs. Exported as
-    /// `<prefix>_sampling.json` so downstream tooling (`tldiff`) can
-    /// tell sampled and full artifacts apart.
-    pub sampling: Option<String>,
 }
 
 impl Telemetry {
@@ -79,7 +74,6 @@ impl Telemetry {
         Telemetry {
             epochs: EpochSeries::new(),
             attrib: AttribProfiler::default(),
-            sampling: None,
         }
     }
 }
@@ -148,9 +142,7 @@ impl TelemetrySink {
     }
 
     /// Drop everything recorded so far (measurement-boundary reset so
-    /// warmup does not pollute the exported series). The sampling
-    /// manifest survives: it describes the run's shape, not its
-    /// measurements.
+    /// warmup does not pollute the exported series).
     pub fn clear(&self) {
         if let Some(t) = &self.inner {
             let mut t = t.borrow_mut();
@@ -159,20 +151,9 @@ impl TelemetrySink {
         }
     }
 
-    /// Attach the sampling manifest (JSON) for a sampled replay; full
-    /// runs never call this, so their artifact sets carry no
-    /// `_sampling.json`.
-    pub fn set_sampling(&self, manifest: String) {
-        if let Some(t) = &self.inner {
-            t.borrow_mut().sampling = Some(manifest);
-        }
-    }
-
     /// Write all artifacts into `dir` as `<prefix>_epochs.csv` and
-    /// `<prefix>_trace.json` — plus
-    /// `<prefix>_attrib.csv` and
-    /// `<prefix>_attrib.txt` when profiling, and `<prefix>_sampling.json`
-    /// when a sampling manifest was attached. Creates `dir` if missing;
+    /// `<prefix>_trace.json` — plus `<prefix>_attrib.csv` and
+    /// `<prefix>_attrib.txt` when profiling. Creates `dir` if missing;
     /// a no-op sink writes nothing and returns an empty list.
     pub fn export(&self, dir: &Path, prefix: &str) -> io::Result<Vec<PathBuf>> {
         let Some(t) = &self.inner else {
@@ -196,9 +177,6 @@ impl TelemetrySink {
                 format!("{prefix}_attrib.txt"),
                 export::attrib_text(&t.attrib),
             ));
-        }
-        if let Some(manifest) = &t.sampling {
-            files.push((format!("{prefix}_sampling.json"), manifest.clone()));
         }
         let mut written = Vec::with_capacity(files.len());
         for (name, contents) in files {
@@ -275,25 +253,6 @@ mod tests {
         assert!(dir.join("run0_attrib.txt").exists());
         s.clear();
         assert_eq!(s.with(|t| t.attrib.total_requests()), Some(0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sampling_manifest_survives_clear_and_exports() {
-        let dir = std::env::temp_dir().join("chrome-telemetry-test-sampling");
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = TelemetrySink::recording(TelemetryConfig::default());
-        s.set_sampling("{\"spec\":\"k=2,ramp=100\"}".into());
-        s.clear(); // measurement-boundary reset must not drop the manifest
-        let files = s.export(&dir, "run0").unwrap();
-        assert_eq!(files.len(), 3);
-        let json = std::fs::read_to_string(dir.join("run0_sampling.json")).unwrap();
-        assert!(json.contains("k=2,ramp=100"));
-        // full runs export no sampling artifact
-        let plain = TelemetrySink::recording(TelemetryConfig::default());
-        let files = plain.export(&dir, "run1").unwrap();
-        assert_eq!(files.len(), 2);
-        assert!(!dir.join("run1_sampling.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

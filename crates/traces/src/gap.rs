@@ -514,9 +514,12 @@ impl GapSource {
         }
     }
 
+    /// Connected components runs a fixed 33 label-propagation sweeps
+    /// over every vertex, then restarts: it does not stop at
+    /// convergence, and the `cc-*` rows of
+    /// `results/sampling_validation.tsv` pin that record stream.
     fn advance_cc(&mut self) {
         let n = self.graph.num_vertices();
-        let mut changed = false;
         for _ in 0..4 {
             if self.cursor >= n {
                 self.cursor = 0;
@@ -536,10 +539,8 @@ impl GapSource {
             if min_label < self.dist[u as usize] {
                 self.dist[u as usize] = min_label;
                 self.push_data_store(u, false);
-                changed = true;
             }
         }
-        let _ = changed;
     }
 
     fn advance_pr(&mut self) {
