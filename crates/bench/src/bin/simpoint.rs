@@ -44,7 +44,7 @@ use chrome_sim::Kernel;
 use chrome_simpoint::features::DIM_NAMES;
 use chrome_simpoint::{build_plan, trace_features, SamplingSpec};
 use chrome_tracefile::recorder::record_workload;
-use chrome_tracefile::{Codec, TraceFile, TraceIndex};
+use chrome_tracefile::{TraceFile, TraceIndex};
 
 const USAGE: &str = "cluster --trace FILE --sampling k=<k>,ramp=<n> [--base-seed N]\n\
      \x20      simpoint inspect --trace FILE [--csv PATH]\n\
@@ -287,16 +287,7 @@ fn record_missing(opts: &Options, dir: &std::path::Path, workloads: &[String]) {
         let name = format!("{}_c{}_s{seed:x}.ctf", wl.replace('+', "-"), opts.cores);
         let path = dir.join(name);
         eprintln!("recording {} ({} instructions/core)", path.display(), quota);
-        record_workload(
-            &path,
-            wl,
-            opts.cores,
-            seed,
-            quota,
-            Codec::Compact,
-            opts.interval,
-        )
-        .unwrap_or_else(|e| {
+        record_workload(&path, wl, opts.cores, seed, quota, opts.interval).unwrap_or_else(|e| {
             eprintln!("recording {wl}: {e}");
             exit(1);
         });

@@ -800,7 +800,6 @@ mod tests {
             1,
             spec.workload_seed(),
             80_000,
-            chrome_tracefile::Codec::Compact,
             5_000,
         )
         .unwrap();
@@ -836,7 +835,6 @@ mod tests {
             1,
             spec.workload_seed(),
             40_000,
-            chrome_tracefile::Codec::Compact,
             10_000,
         )
         .unwrap();

@@ -9,7 +9,7 @@ use std::process::Command;
 use chrome_simpoint::features::DIMS;
 use chrome_simpoint::trace_features;
 use chrome_tracefile::recorder::record_workload;
-use chrome_tracefile::{Codec, TraceFile};
+use chrome_tracefile::TraceFile;
 
 const NUMERIC_FLAGS: [&str; 10] = [
     "--workloads",
@@ -88,7 +88,7 @@ fn inspect_prints_the_planners_matrix() {
     std::fs::create_dir_all(&dir).expect("temp dir created");
     let trace = dir.join("gcc.ctf");
     // 40 intervals of 5000 instructions on one core
-    record_workload(&trace, "gcc", 1, 7, 200_000, Codec::Compact, 5_000).expect("trace recorded");
+    record_workload(&trace, "gcc", 1, 7, 200_000, 5_000).expect("trace recorded");
     let csv = dir.join("features.csv");
     let out = Command::new(env!("CARGO_BIN_EXE_simpoint"))
         .args(["inspect", "--trace"])

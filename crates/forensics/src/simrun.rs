@@ -170,7 +170,6 @@ mod tests {
     use chrome_bench::experiments::cell;
     use chrome_bench::{simulate_cell, RunParams};
     use chrome_tracefile::recorder::record_workload;
-    use chrome_tracefile::Codec;
 
     fn tiny(scheme: &str) -> CellSpec {
         let params = RunParams {
@@ -236,7 +235,6 @@ mod tests {
             2,
             spec.workload_seed(),
             quota,
-            Codec::Compact,
             10_000,
         )
         .unwrap();

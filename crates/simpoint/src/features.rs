@@ -190,25 +190,29 @@ pub fn region_histograms(
 /// The feature matrix the sampling planner clusters for `tf`, and each
 /// core's cumulative fetch position at every interval boundary
 /// (`intervals + 1` entries per core, starting at 0). Per core, it reads
-/// the footer interval stats (recomputed for files recorded before they
-/// existed) and decodes the records once for the region histograms;
-/// one functional pass over the whole trace yields the covariates.
+/// the footer interval stats and decodes the records once for the
+/// region histograms; one functional pass over the whole trace yields
+/// the covariates.
 /// `simpoint inspect` prints this same matrix.
 ///
 /// # Errors
 ///
-/// Returns the trace file's error when a core's intervals or records
-/// cannot be read.
+/// Returns the trace file's error when a core's records cannot be
+/// read.
 pub fn trace_features(tf: &TraceFile) -> Result<(FeatureSet, Vec<Vec<u64>>), TraceFileError> {
     let cores = tf.manifest().cores.len();
-    let mut per_core = Vec::with_capacity(cores);
+    let per_core: Vec<Vec<IntervalStats>> = tf
+        .manifest()
+        .cores
+        .iter()
+        .map(|core| core.intervals.clone())
+        .collect();
     let mut regions = Vec::with_capacity(cores);
-    for c in 0..cores {
-        per_core.push(tf.intervals_for(c)?);
+    for (c, intervals) in per_core.iter().enumerate() {
         // one linear decode per core feeds the region vectors; the
         // scalar footer stats alone cannot separate phases that touch
         // different parts of the address space
-        regions.push(region_histograms(&tf.decode_core(c)?, &per_core[c]));
+        regions.push(region_histograms(&tf.decode_core(c)?, intervals));
     }
 
     // per-core cumulative fetch positions at each interval boundary

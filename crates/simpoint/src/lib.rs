@@ -8,9 +8,7 @@
 //!   clusters and `simpoint inspect` prints ([`trace_features`]): the
 //!   footer's `IntervalStats` scalars (memory intensity,
 //!   store/dependence mix, footprint, reuse, span, position), hashed
-//!   4 KiB-region histograms and functional-pass covariates. Files
-//!   recorded before interval stats existed are recomputed on the fly
-//!   by `TraceFile::intervals_for`.
+//!   4 KiB-region histograms and functional-pass covariates.
 //! * [`kmeans`] — deterministic k-means++ (seeded from
 //!   `chrome_exec::workload_seed`, fixed iteration order, lowest-index
 //!   tie-breaks) over those vectors; every run of the same trace and

@@ -330,7 +330,7 @@ mod tests {
     use chrome_sim::rng::SmallRng;
     use chrome_sim::trace::TraceSource;
     use chrome_sim::types::{AccessKind, TraceRecord};
-    use chrome_tracefile::{record_sources, Codec};
+    use chrome_tracefile::record_sources;
     use std::path::PathBuf;
 
     #[test]
@@ -401,7 +401,7 @@ mod tests {
                 }) as Box<dyn TraceSource>
             })
             .collect();
-        record_sources(&path, sources, "test", quota, Codec::Compact, interval).unwrap();
+        record_sources(&path, sources, "test", quota, interval).unwrap();
         path
     }
 
@@ -443,7 +443,7 @@ mod tests {
             7,
         )
         .unwrap();
-        let intervals = tf.intervals_for(0).unwrap();
+        let intervals = &tf.manifest().cores[0].intervals;
         for seg in &plan.segments {
             let expect: u64 = intervals[..seg.interval]
                 .iter()
@@ -461,7 +461,7 @@ mod tests {
     fn degenerate_small_trace_samples_every_interval() {
         let path = phased_trace(1, 3_000, 1_000);
         let tf = TraceFile::open(&path).unwrap();
-        let n = tf.intervals_for(0).unwrap().len();
+        let n = tf.manifest().cores[0].intervals.len();
         let plan = build_plan(
             &tf,
             SamplingSpec {

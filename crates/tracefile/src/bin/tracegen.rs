@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! tracegen --workload NAME [--cores N] [--seed N | --base-seed N]
-//!          [--instructions N] (--out FILE | --out-dir DIR)
-//!          [--codec compact|champsim] [--interval N]
+//!          [--instructions N] (--out FILE | --out-dir DIR) [--interval N]
 //! ```
 //!
 //! `--seed` is the raw generator seed. `--base-seed` instead takes a
@@ -21,7 +20,6 @@ use std::process::exit;
 
 use chrome_exec::cli::Args;
 use chrome_tracefile::recorder::{record_workload, DEFAULT_INTERVAL_INSTR};
-use chrome_tracefile::Codec;
 
 struct Options {
     workload: String,
@@ -30,23 +28,21 @@ struct Options {
     instructions: u64,
     /// The file to write: `--out`, or its name under `--out-dir`.
     path: PathBuf,
-    codec: Codec,
     interval: u64,
 }
 
 /// Parse the command line. An unknown flag, a missing or malformed
-/// value, an unknown workload or codec, or anything but exactly one of
+/// value, an unknown workload, or anything but exactly one of
 /// `--out` and `--out-dir` is a usage error.
 fn parse_args() -> Options {
     let mut args = Args::new(
         "--workload NAME [--cores N] [--seed N | --base-seed N] [--instructions N]\n\
-         \x20      (--out FILE | --out-dir DIR) [--codec compact|champsim] [--interval N]",
+         \x20      (--out FILE | --out-dir DIR) [--interval N]",
     );
     let mut workload = String::new();
     let (mut cores, mut seed, mut base_seed) = (1, 0x5EED, None);
     let (mut out, mut out_dir): (Option<PathBuf>, Option<PathBuf>) = (None, None);
     let mut instructions = 200_000;
-    let mut codec = Codec::Compact;
     let mut interval = DEFAULT_INTERVAL_INSTR;
     while let Some(flag) = args.next() {
         let flag = flag.as_str();
@@ -64,11 +60,6 @@ fn parse_args() -> Options {
             "--instructions" => instructions = args.number(flag),
             "--out" => out = Some(args.value(flag).into()),
             "--out-dir" => out_dir = Some(args.value(flag).into()),
-            "--codec" => {
-                let name = args.value(flag);
-                codec = Codec::parse(&name)
-                    .unwrap_or_else(|| args.bad(&format!("unknown codec {name}")));
-            }
             "--interval" => interval = args.number(flag),
             _ => args.unknown(flag),
         }
@@ -100,7 +91,6 @@ fn parse_args() -> Options {
         seed,
         instructions,
         path,
-        codec,
         interval,
     }
 }
@@ -114,15 +104,13 @@ fn main() {
         opts.cores,
         opts.seed,
         opts.instructions,
-        opts.codec,
         opts.interval,
     ) {
         Ok(m) => {
             println!("recorded {} -> {}", opts.workload, path.display());
             println!(
-                "  codec={} cores={} quota={} records={} instructions={} \
+                "  cores={} quota={} records={} instructions={} \
                  stream_bytes={} bytes/instr={:.3} hash={}",
-                m.codec.name(),
                 m.cores.len(),
                 m.quota,
                 m.total_records(),

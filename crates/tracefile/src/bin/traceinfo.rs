@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Checks every PATH in order. By default prints each file's footer
-//! manifest (codec, quota, generator spec, content hash, per-core
+//! manifest (quota, generator spec, content hash, per-core
 //! streams, compression rate) plus an interval summary. `--intervals`
 //! prints every per-interval stat row, `--intervals-csv` writes them to
 //! a CSV file (the clustering input; it takes a single PATH),
@@ -59,8 +59,7 @@ fn parse_args() -> Options {
 }
 
 /// Render every core's interval stats as one CSV table (the clustering
-/// input, inspectable without the `simpoint` bin). Recomputes stats for
-/// cores whose manifest predates interval recording.
+/// input, inspectable without the `simpoint` bin).
 fn intervals_csv(tf: &TraceFile, out: &PathBuf) -> Result<(), TraceFileError> {
     use std::io::Write;
     let mut f = std::io::BufWriter::new(std::fs::File::create(out)?);
@@ -68,8 +67,8 @@ fn intervals_csv(tf: &TraceFile, out: &PathBuf) -> Result<(), TraceFileError> {
         f,
         "core,interval,instructions,records,loads,stores,dep_loads,distinct_lines,min_line,max_line"
     )?;
-    for i in 0..tf.manifest().cores.len() {
-        for (j, iv) in tf.intervals_for(i)?.iter().enumerate() {
+    for (i, core) in tf.manifest().cores.iter().enumerate() {
+        for (j, iv) in core.intervals.iter().enumerate() {
             writeln!(
                 f,
                 "{i},{j},{},{},{},{},{},{},{},{}",
@@ -112,8 +111,7 @@ fn report(path: &Path, opts: &Options) -> bool {
     let m = tf.manifest();
     println!("{}", path.display());
     println!(
-        "  codec={} version=1 cores={} quota={} interval={}",
-        m.codec.name(),
+        "  version=1 cores={} quota={} interval={}",
         m.cores.len(),
         m.quota,
         m.interval_instr

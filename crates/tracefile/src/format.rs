@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ header (16 B): "CTF1" | version u16 | codec u8 | cores u8 |  │
-//! │                reserved [0u8; 8]                             │
+//! │ header (16 B): "CTF1" | version u16 | codec u8 (always 0) |  │
+//! │                cores u8 | reserved [0u8; 8]                  │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ core 0 stream  (frames / input_instr records)                │
+//! │ core 0 stream  (compact frames)                              │
 //! │ core 1 stream                                                │
 //! │ ...                                                          │
 //! ├──────────────────────────────────────────────────────────────┤
@@ -32,54 +32,16 @@ pub const HEADER_LEN: u64 = 16;
 /// Byte length of the fixed tail.
 pub const TAIL_LEN: u64 = 16;
 
-/// Which record encoding a `.ctf` file's streams use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Codec {
-    /// Native compact frames: delta-from-previous + LEB128 varints with
-    /// run-length-encoded non-memory gaps. See [`crate::codec`].
-    #[default]
-    Compact,
-    /// ChampSim's 64-byte `input_instr` records, one per instruction
-    /// (non-memory instructions are materialized). See [`crate::champsim`].
-    ChampSim,
-}
+/// The stream-encoding tag the header and the manifest carry. Compact
+/// frames (see [`crate::codec`]) are the only encoding, tag 0; any
+/// other tag fails to decode with [`TraceFileError::BadCodec`].
+pub const CODEC_TAG: u8 = 0;
 
-impl Codec {
-    /// Stable on-disk tag.
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            Codec::Compact => 0,
-            Codec::ChampSim => 1,
-        }
-    }
-
-    /// Decode an on-disk tag.
-    pub fn from_tag(tag: u8) -> Result<Self, TraceFileError> {
-        match tag {
-            0 => Ok(Codec::Compact),
-            1 => Ok(Codec::ChampSim),
-            t => Err(TraceFileError::Corrupt(format!("unknown codec tag {t}"))),
-        }
-    }
-
-    /// Human name (CLI argument / `traceinfo` output form).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Codec::Compact => "compact",
-            Codec::ChampSim => "champsim",
-        }
-    }
-
-    /// Parse a CLI name.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "compact" => Some(Codec::Compact),
-            "champsim" => Some(Codec::ChampSim),
-            _ => None,
-        }
+fn check_codec(tag: u8) -> Result<(), TraceFileError> {
+    if tag == CODEC_TAG {
+        Ok(())
+    } else {
+        Err(TraceFileError::BadCodec(tag))
     }
 }
 
@@ -93,6 +55,9 @@ pub enum TraceFileError {
     BadMagic,
     /// The container version is newer than this build understands.
     BadVersion(u16),
+    /// The header or manifest names a stream encoding other than
+    /// compact frames ([`CODEC_TAG`]).
+    BadCodec(u8),
     /// The file ends before a structure it promises (`what` names it).
     Truncated(&'static str),
     /// A structural invariant is violated (bad offsets, counts, tags).
@@ -104,10 +69,6 @@ pub enum TraceFileError {
         /// Hash recomputed from the decoded stream.
         actual: u64,
     },
-    /// A record cannot be represented in the requested codec (e.g.
-    /// address 0 in the ChampSim layout, where a zero memory operand
-    /// means "no operand").
-    Unrepresentable(String),
     /// The recorder was asked to capture a workload name the generator
     /// registry does not know.
     UnknownWorkload(String),
@@ -121,15 +82,16 @@ impl fmt::Display for TraceFileError {
             TraceFileError::BadVersion(v) => {
                 write!(f, "unsupported trace-file version {v} (this build reads {VERSION})")
             }
+            TraceFileError::BadCodec(tag) => write!(
+                f,
+                "unsupported codec tag {tag} (this build reads compact frames, tag {CODEC_TAG})"
+            ),
             TraceFileError::Truncated(what) => write!(f, "truncated trace file: {what}"),
             TraceFileError::Corrupt(msg) => write!(f, "corrupt trace file: {msg}"),
             TraceFileError::HashMismatch { expected, actual } => write!(
                 f,
                 "content hash mismatch: manifest says {expected:016x}, stream decodes to {actual:016x}"
             ),
-            TraceFileError::Unrepresentable(msg) => {
-                write!(f, "record not representable in this codec: {msg}")
-            }
             TraceFileError::UnknownWorkload(name) => {
                 write!(f, "unknown workload {name:?} (not in the generator registry)")
             }
@@ -225,8 +187,6 @@ pub struct CoreManifest {
 /// and everything resolution/validation needs without decoding streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Record encoding of every stream.
-    pub codec: Codec,
     /// Requested per-core instruction quota the recorder captured to.
     pub quota: u64,
     /// FNV-1a over the canonical decoded record stream of all cores in
@@ -291,7 +251,7 @@ impl Manifest {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
-        out.push(self.codec.tag());
+        out.push(CODEC_TAG);
         out.extend_from_slice(&(self.cores.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.quota.to_le_bytes());
         out.extend_from_slice(&self.content_hash.to_le_bytes());
@@ -318,7 +278,7 @@ impl Manifest {
     /// Parse the on-disk binary form.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceFileError> {
         let mut c = Cursor::new(bytes);
-        let codec = Codec::from_tag(c.u8()?)?;
+        check_codec(c.u8()?)?;
         let n_cores = c.u32()? as usize;
         if n_cores == 0 || n_cores > 4096 {
             return Err(TraceFileError::Corrupt(format!(
@@ -356,7 +316,6 @@ impl Manifest {
             });
         }
         Ok(Manifest {
-            codec,
             quota,
             content_hash,
             spec,
@@ -368,17 +327,17 @@ impl Manifest {
 
 /// Render the fixed 16-byte header.
 #[must_use]
-pub fn encode_header(codec: Codec, cores: u8) -> [u8; HEADER_LEN as usize] {
+pub fn encode_header(cores: u8) -> [u8; HEADER_LEN as usize] {
     let mut h = [0u8; HEADER_LEN as usize];
     h[0..4].copy_from_slice(MAGIC);
     h[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    h[6] = codec.tag();
+    h[6] = CODEC_TAG;
     h[7] = cores;
     h
 }
 
-/// Validate a header; returns `(codec, cores)`.
-pub fn decode_header(h: &[u8]) -> Result<(Codec, u8), TraceFileError> {
+/// Validate a header; returns its core count.
+pub fn decode_header(h: &[u8]) -> Result<u8, TraceFileError> {
     if h.len() < HEADER_LEN as usize {
         return Err(TraceFileError::Truncated("header"));
     }
@@ -389,7 +348,8 @@ pub fn decode_header(h: &[u8]) -> Result<(Codec, u8), TraceFileError> {
     if version != VERSION {
         return Err(TraceFileError::BadVersion(version));
     }
-    Ok((Codec::from_tag(h[6])?, h[7]))
+    check_codec(h[6])?;
+    Ok(h[7])
 }
 
 /// Render the fixed 16-byte tail.
@@ -469,48 +429,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Write a one-core container around raw stream bytes, for tests that
-/// need streams the recorder never writes. The manifest carries no
-/// interval stats and a zero content hash.
-#[cfg(test)]
-pub(crate) fn write_one_core(
-    path: &std::path::Path,
-    codec: Codec,
-    stream: &[u8],
-    records: u64,
-    instructions: u64,
-) {
-    let manifest = Manifest {
-        codec,
-        quota: instructions,
-        content_hash: 0,
-        spec: String::new(),
-        interval_instr: 100_000,
-        cores: vec![CoreManifest {
-            name: "raw".into(),
-            stream_off: HEADER_LEN,
-            stream_len: stream.len() as u64,
-            records,
-            instructions,
-            intervals: Vec::new(),
-        }],
-    };
-    let mut bytes = encode_header(codec, 1).to_vec();
-    bytes.extend_from_slice(stream);
-    let manifest_off = bytes.len() as u64;
-    let encoded = manifest.encode();
-    bytes.extend_from_slice(&encoded);
-    bytes.extend_from_slice(&encode_tail(manifest_off, encoded.len() as u32));
-    std::fs::write(path, bytes).unwrap();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> Manifest {
         Manifest {
-            codec: Codec::Compact,
             quota: 200_000,
             content_hash: 0xDEAD_BEEF_CAFE_F00D,
             spec: "workload=mcf;cores=2;seed=42".into(),
@@ -569,8 +493,8 @@ mod tests {
 
     #[test]
     fn header_roundtrip_and_bad_magic() {
-        let h = encode_header(Codec::ChampSim, 4);
-        assert_eq!(decode_header(&h).unwrap(), (Codec::ChampSim, 4));
+        let h = encode_header(4);
+        assert_eq!(decode_header(&h).unwrap(), 4);
         let mut bad = h;
         bad[0] = b'X';
         assert!(matches!(decode_header(&bad), Err(TraceFileError::BadMagic)));
@@ -610,11 +534,21 @@ mod tests {
 
     #[test]
     fn codec_tags_roundtrip() {
-        for c in [Codec::Compact, Codec::ChampSim] {
-            assert_eq!(Codec::from_tag(c.tag()).unwrap(), c);
-            assert_eq!(Codec::parse(c.name()), Some(c));
+        // tag 0 is written and read back; header and manifest name any
+        // other tag in their error
+        assert_eq!(encode_header(2)[6], CODEC_TAG);
+        assert_eq!(sample().encode()[0], CODEC_TAG);
+        for tag in [1, 7] {
+            let mut h = encode_header(2);
+            h[6] = tag;
+            assert!(matches!(decode_header(&h), Err(TraceFileError::BadCodec(t)) if t == tag));
+            let mut m = sample().encode();
+            m[0] = tag;
+            let err = Manifest::decode(&m).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("codec tag {tag}")),
+                "{err}"
+            );
         }
-        assert!(Codec::from_tag(7).is_err());
-        assert!(Codec::parse("gzip").is_none());
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use crate::format::{Codec, TraceFileError};
+use crate::format::TraceFileError;
 use crate::reader::TraceFile;
 
 /// One usable trace file found in a scanned directory.
@@ -22,14 +22,6 @@ pub struct TraceEntry {
     pub content_hash: u64,
     /// Per-core instruction quota the file was recorded with.
     pub quota: u64,
-    /// Number of per-core streams.
-    pub cores: usize,
-    /// Codec the streams are stored in.
-    pub codec: Codec,
-    /// Workload name from the manifest's generator spec.
-    pub workload: String,
-    /// Generator seed from the manifest's generator spec.
-    pub seed: u64,
 }
 
 impl TraceEntry {
@@ -88,10 +80,6 @@ impl TraceIndex {
                         path,
                         content_hash: m.content_hash,
                         quota: m.quota,
-                        cores,
-                        codec: m.codec,
-                        workload: workload.clone(),
-                        seed,
                     };
                     idx.entries.insert((workload, cores, seed), entry);
                 }
@@ -106,29 +94,11 @@ impl TraceIndex {
     pub fn lookup(&self, workload: &str, cores: usize, seed: u64) -> Option<&TraceEntry> {
         self.entries.get(&(workload.to_string(), cores, seed))
     }
-
-    /// Number of indexed trace files.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the scan found no usable traces.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All indexed entries, in no particular order.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.values()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::Codec;
     use crate::recorder::record_workload;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -143,37 +113,40 @@ mod tests {
     #[test]
     fn scan_indexes_by_workload_identity() {
         let dir = tmpdir("scan");
-        record_workload(
-            &dir.join("a.ctf"),
-            "mcf",
-            1,
-            7,
-            5_000,
-            Codec::Compact,
-            1_000,
-        )
-        .unwrap();
-        record_workload(
-            &dir.join("b.ctf"),
-            "lbm",
-            2,
-            7,
-            5_000,
-            Codec::ChampSim,
-            1_000,
-        )
-        .unwrap();
+        let a = record_workload(&dir.join("a.ctf"), "mcf", 1, 7, 5_000, 1_000).unwrap();
+        record_workload(&dir.join("b.ctf"), "lbm", 2, 7, 5_000, 1_000).unwrap();
         std::fs::write(dir.join("junk.ctf"), b"not a trace").unwrap();
         std::fs::write(dir.join("ignored.txt"), b"whatever").unwrap();
 
         let idx = TraceIndex::scan(&dir).unwrap();
-        assert_eq!(idx.len(), 2);
         assert_eq!(idx.rejected.len(), 1, "junk.ctf is rejected with a reason");
         let e = idx.lookup("mcf", 1, 7).expect("mcf indexed");
-        assert_eq!(e.codec, Codec::Compact);
+        assert_eq!(e.path, dir.join("a.ctf"));
+        assert_eq!(e.content_hash, a.content_hash);
         assert_eq!(e.quota, 5_000);
+        assert!(idx.lookup("lbm", 2, 7).is_some(), "lbm indexed");
         assert!(idx.lookup("mcf", 2, 7).is_none(), "core count is identity");
         assert!(idx.lookup("mcf", 1, 8).is_none(), "seed is identity");
+    }
+
+    #[test]
+    fn scan_rejects_a_codec_tag_1_file() {
+        let dir = tmpdir("tag");
+        let path = dir.join("mcf.ctf");
+        record_workload(&path, "mcf", 1, 7, 5_000, 1_000).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[6] = 1; // the header's codec byte
+        std::fs::write(&path, bytes).unwrap();
+
+        let idx = TraceIndex::scan(&dir).unwrap();
+        assert!(idx.lookup("mcf", 1, 7).is_none());
+        assert_eq!(idx.rejected.len(), 1);
+        assert_eq!(idx.rejected[0].0, path);
+        assert!(
+            idx.rejected[0].1.contains("codec tag 1"),
+            "{:?}",
+            idx.rejected
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reading `.ctf` files: validation, full decode, and the streaming
 //! [`FileSource`] that drops into `System` as a `TraceSource`. Both
-//! walk a stream through one synchronous cursor, a frame or chunk at a
-//! time, on the caller's thread.
+//! walk a stream through one synchronous cursor, a frame at a time, on
+//! the caller's thread.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -10,10 +10,9 @@ use std::path::{Path, PathBuf};
 use chrome_sim::trace::TraceSource;
 use chrome_sim::types::TraceRecord;
 
-use crate::champsim;
 use crate::codec::{decode_frame_header, decode_frame_payload, FRAME_HEADER_LEN};
 use crate::format::{
-    decode_header, decode_tail, Codec, CoreManifest, Manifest, TraceFileError, HEADER_LEN, TAIL_LEN,
+    decode_header, decode_tail, CoreManifest, Manifest, TraceFileError, HEADER_LEN, TAIL_LEN,
 };
 use crate::{hash_record, HASH_BASIS};
 
@@ -40,7 +39,7 @@ impl TraceFile {
         }
         let mut header = [0u8; HEADER_LEN as usize];
         f.read_exact(&mut header)?;
-        let (codec, n_cores) = decode_header(&header)?;
+        let n_cores = decode_header(&header)?;
         let mut tail = [0u8; TAIL_LEN as usize];
         f.seek(SeekFrom::End(-(TAIL_LEN as i64)))?;
         f.read_exact(&mut tail)?;
@@ -58,9 +57,9 @@ impl TraceFile {
         let mut mbytes = vec![0u8; mlen as usize];
         f.read_exact(&mut mbytes)?;
         let manifest = Manifest::decode(&mbytes)?;
-        if manifest.codec != codec || manifest.cores.len() != n_cores as usize {
+        if manifest.cores.len() != n_cores as usize {
             return Err(TraceFileError::Corrupt(
-                "header and manifest disagree on codec or core count".into(),
+                "header and manifest disagree on core count".into(),
             ));
         }
         let mut expect = HEADER_LEN;
@@ -75,13 +74,6 @@ impl TraceFile {
                 .stream_off
                 .checked_add(core.stream_len)
                 .ok_or_else(|| TraceFileError::Corrupt("stream length overflow".into()))?;
-            if manifest.codec == Codec::ChampSim
-                && core.stream_len % champsim::INSTR_LEN as u64 != 0
-            {
-                return Err(TraceFileError::Corrupt(format!(
-                    "core {i} ChampSim stream is not a whole number of records"
-                )));
-            }
         }
         if expect != moff {
             return Err(TraceFileError::Corrupt(
@@ -91,10 +83,9 @@ impl TraceFile {
         // Interval-stat consistency: a zero interval length would make
         // every downstream feature vector empty (division by the
         // interval length, position reconstruction), so reject it here
-        // rather than let sampling silently select nothing. Recorded
-        // interval stats, when present, must tile the stream exactly;
-        // an empty interval list is legal (pre-interval-stats files)
-        // and handled by [`TraceFile::intervals_for`] recomputation.
+        // rather than let sampling silently select nothing. Every
+        // recording writes at least one interval per core, and the
+        // intervals must tile the stream exactly.
         if manifest.interval_instr == 0 {
             return Err(TraceFileError::Corrupt(
                 "manifest interval length is zero".into(),
@@ -102,7 +93,9 @@ impl TraceFile {
         }
         for (i, core) in manifest.cores.iter().enumerate() {
             if core.intervals.is_empty() {
-                continue;
+                return Err(TraceFileError::Corrupt(format!(
+                    "core {i} carries no interval stats; re-record the trace"
+                )));
             }
             let instr: u64 = core.intervals.iter().map(|iv| iv.instructions).sum();
             let recs: u64 = core.intervals.iter().map(|iv| iv.records).sum();
@@ -145,14 +138,12 @@ impl TraceFile {
         let cm = self.core(core)?;
         let mut cursor = StreamCursor {
             file: File::open(&self.path)?,
-            codec: self.manifest.codec,
             core,
             off: cm.stream_off,
             len: cm.stream_len,
             records: cm.records,
             remaining: 0,
             decoded: 0,
-            dec: champsim::Decoder::new(),
             bytes: Vec::new(),
         };
         cursor.rewind()?;
@@ -194,28 +185,9 @@ impl TraceFile {
         Ok(())
     }
 
-    /// Interval stats for one core: the manifest's recorded stats when
-    /// present, otherwise recomputed from a full decode of the stream
-    /// at the manifest's interval length (files recorded before
-    /// interval stats existed carry an empty list).
-    pub fn intervals_for(
-        &self,
-        core: usize,
-    ) -> Result<Vec<crate::format::IntervalStats>, TraceFileError> {
-        let cm = self.core(core)?;
-        if !cm.intervals.is_empty() {
-            return Ok(cm.intervals.clone());
-        }
-        let records = self.decode_core(core)?;
-        Ok(crate::recorder::compute_intervals(
-            &records,
-            self.manifest.interval_instr,
-        ))
-    }
-
     /// A streaming, infinite [`TraceSource`] over one core's stream. It
-    /// decodes one frame (or ChampSim chunk) at a time on the caller's
-    /// thread, so memory stays constant regardless of trace length; at
+    /// decodes one frame at a time on the caller's thread, so memory
+    /// stays constant regardless of trace length; at
     /// end of stream it wraps to the start, matching the
     /// championship-simulator practice of replaying traces until every
     /// core meets its quota.
@@ -242,18 +214,13 @@ impl TraceFile {
     }
 }
 
-/// Instructions per ChampSim read: 256 KiB of `input_instr` records.
-const CHUNK_INSTRS: usize = 4096;
-
 /// A synchronous reader over one core's stream. Each
-/// [`StreamCursor::next_batch`] reads and decodes the next compact frame,
-/// or the next [`CHUNK_INSTRS`]-instruction ChampSim chunk, so one frame
-/// or chunk of bytes is buffered at a time. The pass's record count is
-/// checked against the manifest when the stream ends.
+/// [`StreamCursor::next_batch`] reads and decodes the next compact
+/// frame, so one frame of bytes is buffered at a time. The pass's
+/// record count is checked against the manifest when the stream ends.
 #[derive(Debug)]
 struct StreamCursor {
     file: File,
-    codec: Codec,
     core: usize,
     off: u64,
     len: u64,
@@ -263,23 +230,20 @@ struct StreamCursor {
     remaining: u64,
     /// Records decoded in this pass.
     decoded: u64,
-    /// ChampSim decoder state, carried across chunks within a pass.
-    dec: champsim::Decoder,
     bytes: Vec<u8>,
 }
 
 impl StreamCursor {
-    /// Seek back to the stream's start with a fresh ChampSim decoder.
+    /// Seek back to the stream's start.
     fn rewind(&mut self) -> Result<(), TraceFileError> {
         self.file.seek(SeekFrom::Start(self.off))?;
         self.remaining = self.len;
         self.decoded = 0;
-        self.dec = champsim::Decoder::new();
         Ok(())
     }
 
-    /// Append the next frame's or chunk's records to `out`. Returns
-    /// `Ok(false)`, appending nothing, once the pass is complete.
+    /// Append the next frame's records to `out`. Returns `Ok(false)`,
+    /// appending nothing, once the pass is complete.
     fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> Result<bool, TraceFileError> {
         if self.remaining == 0 {
             if self.decoded != self.records {
@@ -290,38 +254,21 @@ impl StreamCursor {
             }
             return Ok(false);
         }
-        let before = out.len();
-        match self.codec {
-            Codec::Compact => {
-                if self.remaining < FRAME_HEADER_LEN as u64 {
-                    return Err(TraceFileError::Truncated("frame header"));
-                }
-                let mut header = [0u8; FRAME_HEADER_LEN];
-                self.file.read_exact(&mut header)?;
-                let (payload_len, nrec) = decode_frame_header(&header)?;
-                self.remaining -= FRAME_HEADER_LEN as u64;
-                if payload_len as u64 > self.remaining {
-                    return Err(TraceFileError::Truncated("frame payload"));
-                }
-                self.bytes.resize(payload_len, 0);
-                self.file.read_exact(&mut self.bytes)?;
-                self.remaining -= payload_len as u64;
-                decode_frame_payload(&self.bytes, nrec, out)?;
-            }
-            Codec::ChampSim => {
-                // `TraceFile::open` checked the stream is whole records
-                let take = self
-                    .remaining
-                    .min((CHUNK_INSTRS * champsim::INSTR_LEN) as u64);
-                self.bytes.resize(take as usize, 0);
-                self.file.read_exact(&mut self.bytes)?;
-                self.remaining -= take;
-                for instr in self.bytes.chunks_exact(champsim::INSTR_LEN) {
-                    self.dec.push_instr(instr, out);
-                }
-            }
+        if self.remaining < FRAME_HEADER_LEN as u64 {
+            return Err(TraceFileError::Truncated("frame header"));
         }
-        self.decoded += (out.len() - before) as u64;
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        self.file.read_exact(&mut header)?;
+        let (payload_len, nrec) = decode_frame_header(&header)?;
+        self.remaining -= FRAME_HEADER_LEN as u64;
+        if payload_len as u64 > self.remaining {
+            return Err(TraceFileError::Truncated("frame payload"));
+        }
+        self.bytes.resize(payload_len, 0);
+        self.file.read_exact(&mut self.bytes)?;
+        self.remaining -= payload_len as u64;
+        decode_frame_payload(&self.bytes, nrec, out)?;
+        self.decoded += nrec as u64;
         Ok(true)
     }
 }
@@ -374,7 +321,6 @@ impl TraceSource for FileSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::write_one_core;
     use crate::recorder::record_sources;
     use chrome_sim::trace::{StridedSource, TraceSource};
 
@@ -384,37 +330,35 @@ mod tests {
         dir.join(name)
     }
 
-    fn record_strided(name: &str, codec: Codec) -> PathBuf {
+    fn record_strided(name: &str) -> PathBuf {
         let path = tmp(name);
         let sources: Vec<Box<dyn TraceSource>> =
             vec![Box::new(StridedSource::new(0x4000, 64, 1 << 14, 2))];
-        record_sources(&path, sources, "test", 30_000, codec, 10_000).unwrap();
+        record_sources(&path, sources, "test", 30_000, 10_000).unwrap();
         path
     }
 
     #[test]
     fn open_verify_and_stream_match_generator() {
-        for codec in [Codec::Compact, Codec::ChampSim] {
-            let path = record_strided(&format!("ok-{}.ctf", codec.name()), codec);
-            let tf = TraceFile::open(&path).unwrap();
-            tf.verify().unwrap();
-            let decoded = tf.decode_core(0).unwrap();
-            let mut live = StridedSource::new(0x4000, 64, 1 << 14, 2);
-            for (i, rec) in decoded.iter().enumerate() {
-                assert_eq!(*rec, live.next_record(), "record {i} ({})", codec.name());
-            }
-            // the streaming source replays the same prefix, then wraps
-            let mut src = tf.source(0).unwrap();
-            for (i, rec) in decoded.iter().enumerate() {
-                assert_eq!(src.next_record(), *rec, "stream record {i}");
-            }
-            assert_eq!(src.next_record(), decoded[0], "wraparound restarts");
+        let path = record_strided("ok.ctf");
+        let tf = TraceFile::open(&path).unwrap();
+        tf.verify().unwrap();
+        let decoded = tf.decode_core(0).unwrap();
+        let mut live = StridedSource::new(0x4000, 64, 1 << 14, 2);
+        for (i, rec) in decoded.iter().enumerate() {
+            assert_eq!(*rec, live.next_record(), "record {i}");
         }
+        // the streaming source replays the same prefix, then wraps
+        let mut src = tf.source(0).unwrap();
+        for (i, rec) in decoded.iter().enumerate() {
+            assert_eq!(src.next_record(), *rec, "stream record {i}");
+        }
+        assert_eq!(src.next_record(), decoded[0], "wraparound restarts");
     }
 
     #[test]
     fn truncated_file_is_a_clean_error() {
-        let path = record_strided("trunc.ctf", Codec::Compact);
+        let path = record_strided("trunc.ctf");
         let bytes = std::fs::read(&path).unwrap();
         for cut in [0, 3, 15, 40, bytes.len() / 2, bytes.len() - 1] {
             let cut_path = tmp(&format!("trunc-{cut}.ctf"));
@@ -425,7 +369,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_flipped_payload_are_errors() {
-        let path = record_strided("corrupt.ctf", Codec::Compact);
+        let path = record_strided("corrupt.ctf");
         let bytes = std::fs::read(&path).unwrap();
 
         let mut bad_magic = bytes.clone();
@@ -447,8 +391,26 @@ mod tests {
     }
 
     #[test]
+    fn codec_tag_1_in_header_or_manifest_fails_to_open() {
+        let path = record_strided("tag.ctf");
+        let bytes = std::fs::read(&path).unwrap();
+        let tail = bytes.len() - TAIL_LEN as usize;
+        let manifest_off = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap());
+        for (what, at) in [("header", 6), ("manifest", manifest_off as usize)] {
+            let mut tagged = bytes.clone();
+            assert_eq!(tagged[at], 0, "{what} codec byte is written as 0");
+            tagged[at] = 1;
+            let p = tmp(&format!("tag-1-{what}.ctf"));
+            std::fs::write(&p, &tagged).unwrap();
+            let err = TraceFile::open(&p).unwrap_err();
+            assert!(matches!(err, TraceFileError::BadCodec(1)), "{what}: {err}");
+            assert!(err.to_string().contains("codec tag 1"), "{what}: {err}");
+        }
+    }
+
+    #[test]
     fn frame_declaring_more_records_than_bytes_is_corrupt() {
-        let path = record_strided("overcount.ctf", Codec::Compact);
+        let path = record_strided("overcount.ctf");
         let mut bytes = std::fs::read(&path).unwrap();
         // the first frame's record count, forged to 2^26 - 1: the header
         // stays structurally plausible, but its payload cannot hold that
@@ -463,53 +425,33 @@ mod tests {
 
     #[test]
     fn out_of_range_core_is_an_error() {
-        let path = record_strided("range.ctf", Codec::Compact);
+        let path = record_strided("range.ctf");
         let tf = TraceFile::open(&path).unwrap();
         assert!(tf.source(1).is_err());
         assert!(tf.decode_core(9).is_err());
     }
 
-    /// Replays several passes of `path`'s core 0 and checks each one
-    /// against [`TraceFile::decode_core`].
-    fn assert_wraps(path: &Path) {
-        let tf = TraceFile::open(path).unwrap();
+    #[test]
+    fn wraparound_repeats_decode_core_across_batches() {
+        // every address distinct, so a frame served twice or skipped
+        // cannot hide behind a repeating pattern
+        let path = tmp("wrap.ctf");
+        let sources: Vec<Box<dyn TraceSource>> =
+            vec![Box::new(StridedSource::new(0x4000, 64, 1 << 30, 2))];
+        let m = record_sources(&path, sources, "test", 30_000, 10_000).unwrap();
+        // three frames, the last one partial
+        assert!(m.cores[0].records > 2 * crate::codec::FRAME_RECORDS as u64);
+        let tf = TraceFile::open(&path).unwrap();
         let pass = tf.decode_core(0).unwrap();
         let mut src = tf.source(0).unwrap();
         for (i, want) in pass.iter().cycle().take(pass.len() * 5 / 2).enumerate() {
-            assert_eq!(src.next_record(), *want, "{path:?} record {i}");
+            assert_eq!(src.next_record(), *want, "record {i}");
         }
-    }
-
-    #[test]
-    fn wraparound_repeats_decode_core_across_batches() {
-        // every address distinct, so a batch served twice or skipped
-        // cannot hide behind a repeating pattern
-        let unique = || StridedSource::new(0x4000, 64, 1 << 30, 2);
-        for codec in [Codec::Compact, Codec::ChampSim] {
-            let path = tmp(&format!("wrap-{}.ctf", codec.name()));
-            let sources: Vec<Box<dyn TraceSource>> = vec![Box::new(unique())];
-            let m = record_sources(&path, sources, "test", 30_000, codec, 10_000).unwrap();
-            // three compact frames; more than two ChampSim chunks
-            assert!(m.cores[0].records > 2 * crate::codec::FRAME_RECORDS as u64);
-            assert!(m.cores[0].instructions > 2 * CHUNK_INSTRS as u64);
-            assert_wraps(&path);
-        }
-        // A foreign ChampSim stream may end in non-memory instructions.
-        // A decoder carried across the wrap would fold them into the
-        // next pass's first record; each pass starts a fresh one.
-        let mut live = unique();
-        let records: Vec<TraceRecord> = (0..10_000).map(|_| live.next_record()).collect();
-        let mut stream = champsim::encode_stream(&records).unwrap();
-        let instructions = 5 + stream.len() / champsim::INSTR_LEN;
-        stream.resize(instructions * champsim::INSTR_LEN, 0);
-        let path = tmp("wrap-foreign.ctf");
-        write_one_core(&path, Codec::ChampSim, &stream, 10_000, instructions as u64);
-        assert_wraps(&path);
     }
 
     #[test]
     fn corrupt_frame_panics_when_replay_reaches_it() {
-        let path = record_strided("flip-replay.ctf", Codec::Compact);
+        let path = record_strided("flip-replay.ctf");
         let mut bytes = std::fs::read(&path).unwrap();
         let first = HEADER_LEN as usize;
         let (plen, nrec) = decode_frame_header(&bytes[first..]).unwrap();

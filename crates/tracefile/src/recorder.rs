@@ -14,10 +14,9 @@ use chrome_sim::types::{AccessKind, TraceRecord, LINE_SHIFT};
 
 use crate::codec::{encode_frame, FRAME_RECORDS};
 use crate::format::{
-    encode_header, encode_tail, Codec, CoreManifest, IntervalStats, Manifest, TraceFileError,
-    HEADER_LEN,
+    encode_header, encode_tail, CoreManifest, IntervalStats, Manifest, TraceFileError, HEADER_LEN,
 };
-use crate::{champsim, hash_record, HASH_BASIS};
+use crate::{hash_record, HASH_BASIS};
 
 /// Default interval length (instructions) for the per-interval summary
 /// stats — the paper-standard 100K-instruction granularity.
@@ -81,10 +80,9 @@ fn fresh_interval() -> IntervalStats {
     }
 }
 
-/// Recompute interval stats from an already-decoded record stream —
-/// the same accumulator the recorder runs while capturing, exposed so
-/// files recorded before interval stats existed (or with a different
-/// interval length) can be clustered too. The leading `dep_prev`
+/// Recompute interval stats from an already-decoded record stream with
+/// the accumulator the recorder runs while capturing: the reference the
+/// recorded stats are checked against. The leading `dep_prev`
 /// canonicalization is applied, matching what the recorder hashed.
 #[must_use]
 pub fn compute_intervals(records: &[TraceRecord], interval_instr: u64) -> Vec<IntervalStats> {
@@ -119,19 +117,17 @@ impl<W: Write> CountingWriter<W> {
 ///
 /// The canonical record stream is hashed as it is captured; a leading
 /// `dep_prev` (which has nothing to depend on and is a timing no-op) is
-/// canonicalized to `false` so both codecs of the same workload produce
-/// the same content hash.
+/// canonicalized to `false`, so the hash is that of the stream replay
+/// serves.
 ///
 /// # Errors
 ///
-/// I/O failures, a zero `quota`/`interval_instr`, or (ChampSim codec
-/// only) a record at address 0.
+/// I/O failures, or a zero `quota`/`interval_instr`.
 pub fn record_sources(
     path: &Path,
     mut sources: Vec<Box<dyn TraceSource>>,
     spec: &str,
     quota: u64,
-    codec: Codec,
     interval_instr: u64,
 ) -> Result<Manifest, TraceFileError> {
     if quota == 0 || interval_instr == 0 {
@@ -150,7 +146,7 @@ pub fn record_sources(
         inner: BufWriter::new(file),
         written: 0,
     };
-    w.put(&encode_header(codec, sources.len() as u8))?;
+    w.put(&encode_header(sources.len() as u8))?;
     debug_assert_eq!(w.written, HEADER_LEN);
 
     let mut hash = HASH_BASIS;
@@ -161,8 +157,6 @@ pub fn record_sources(
         let mut records = 0u64;
         let mut instructions = 0u64;
         let mut frame: Vec<TraceRecord> = Vec::with_capacity(FRAME_RECORDS);
-        let mut champ_enc = champsim::Encoder::new();
-        let mut champ_buf: Vec<u8> = Vec::with_capacity(64 * 1024);
         while instructions < quota {
             let mut rec = src.next_record();
             if records == 0 {
@@ -172,33 +166,14 @@ pub fn record_sources(
             acc.push(&rec);
             records += 1;
             instructions += 1 + u64::from(rec.nonmem_before);
-            match codec {
-                Codec::Compact => {
-                    frame.push(rec);
-                    if frame.len() >= FRAME_RECORDS {
-                        w.put(&encode_frame(&frame))?;
-                        frame.clear();
-                    }
-                }
-                Codec::ChampSim => {
-                    champ_enc.push(&rec, &mut champ_buf)?;
-                    if champ_buf.len() >= 64 * 1024 {
-                        w.put(&champ_buf)?;
-                        champ_buf.clear();
-                    }
-                }
+            frame.push(rec);
+            if frame.len() >= FRAME_RECORDS {
+                w.put(&encode_frame(&frame))?;
+                frame.clear();
             }
         }
-        match codec {
-            Codec::Compact => {
-                if !frame.is_empty() {
-                    w.put(&encode_frame(&frame))?;
-                }
-            }
-            Codec::ChampSim => {
-                champ_enc.flush(&mut champ_buf);
-                w.put(&champ_buf)?;
-            }
+        if !frame.is_empty() {
+            w.put(&encode_frame(&frame))?;
         }
         cores.push(CoreManifest {
             name: src.name().to_string(),
@@ -211,7 +186,6 @@ pub fn record_sources(
     }
 
     let manifest = Manifest {
-        codec,
         quota,
         content_hash: hash,
         spec: spec.to_string(),
@@ -240,12 +214,11 @@ pub fn record_workload(
     cores: usize,
     seed: u64,
     quota: u64,
-    codec: Codec,
     interval_instr: u64,
 ) -> Result<Manifest, TraceFileError> {
     let sources = build_workload_sources(workload, cores, seed)?;
     let spec = workload_spec(workload, cores, seed);
-    record_sources(path, sources, &spec, quota, codec, interval_instr)
+    record_sources(path, sources, &spec, quota, interval_instr)
 }
 
 /// The canonical generator-spec string stored in recorded manifests.
@@ -293,7 +266,7 @@ mod tests {
         let path = tmp("quota.ctf");
         let sources: Vec<Box<dyn TraceSource>> =
             vec![Box::new(StridedSource::new(0x1000, 64, 1 << 16, 3))];
-        let m = record_sources(&path, sources, "test", 10_000, Codec::Compact, 2_000).unwrap();
+        let m = record_sources(&path, sources, "test", 10_000, 2_000).unwrap();
         assert_eq!(m.cores.len(), 1);
         assert!(m.cores[0].instructions >= 10_000);
         // each record covers 4 instructions; overshoot is at most one record
@@ -306,29 +279,18 @@ mod tests {
     }
 
     #[test]
-    fn both_codecs_hash_identically() {
-        let mk = || -> Vec<Box<dyn TraceSource>> {
-            vec![Box::new(StridedSource::new(0x1000, 64, 1 << 14, 2))]
-        };
-        let a = record_sources(&tmp("h1.ctf"), mk(), "t", 5_000, Codec::Compact, 1_000).unwrap();
-        let b = record_sources(&tmp("h2.ctf"), mk(), "t", 5_000, Codec::ChampSim, 1_000).unwrap();
-        assert_eq!(a.content_hash, b.content_hash);
-        assert!(a.total_stream_bytes() < b.total_stream_bytes());
-    }
-
-    #[test]
     fn named_workload_records() {
         let path = tmp("mcf.ctf");
-        let m = record_workload(&path, "mcf", 2, 42, 20_000, Codec::Compact, 5_000).unwrap();
+        let m = record_workload(&path, "mcf", 2, 42, 20_000, 5_000).unwrap();
         assert_eq!(m.cores.len(), 2);
         assert_eq!(m.spec_field("workload"), Some("mcf"));
         assert_eq!(m.spec_field("seed"), Some("42"));
-        assert!(record_workload(&tmp("x.ctf"), "nope", 1, 1, 100, Codec::Compact, 100).is_err());
+        assert!(record_workload(&tmp("x.ctf"), "nope", 1, 1, 100, 100).is_err());
     }
 
     #[test]
     fn zero_quota_is_rejected() {
         let sources: Vec<Box<dyn TraceSource>> = vec![Box::new(StridedSource::new(0, 64, 1024, 0))];
-        assert!(record_sources(&tmp("z.ctf"), sources, "t", 0, Codec::Compact, 100).is_err());
+        assert!(record_sources(&tmp("z.ctf"), sources, "t", 0, 100).is_err());
     }
 }

@@ -1,8 +1,9 @@
 //! `tracegen` and `traceinfo` parse their flags in one pass through
-//! `chrome_exec::cli::Args`: an unknown workload or codec, a missing or
+//! `chrome_exec::cli::Args`: an unknown flag or workload, a missing or
 //! malformed value, and a missing output or input prints the reason
 //! and the usage and exits 2 before anything is recorded or read.
-//! `traceinfo` checks every PATH it is given.
+//! `traceinfo` checks every PATH it is given, and a file it cannot
+//! open fails the run with exit 1.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -53,8 +54,8 @@ fn bad_tracegen_flags_are_usage_errors() {
             "--cores takes a number, got \"abc\"",
         ),
         (
-            &["--workload", "mcf", "--out", "x.ctf", "--codec", "nope"],
-            "unknown codec nope",
+            &["--workload", "mcf", "--out", "x.ctf", "--codec", "compact"],
+            "unknown flag --codec",
         ),
         (
             &["--workload", "mcf+nope", "--out", "x.ctf"],
@@ -129,5 +130,20 @@ fn traceinfo_checks_every_path() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(stdout.contains(lbm), "{lbm} not reported:\n{stdout}");
+
+    // so does a file whose header names a codec other than compact
+    // frames (tag 0): it is reported, not a panic
+    let tagged = dir.join("tagged.ctf");
+    let mut bytes = std::fs::read(lbm).expect("lbm trace read");
+    bytes[6] = 1;
+    std::fs::write(&tagged, bytes).expect("tagged trace written");
+    let out = run(
+        env!("CARGO_BIN_EXE_traceinfo"),
+        &[utf8(&tagged), "--verify"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(stderr.contains("codec tag 1"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }

@@ -1,8 +1,8 @@
 //! Property tests for footer interval stats: per-core interval sums
-//! must exactly equal the manifest totals for every codec, including
-//! when the recorded source itself wraps around (re-recording from a
-//! `FileSource`), and structurally inconsistent interval metadata must
-//! fail at open.
+//! must exactly equal the manifest totals, including when the recorded
+//! source itself wraps around (re-recording from a `FileSource`), and
+//! missing or structurally inconsistent interval metadata must fail at
+//! open.
 
 use std::path::PathBuf;
 
@@ -10,9 +10,7 @@ use chrome_sim::rng::SmallRng;
 use chrome_sim::trace::TraceSource;
 use chrome_sim::types::{AccessKind, TraceRecord};
 use chrome_tracefile::recorder::record_sources;
-use chrome_tracefile::{
-    codec, compute_intervals, format, Codec, CoreManifest, IntervalStats, Manifest, TraceFile,
-};
+use chrome_tracefile::{codec, compute_intervals, format, CoreManifest, Manifest, TraceFile};
 
 fn tmpdir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("chrome-intervals-{}", std::process::id()));
@@ -20,8 +18,8 @@ fn tmpdir() -> PathBuf {
     dir
 }
 
-/// A random-but-plausible stream (addresses avoid 0 for the ChampSim
-/// layout; the leading record never carries `dep_prev`).
+/// A random-but-plausible stream (the leading record never carries
+/// `dep_prev`).
 fn random_stream(rng: &mut SmallRng, len: usize) -> Vec<TraceRecord> {
     let mut pc = 0x400_000u64;
     let mut vaddr = 0x10_0000u64;
@@ -33,9 +31,6 @@ fn random_stream(rng: &mut SmallRng, len: usize) -> Vec<TraceRecord> {
             1 => rng.next_u64() | 1,
             _ => vaddr.wrapping_sub(8),
         };
-        if vaddr == 0 {
-            vaddr = 0x40;
-        }
         out.push(TraceRecord {
             nonmem_before: (rng.next_u64() % 50) as u16,
             pc,
@@ -108,22 +103,19 @@ fn interval_sums_match_totals_for_all_codecs() {
         let n_cores = 1 + (rng.next_u64() % 3) as usize;
         let interval = 500 + rng.next_u64() % 4_000;
         let quota = 5_000 + rng.next_u64() % 30_000;
-        for codec in [Codec::Compact, Codec::ChampSim] {
-            let sources: Vec<Box<dyn TraceSource>> = (0..n_cores)
-                .map(|_| {
-                    let len = 200 + (rng.next_u64() % 2_000) as usize;
-                    Box::new(Replay {
-                        recs: random_stream(&mut rng, len),
-                        i: 0,
-                    }) as Box<dyn TraceSource>
-                })
-                .collect();
-            let path = tmpdir().join(format!("sum-{case}-{}.ctf", codec.name()));
-            record_sources(&path, sources, "test", quota, codec, interval).unwrap();
-            let tf = TraceFile::open(&path).unwrap();
-            let label = format!("case {case} codec {}", codec.name());
-            assert_intervals_consistent(&tf, &label);
-        }
+        let sources: Vec<Box<dyn TraceSource>> = (0..n_cores)
+            .map(|_| {
+                let len = 200 + (rng.next_u64() % 2_000) as usize;
+                Box::new(Replay {
+                    recs: random_stream(&mut rng, len),
+                    i: 0,
+                }) as Box<dyn TraceSource>
+            })
+            .collect();
+        let path = tmpdir().join(format!("sum-{case}.ctf"));
+        record_sources(&path, sources, "test", quota, interval).unwrap();
+        let tf = TraceFile::open(&path).unwrap();
+        assert_intervals_consistent(&tf, &format!("case {case}"));
     }
 }
 
@@ -138,17 +130,15 @@ fn wraparound_rerecording_keeps_sums_exact() {
         recs: random_stream(&mut rng, 400),
         i: 0,
     })];
-    let m0 = record_sources(&base, sources, "test", 4_000, Codec::Compact, 1_000).unwrap();
+    let m0 = record_sources(&base, sources, "test", 4_000, 1_000).unwrap();
     let tf0 = TraceFile::open(&base).unwrap();
-    for codec in [Codec::Compact, Codec::ChampSim] {
-        let rerec = tmpdir().join(format!("wrap-re-{}.ctf", codec.name()));
-        let wrapping: Vec<Box<dyn TraceSource>> = vec![Box::new(tf0.source(0).unwrap())];
-        let quota = m0.cores[0].instructions * 3 + 777; // force >3 wraps
-        record_sources(&rerec, wrapping, "test", quota, codec, 1_500).unwrap();
-        let tf = TraceFile::open(&rerec).unwrap();
-        assert!(tf.manifest().cores[0].instructions >= quota);
-        assert_intervals_consistent(&tf, &format!("wrap {}", codec.name()));
-    }
+    let rerec = tmpdir().join("wrap-re.ctf");
+    let wrapping: Vec<Box<dyn TraceSource>> = vec![Box::new(tf0.source(0).unwrap())];
+    let quota = m0.cores[0].instructions * 3 + 777; // force >3 wraps
+    record_sources(&rerec, wrapping, "test", quota, 1_500).unwrap();
+    let tf = TraceFile::open(&rerec).unwrap();
+    assert!(tf.manifest().cores[0].instructions >= quota);
+    assert_intervals_consistent(&tf, "wrap");
 }
 
 #[test]
@@ -159,20 +149,19 @@ fn recomputed_intervals_match_recorded_ones() {
         recs: random_stream(&mut rng, 900),
         i: 0,
     })];
-    record_sources(&path, sources, "test", 20_000, Codec::Compact, 2_500).unwrap();
+    record_sources(&path, sources, "test", 20_000, 2_500).unwrap();
     let tf = TraceFile::open(&path).unwrap();
     let decoded = tf.decode_core(0).unwrap();
     let recomputed = compute_intervals(&decoded, tf.manifest().interval_instr);
     assert_eq!(recomputed, tf.manifest().cores[0].intervals);
-    assert_eq!(tf.intervals_for(0).unwrap(), recomputed);
 }
 
-/// Hand-assemble a container around `manifest` (one compact-codec core
-/// stream of `recs`) so invalid manifests that the recorder refuses to
-/// produce can still be exercised against `TraceFile::open`.
+/// Hand-assemble a container around `manifest` (one core stream of
+/// `recs`) so invalid manifests that the recorder refuses to produce can
+/// still be exercised against `TraceFile::open`.
 fn write_container(path: &PathBuf, recs: &[TraceRecord], manifest: &Manifest) {
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(&format::encode_header(Codec::Compact, 1));
+    bytes.extend_from_slice(&format::encode_header(1));
     bytes.extend_from_slice(&codec::encode_frame(recs));
     let moff = bytes.len() as u64;
     let mbytes = manifest.encode();
@@ -184,7 +173,6 @@ fn write_container(path: &PathBuf, recs: &[TraceRecord], manifest: &Manifest) {
 fn one_core_manifest(recs: &[TraceRecord], stream_len: u64, interval_instr: u64) -> Manifest {
     let instructions: u64 = recs.iter().map(|r| 1 + u64::from(r.nonmem_before)).sum();
     Manifest {
-        codec: Codec::Compact,
         quota: instructions,
         content_hash: 0, // open does not rehash; verify would
         spec: String::new(),
@@ -231,16 +219,19 @@ fn inconsistent_interval_sums_fail_to_open() {
 }
 
 #[test]
-fn empty_interval_list_opens_and_recomputes() {
-    // pre-interval-stats files carry no intervals: open succeeds and
-    // `intervals_for` recomputes them from the stream
+fn empty_interval_list_fails_to_open() {
+    // every recording writes at least one interval per core, so a core
+    // without interval stats is corrupt
     let recs = random_stream(&mut SmallRng::seed_from_u64(9), 300);
     let stream_len = codec::encode_frame(&recs).len() as u64;
     let mut manifest = one_core_manifest(&recs, stream_len, 1_000);
-    let expect: Vec<IntervalStats> = std::mem::take(&mut manifest.cores[0].intervals);
+    manifest.cores[0].intervals.clear();
     let path = tmpdir().join("no-intervals.ctf");
     write_container(&path, &recs, &manifest);
-    let tf = TraceFile::open(&path).unwrap();
-    assert!(tf.manifest().cores[0].intervals.is_empty());
-    assert_eq!(tf.intervals_for(0).unwrap(), expect);
+    let err = TraceFile::open(&path).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("core 0 carries no interval stats; re-record"),
+        "unexpected error: {err}"
+    );
 }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use chrome_sim::{Kernel, SimConfig, SimResults, System};
 use chrome_telemetry::{EpochSeries, TelemetryConfig, TelemetrySink};
 use chrome_tracefile::recorder::{build_workload_sources, record_workload};
-use chrome_tracefile::{Codec, TraceFile};
+use chrome_tracefile::TraceFile;
 
 const INSTRUCTIONS: u64 = 3_000;
 const WARMUP: u64 = 300;
@@ -40,13 +40,9 @@ fn run_system(
     (results, epochs)
 }
 
-fn assert_equivalent(workload: &str, cores: usize, seed: u64, quota: u64, codec: Codec) {
-    let path = tmpdir().join(format!(
-        "{}_c{cores}_{}.ctf",
-        workload.replace('+', "-"),
-        codec.name()
-    ));
-    record_workload(&path, workload, cores, seed, quota, codec, 1_000)
+fn assert_equivalent(workload: &str, cores: usize, seed: u64, quota: u64) {
+    let path = tmpdir().join(format!("{}_c{cores}.ctf", workload.replace('+', "-")));
+    record_workload(&path, workload, cores, seed, quota, 1_000)
         .unwrap_or_else(|e| panic!("recording {workload}: {e}"));
     let tf = TraceFile::open(&path).unwrap();
     for kernel in [Kernel::EventDriven, Kernel::Reference] {
@@ -57,16 +53,12 @@ fn assert_equivalent(workload: &str, cores: usize, seed: u64, quota: u64, codec:
         );
         let replayed = run_system(tf.sources().unwrap(), cores, kernel);
         assert_eq!(
-            replayed.0,
-            live.0,
-            "{workload} ({}, {kernel:?}): SimResults diverged between live and replay",
-            codec.name()
+            replayed.0, live.0,
+            "{workload} ({kernel:?}): SimResults diverged between live and replay"
         );
         assert_eq!(
-            replayed.1,
-            live.1,
-            "{workload} ({}, {kernel:?}): epoch telemetry diverged between live and replay",
-            codec.name()
+            replayed.1, live.1,
+            "{workload} ({kernel:?}): epoch telemetry diverged between live and replay"
         );
     }
 }
@@ -77,14 +69,7 @@ fn every_registered_workload_replays_identically() {
     // the ROB run-ahead; 4x the budget is far beyond that
     let quota = 4 * (WARMUP + INSTRUCTIONS);
     for (i, workload) in chrome_traces::all_workloads().iter().enumerate() {
-        // alternate codecs across the registry so both stay covered
-        // without doubling the matrix
-        let codec = if i % 2 == 0 {
-            Codec::Compact
-        } else {
-            Codec::ChampSim
-        };
-        assert_equivalent(workload, 1, 0x5EED + i as u64, quota, codec);
+        assert_equivalent(workload, 1, 0x5EED + i as u64, quota);
     }
 }
 
@@ -93,5 +78,5 @@ fn heterogeneous_mix_replays_identically() {
     // early-finishing cores keep running until the slowest meets its
     // quota, so multi-core consumption needs a much larger margin
     let quota = 40 * (WARMUP + INSTRUCTIONS);
-    assert_equivalent("mcf+libquantum", 2, 0x0DDB, quota, Codec::Compact);
+    assert_equivalent("mcf+libquantum", 2, 0x0DDB, quota);
 }

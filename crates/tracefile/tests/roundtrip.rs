@@ -1,8 +1,8 @@
 //! Round-trip property tests over randomized record streams, plus
 //! corpus-level compression and corruption-robustness checks.
 //!
-//! Every stream drawn here goes encode → decode → compare for both
-//! codecs; mutated and truncated containers must fail with a
+//! Every stream drawn here goes encode → decode → compare through the
+//! compact codec; mutated and truncated containers must fail with a
 //! `TraceFileError`, never a panic.
 
 use std::path::PathBuf;
@@ -11,7 +11,7 @@ use chrome_sim::rng::SmallRng;
 use chrome_sim::trace::TraceSource;
 use chrome_sim::types::{AccessKind, TraceRecord};
 use chrome_tracefile::recorder::{build_workload_sources, record_sources, record_workload};
-use chrome_tracefile::{champsim, codec, Codec, TraceFile, TraceFileError};
+use chrome_tracefile::{codec, TraceFile, TraceFileError};
 
 fn tmpdir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("chrome-roundtrip-{}", std::process::id()));
@@ -19,8 +19,7 @@ fn tmpdir() -> PathBuf {
     dir
 }
 
-/// A random-but-plausible record stream. Addresses avoid 0 (the
-/// ChampSim layout cannot represent it); deltas mix small strides with
+/// A random-but-plausible record stream. Deltas mix small strides with
 /// full-range jumps so varint length classes all get exercised.
 fn random_stream(rng: &mut SmallRng, len: usize) -> Vec<TraceRecord> {
     let mut pc = 0x400_000u64;
@@ -38,12 +37,7 @@ fn random_stream(rng: &mut SmallRng, len: usize) -> Vec<TraceRecord> {
             1 => vaddr = rng.next_u64() | 1,
             _ => vaddr = vaddr.wrapping_sub(8),
         }
-        if vaddr == 0 {
-            vaddr = 0x40;
-        }
-        // kept modest: each non-memory slot costs the ChampSim layout a
-        // whole 64-byte instruction (u16::MAX saturation has its own
-        // unit tests in both codecs)
+        // the u16::MAX gap is covered by the codec's own unit tests
         let nonmem = match rng.next_u64() % 4 {
             0 => 0,
             1 => (rng.next_u64() % 8) as u16,
@@ -73,30 +67,19 @@ fn random_streams_roundtrip_through_both_codecs() {
     for case in 0..50 {
         let len = 1 + (rng.next_u64() % 600) as usize;
         let stream = random_stream(&mut rng, len);
-        // compact: frame-based
         let frame = codec::encode_frame(&stream);
         let (plen, nrec) = codec::decode_frame_header(&frame).unwrap();
         assert_eq!(frame.len(), codec::FRAME_HEADER_LEN + plen);
         let mut decoded = Vec::new();
         codec::decode_frame_payload(&frame[codec::FRAME_HEADER_LEN..], nrec, &mut decoded).unwrap();
-        assert_eq!(decoded, stream, "compact codec, case {case}");
-        // champsim: 64-byte instruction records; dep_prev immediately
-        // after another memory record survives (the spacing of these
-        // streams guarantees a previous instruction to patch)
-        let bytes = champsim::encode_stream(&stream).unwrap();
-        let mut dec = champsim::Decoder::new();
-        let mut decoded = Vec::new();
-        for instr in bytes.chunks_exact(champsim::INSTR_LEN) {
-            dec.push_instr(instr, &mut decoded);
-        }
-        assert_eq!(decoded, stream, "champsim codec, case {case}");
+        assert_eq!(decoded, stream, "case {case}");
     }
 }
 
 #[test]
 fn mutated_containers_error_never_panic() {
     let path = tmpdir().join("mutate.ctf");
-    record_workload(&path, "mcf", 1, 3, 20_000, Codec::Compact, 5_000).unwrap();
+    record_workload(&path, "mcf", 1, 3, 20_000, 5_000).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     let mut rng = SmallRng::seed_from_u64(0xBAD);
     let mutated = tmpdir().join("mutated.ctf");
@@ -123,7 +106,7 @@ fn mutated_containers_error_never_panic() {
 #[test]
 fn bit_flips_in_payload_are_caught_by_verify() {
     let path = tmpdir().join("payload.ctf");
-    record_workload(&path, "lbm", 1, 9, 20_000, Codec::ChampSim, 5_000).unwrap();
+    record_workload(&path, "lbm", 1, 9, 20_000, 5_000).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     // flip one bit inside the first core's stream (past the header)
     let mut copy = bytes;
@@ -144,22 +127,12 @@ fn bit_flips_in_payload_are_caught_by_verify() {
 fn compact_codec_beats_eight_bytes_per_instruction_on_smoke_corpus() {
     // the acceptance bar: averaged over the registered corpus at smoke
     // scale, the compact codec stays under 8 bytes per instruction
-    // (ChampSim's layout costs 64)
     let dir = tmpdir();
     let mut total_bytes = 0u64;
     let mut total_instr = 0u64;
     for (i, workload) in chrome_traces::all_workloads().iter().enumerate() {
         let path = dir.join(format!("corpus-{workload}.ctf"));
-        let m = record_workload(
-            &path,
-            workload,
-            1,
-            100 + i as u64,
-            50_000,
-            Codec::Compact,
-            10_000,
-        )
-        .unwrap();
+        let m = record_workload(&path, workload, 1, 100 + i as u64, 50_000, 10_000).unwrap();
         total_bytes += m.total_stream_bytes();
         total_instr += m.total_instructions();
         assert!(
@@ -175,21 +148,19 @@ fn compact_codec_beats_eight_bytes_per_instruction_on_smoke_corpus() {
 #[test]
 fn recorded_stream_is_exactly_the_generator_prefix() {
     // decode-and-compare over a GAP workload (pointer-chasing shapes
-    // stress the dependence encoding) for both codecs
-    for codec in [Codec::Compact, Codec::ChampSim] {
-        let path = tmpdir().join(format!("prefix-{}.ctf", codec.name()));
-        record_workload(&path, "bfs-ur", 1, 11, 30_000, codec, 10_000).unwrap();
-        let tf = TraceFile::open(&path).unwrap();
-        tf.verify().unwrap();
-        let decoded = tf.decode_core(0).unwrap();
-        let mut live = build_workload_sources("bfs-ur", 1, 11).unwrap();
-        for (j, rec) in decoded.iter().enumerate() {
-            let mut expect = live[0].next_record();
-            if j == 0 {
-                expect.dep_prev = false;
-            }
-            assert_eq!(*rec, expect, "{} record {j}", codec.name());
+    // stress the dependence encoding)
+    let path = tmpdir().join("prefix.ctf");
+    record_workload(&path, "bfs-ur", 1, 11, 30_000, 10_000).unwrap();
+    let tf = TraceFile::open(&path).unwrap();
+    tf.verify().unwrap();
+    let decoded = tf.decode_core(0).unwrap();
+    let mut live = build_workload_sources("bfs-ur", 1, 11).unwrap();
+    for (j, rec) in decoded.iter().enumerate() {
+        let mut expect = live[0].next_record();
+        if j == 0 {
+            expect.dep_prev = false;
         }
+        assert_eq!(*rec, expect, "record {j}");
     }
 }
 
@@ -212,7 +183,6 @@ fn ad_hoc_sources_record_without_workload_identity() {
         vec![Box::new(Ping(0))],
         "adhoc-experiment",
         5_000,
-        Codec::Compact,
         1_000,
     )
     .unwrap();

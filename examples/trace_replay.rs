@@ -8,7 +8,7 @@
 
 use chrome_repro::sim::{SimConfig, System};
 use chrome_repro::tracefile::recorder::{build_workload_sources, record_workload};
-use chrome_repro::tracefile::{Codec, TraceFile};
+use chrome_repro::tracefile::TraceFile;
 
 fn main() {
     let workload = "mcf";
@@ -26,8 +26,8 @@ fn main() {
     let path = dir.join(format!("{workload}_c{cores}_s{seed}.ctf"));
 
     println!("recording {cores}-core `{workload}` ({quota} instructions/core)...");
-    let manifest = record_workload(&path, workload, cores, seed, quota, Codec::Compact, 100_000)
-        .expect("recording succeeds");
+    let manifest =
+        record_workload(&path, workload, cores, seed, quota, 100_000).expect("recording succeeds");
     println!(
         "  {} -> {} records, {} instructions, {} bytes ({:.2} bytes/instruction)",
         path.display(),
